@@ -3,22 +3,25 @@
 A single-layer multiplicative network evaluated for T steps has a closed
 form: the score is a full contraction of an order-T coefficient tensor (the
 weights tensor) with the per-step input encodings.  The weights tensor is
-assembled by a tensor-train recursion of bond rank R.  Grid tensors hold raw
-network outputs on every length-T symbol sequence and exist for any depth.
+assembled by a tensor-train recursion of bond rank R, seeded with W_h h0 so
+that any initial state is honoured, one batched matrix product per
+time-step; exact tensors are computed in Python integers over one common
+denominator.  Grid tensors hold raw network outputs on every length-T symbol
+sequence and exist for any depth.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError, ShapeError
-from .network import (RAC_PRODUCT, InputSequence, Nonlinearity, RacParams,
-                      TemplateEncoder, _coerce_seq, neutral_h0, step_deep)
-from .tensor import DenseTensor
+from .network import (RAC_PRODUCT, Nonlinearity, RacParams, TemplateEncoder,
+                      _coerce_seq, step_deep)
+from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
 DEFAULT_GRID_BUDGET = 10 ** 7
@@ -45,14 +48,18 @@ class GridTensor:
 def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> WeightsTensor:
     """Tensor-train assembly of the order-T coefficient tensor for class c.
 
-    With phi_t holding R tensors of order t, the recursion is
+    With s = Wh h0 the hidden input of the first step and phi_t the R x M^t
+    matrix whose row b holds (Wh h_t)[b] for every input word d_1..d_t, the
+    recursion is
 
-        phi_1[b] = sum_a Wh[b,a] * Wi[a,:]
-        phi_t[b] = sum_a Wh[b,a] * (phi_{t-1}[a] x Wi[a,:])
-        A        = sum_a Wo[c,a] * (phi_{T-1}[a] x Wi[a,:])
+        phi_1 = Wh (s[:, None] * Wi)
+        phi_t = Wh (phi_{t-1} x Wi)      (row-wise outer product, flattened)
+        A     = Wo[c] (phi_{T-1} x Wi)
 
-    which reproduces the step-by-step forward pass with the neutral initial
-    state Wh^-1 1 (the first hidden multiplication cancels against h0).
+    which reproduces the step-by-step forward pass from the initial state
+    p.h0.  Over the exact field the recursion runs on Python integers: the
+    denominators of Wi, Wh, Wo[c] and s are cleared once, and every entry is
+    divided by the one common denominator at the end.
     """
     if p.L != 1:
         raise ParameterError("weights tensor is defined for single-layer networks")
@@ -60,18 +67,31 @@ def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> WeightsTensor:
         raise ShapeError(f"T must be >= 2, got {T}")
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
-    neutral_h0(p.w_hidden[0])  # raises on singular hidden weights
-    wi, wh = p.w_in[0], p.w_hidden[0]
+    wi, wh, out = p.w_in[0], p.w_hidden[0], p.w_out[c - 1]
+    s = wh @ p.h0[0]
+    if p.field == EXACT:
+        (wi, di), (wh, dh), (out, do), (s, ds) = map(
+            _integer_form, (wi, wh, out, s))
     R = p.R
-    phi = [sum(wh[b, a] * wi[a] for a in range(R)) for b in range(R)]
+
+    def extend(phi):
+        return (phi[:, :, None] * wi[:, None, :]).reshape(R, -1)
+
+    phi = wh @ (s[:, None] * wi)
     for _ in range(2, T):
-        phi = [
-            sum(wh[b, a] * np.multiply.outer(phi[a], wi[a]) for a in range(R))
-            for b in range(R)
-        ]
-    out = p.w_out[c - 1]
-    A = sum(out[a] * np.multiply.outer(phi[a], wi[a]) for a in range(R))
+        phi = wh @ extend(phi)
+    A = out @ extend(phi)
+    if p.field == EXACT:
+        den = ds * di ** T * dh ** (T - 1) * do
+        A = np.array([Fraction(x, den) for x in A], dtype=object)
+    A = A.reshape((p.M,) * T)
     return WeightsTensor(tensor=DenseTensor(A, p.field), class_index=c, tt_rank=R)
+
+
+def _integer_form(a):
+    """(n, d): an object array n of Python ints and an int d with a == n / d."""
+    ints, den = clear_denominators(a.reshape(-1))
+    return np.array(ints, dtype=object).reshape(a.shape), den
 
 
 def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:

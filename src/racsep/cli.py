@@ -13,7 +13,7 @@ import sys
 
 from .builders import build_grid_tensor, build_weights_tensor
 from .errors import RacsepError, ResourceBudgetError
-from .ranks import multiset_coefficient
+from .ranks import DEFAULT_REL_TOL, multiset_coefficient
 from .tensor import EXACT, FLOAT, save_tensor
 from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,
@@ -45,7 +45,7 @@ def _add_grid_flags(p):
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rel-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 

@@ -10,6 +10,7 @@ Biases are omitted throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError
 from .ranks import rank_exact, rank_numeric
-from .tensor import EXACT, FLOAT, exact_array, field_of
+from .tensor import (EXACT, field_of, header_ints, header_words,
+                     parse_scalars)
 
 
 @dataclass(frozen=True)
@@ -270,34 +272,28 @@ def parse_params(text: str) -> RacParams:
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != PARAMS_TAG:
         raise InvalidInputError("not a parameters file (bad header)")
-    pos = 1
-    header = {}
-    for _ in range(5):
-        key, val = lines[pos].split()
-        header[key] = val
-        pos += 1
-    fld = header["field"]
+    (L,) = header_ints(header_words(lines, 1, "L", 1))
+    for pos, key in enumerate(("R", "M", "C"), 2):
+        header_ints(header_words(lines, pos, key, 1))  # blocks carry shapes
+    (fld,) = header_words(lines, 5, "field", 1)
+    pos = 6
 
-    def read_block():
+    def read_block(key):
         nonlocal pos
-        head = lines[pos].split()
-        nums = [int(x) for x in head[1:]]
-        if head[0] in ("w_in", "w_hidden", "h0"):
-            nums = nums[1:]  # drop the layer index
-        shape = tuple(nums)
-        pos += 1
-        count = int(np.prod(shape))
-        raw = lines[pos:pos + count]
-        pos += count
-        if fld == EXACT:
-            return exact_array([Fraction(s) for s in raw], shape=shape)
-        return np.array([float(s) for s in raw]).reshape(shape)
+        nums = header_ints(header_words(lines, pos, key))
+        shape = nums if key == "w_out" else nums[1:]  # drop the layer index
+        count = math.prod(shape)
+        raw = lines[pos + 1:pos + 1 + count]
+        if len(raw) != count:
+            raise InvalidInputError(
+                f"{key} block needs {count} entries, the file has {len(raw)}")
+        pos += 1 + count
+        return parse_scalars(raw, fld).reshape(shape)
 
-    L = int(header["L"])
-    w_in = [read_block() for _ in range(L)]
-    w_hidden = [read_block() for _ in range(L)]
-    w_out = read_block()
-    h0 = [read_block() for _ in range(L)]
+    w_in = [read_block("w_in") for _ in range(L)]
+    w_hidden = [read_block("w_hidden") for _ in range(L)]
+    w_out = read_block("w_out")
+    h0 = [read_block("h0") for _ in range(L)]
     return RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
 
 

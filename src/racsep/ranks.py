@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, ShapeError
-from .tensor import EXACT, FLOAT, DenseTensor
+from .tensor import EXACT, FLOAT, DenseTensor, clear_denominators
 
 DEFAULT_REL_TOL = 1e-12
 
@@ -44,11 +43,11 @@ def rank_exact(m) -> RankReport:
     arr, fld = _as_matrix(m)
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
-    rows = []
-    for row in arr:
-        fracs = [Fraction(v) for v in row]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows.append([int(f * den) for f in fracs])
+    try:
+        rows = [clear_denominators(row)[0] for row in arr]
+    except AttributeError:
+        raise FieldMismatchError(
+            "rank_exact requires int or Fraction entries") from None
     n, ncols = len(rows), len(rows[0]) if rows else 0
 
     rank = 0

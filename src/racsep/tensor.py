@@ -9,6 +9,7 @@ followed by a reshape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,16 @@ def exact_array(values, shape=None):
     if shape is not None:
         arr = arr.reshape(shape)
     return arr
+
+
+def clear_denominators(values):
+    """Integers n_i and their common denominator d with values[i] == n_i / d.
+
+    ``values`` holds ints or Fractions; d is the lcm of their denominators.
+    """
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def field_of(array):
@@ -203,21 +214,53 @@ def dump_tensor(t: DenseTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
+def header_words(lines, pos, key, count=None):
+    """The words after ``key`` on lines[pos] of a text file (exactly
+    ``count`` of them when given)."""
+    words = lines[pos].split() if pos < len(lines) else []
+    if not words or words[0] != key or (
+            count is not None and len(words) != count + 1):
+        got = repr(lines[pos]) if pos < len(lines) else "end of file"
+        raise InvalidInputError(f"expected a {key!r} line, got {got}")
+    return words[1:]
+
+
+def header_ints(words):
+    """Non-negative integers from header words."""
+    if not all(w.isdecimal() for w in words):
+        raise InvalidInputError(
+            f"expected non-negative integers, got {' '.join(words)!r}")
+    return tuple(int(w) for w in words)
+
+
+def parse_scalars(raw, field):
+    """One block of text entries as a flat array of the field: Fractions
+    (``num/den``) in an object array, or finite float64 values."""
+    if field not in (EXACT, FLOAT):
+        raise InvalidInputError(
+            f"field must be {EXACT!r} or {FLOAT!r}, got {field!r}")
+    try:
+        if field == EXACT:
+            return np.array([Fraction(s) for s in raw], dtype=object)
+        arr = np.array([float(s) for s in raw], dtype=np.float64)
+    except (ValueError, ZeroDivisionError) as e:
+        raise InvalidInputError(f"bad {field} entry: {e}") from None
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("float entries must be finite")
+    return arr
+
+
 def parse_tensor(text: str) -> DenseTensor:
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != FORMAT_TAG:
         raise InvalidInputError("not a tensor file (bad header)")
-    order = int(lines[1].split()[1])
-    dims = tuple(int(x) for x in lines[2].split()[1:])
+    (order,) = header_ints(header_words(lines, 1, "order", 1))
+    dims = header_ints(header_words(lines, 2, "dims"))
     if len(dims) != order:
         raise InvalidInputError("dims line does not match order")
-    field = lines[3].split()[1]
-    raw = lines[4:]
-    if field == EXACT:
-        entries = [Fraction(s) for s in raw]
-    else:
-        entries = [float(s) for s in raw]
-    return DenseTensor.from_entries(dims, entries, field)
+    (field,) = header_words(lines, 3, "field", 1)
+    return DenseTensor.from_entries(dims, parse_scalars(lines[4:], field),
+                                    field)
 
 
 def save_tensor(t: DenseTensor, path):

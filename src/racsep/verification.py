@@ -19,13 +19,13 @@ import numpy as np
 
 from .builders import build_grid_tensor, build_weights_tensor
 from .errors import InvalidInputError, ParameterError
-from .network import RacParams, TemplateEncoder, neutral_h0
-from .ranks import multiset_coefficient, rank_exact, rank_numeric
+from .network import RacParams, exact_identity
+from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
+                    rank_numeric)
 from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,
                      hadamard_power, matricize)
 
 DEFAULT_THRESHOLD = 0.95
-DEFAULT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,7 @@ class AppendixBAssignment:
 
     def params(self) -> RacParams:
         R = self.R
-        eye = np.array([[Fraction(int(i == j)) for j in range(R)]
-                        for i in range(R)], dtype=object)
+        eye = exact_identity(R)
         w_in2 = np.full((R, R), Fraction(0), dtype=object)
         w_in2[0, :] = Fraction(1)
         w_out = np.full((1, R), Fraction(0), dtype=object)

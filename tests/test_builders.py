@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, IndexPartition, ParameterError, RAC_PRODUCT,
                     RacParams, ResourceBudgetError, ShapeError,
-                    TemplateEncoder, build_grid_tensor, build_weights_tensor,
-                    draw_params, exact_array, forward_deep, forward_shallow,
-                    matricize, rank_exact, score_from_tensor, trial_rng)
+                    TemplateEncoder, attach_inputs, build_grid_tensor,
+                    build_mps, build_weights_tensor, contract, draw_params,
+                    exact_array, forward_deep, forward_shallow, matricize,
+                    rank_exact, score_from_tensor, trial_rng)
 from racsep.builders import GRID_BUDGET_ENV
 
 
@@ -108,3 +111,39 @@ def test_grid_equals_weights_tensor_identity_encoder():
         g = build_grid_tensor(p, T=4)
         w = build_weights_tensor(p, T=4)
         assert g.tensor.equals(w.tensor)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_builders_agree_with_forward_for_explicit_h0(data):
+    # weights tensor (TT recursion), grid walk, MPS contraction and forward
+    # pass are independent paths; with an explicit rational h0 and a hidden
+    # matrix that may be singular, all four must give the same exact output
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 3))
+    T = data.draw(st.integers(2, 4 if M <= 2 else 3))
+
+    def ints(*shape):
+        n = int(np.prod(shape))
+        vals = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return exact_array(vals, shape=shape)
+
+    wh = ints(R, R)
+    if data.draw(st.booleans()):
+        wh[-1] = 0  # singular: no neutral h0 exists
+    h0 = exact_array(data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        min_size=R, max_size=R)))
+    p = RacParams(w_in=[ints(R, M)], w_hidden=[wh], w_out=ints(1, R),
+                  h0=[h0])
+    enc = TemplateEncoder.identity(M)
+    weights = build_weights_tensor(p, T=T).tensor
+    grid = build_grid_tensor(p, T=T).tensor
+    mps = build_mps(p, T)
+    for d in itertools.product(range(1, M + 1), repeat=T):
+        idx = tuple(x - 1 for x in d)
+        want = forward_deep(p, RAC_PRODUCT, enc, d)[0]
+        assert weights[idx] == want
+        assert grid[idx] == want
+        assert contract(attach_inputs(mps, enc, d)).entries[0] == want
+        assert isinstance(weights[idx], Fraction)

@@ -162,3 +162,43 @@ def test_forward_invariant_under_serialization():
     for seq in itertools.product([1, 2], repeat=3):
         assert (forward_shallow(p, RAC_PRODUCT, enc, seq)[0]
                 == forward_shallow(q, RAC_PRODUCT, enc, seq)[0])
+
+
+def _dumped_params(field):
+    rng = np.random.default_rng(9)
+    if field == EXACT:
+        mk = lambda s: exact_array(rng.integers(-9, 10, s))
+    else:
+        mk = lambda s: rng.uniform(-1, 1, s)
+    return dump_params(RacParams(w_in=[mk((2, 3))], w_hidden=[mk((2, 2))],
+                                 w_out=mk((1, 2))))
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5, 6])
+def test_parse_params_rejects_truncated_header(cut):
+    lines = _dumped_params(EXACT).splitlines()
+    with pytest.raises(InvalidInputError):
+        parse_params("\n".join(lines[:cut]))
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_parse_params_rejects_short_block(field):
+    lines = _dumped_params(field).splitlines()
+    with pytest.raises(InvalidInputError):
+        parse_params("\n".join(lines[:-1]))
+    with pytest.raises(InvalidInputError):  # w_in short by one entry
+        parse_params("\n".join(lines[:7] + lines[8:]))
+
+
+def test_parse_params_rejects_unknown_field():
+    text = _dumped_params(FLOAT).replace("field float", "field bogus")
+    with pytest.raises(InvalidInputError):
+        parse_params(text)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_parse_params_rejects_non_finite(bad):
+    lines = _dumped_params(FLOAT).splitlines()
+    lines[7] = bad
+    with pytest.raises(InvalidInputError):
+        parse_params("\n".join(lines))

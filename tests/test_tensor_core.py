@@ -116,6 +116,24 @@ def test_parse_rejects_bad_header():
         parse_tensor("nonsense\n1 2 3\n")
 
 
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_parse_rejects_truncated_header(cut):
+    text = dump_tensor(DenseTensor.from_entries((2,), [1, 2], EXACT))
+    with pytest.raises(InvalidInputError):
+        parse_tensor("\n".join(text.splitlines()[:cut]))
+
+
+def test_parse_rejects_unknown_field():
+    with pytest.raises(InvalidInputError):
+        parse_tensor("racsep-tensor v1\norder 1\ndims 2\nfield bogus\n1\n2\n")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite(bad):
+    with pytest.raises(InvalidInputError):
+        parse_tensor(f"racsep-tensor v1\norder 1\ndims 2\nfield float\n1.0\n{bad}\n")
+
+
 # --- rank oracles ----------------------------------------------------------
 
 def test_rank_exact_known_values():
@@ -126,11 +144,20 @@ def test_rank_exact_known_values():
     m = exact_array([[Fraction(1, 3), Fraction(1, 3)],
                      [Fraction(1, 7), Fraction(1, 7)]])
     assert rank_exact(m).rank == 1
+    # Python ints mixed with Fractions over large, unlike denominators
+    a, b = Fraction(1, 2 ** 61 - 1), Fraction(-3, 10 ** 30 + 7)
+    k = Fraction(10 ** 20 + 1, 3 ** 40)
+    m = np.array([[1, a, b], [k, k * a, k * b], [b, 5, a]], dtype=object)
+    assert rank_exact(m).rank == 2
+    m[1, 0] = 2
+    assert rank_exact(m).rank == 3
 
 
 def test_rank_exact_rejects_float():
     with pytest.raises(FieldMismatchError):
         rank_exact(np.eye(2))
+    with pytest.raises(FieldMismatchError):
+        rank_exact(np.array([[0.5, 1]], dtype=object))
 
 
 def test_rank_numeric_matches_exact_on_integers():
