@@ -12,13 +12,13 @@ from .builders import (GridTensor, WeightsTensor, build_grid_tensor,
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
 from .network import (InputSequence, Nonlinearity, RAC_PRODUCT, RacParams,
-                      TemplateEncoder, forward_all_timesteps, forward_deep,
-                      forward_shallow, load_params, neutral_h0, rnn_additive,
-                      save_params, step_deep)
-from .ranks import RankReport, multiset_coefficient, rank_exact, rank_numeric
-from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, dematricize,
-                     exact_array, hadamard_power, load_tensor, matricize,
-                     save_tensor, tensor_product)
+                      TemplateEncoder, forward_deep, forward_shallow,
+                      load_params, neutral_h0, rnn_additive, save_params,
+                      step_deep)
+from .ranks import (RankReport, multiset_coefficient, rank_exact, rank_numeric,
+                    start_end_rank)
+from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,
+                     hadamard_power, load_tensor, matricize, save_tensor)
 from .tn import (BasicUnitCount, Edge, NoCloneReport, OpenLeg, TnGraph,
                  attach_inputs, build_deep_tn, build_mps, contract,
                  count_basic_units, delta_tensor, load_graph, min_cut,
@@ -29,10 +29,8 @@ from .verification import (AppendixBAssignment, Report, ReportRow,
                            check_conjecture_bound,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
-                           check_polynomial_rank_prevalence,
                            check_rearrangement_lemma, draw_params,
                            rows_to_csv, trial_rng, verify_deep_lower_bound,
-                           verify_min_cut, verify_shallow_rank_law,
-                           write_csv)
+                           verify_min_cut, verify_shallow_rank_law)
 
 __version__ = "0.1.0"

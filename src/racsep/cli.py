@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import sys
 
 from .builders import build_grid_tensor, build_weights_tensor
 from .errors import RacsepError, ResourceBudgetError
-from .ranks import DEFAULT_REL_TOL, multiset_coefficient
+from .ranks import DEFAULT_REL_TOL, multiset_coefficient, start_end_rank
 from .tensor import EXACT, FLOAT, save_tensor
 from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,
@@ -21,8 +22,7 @@ from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_hadamard_power_bound, check_no_cloning,
                            check_rearrangement_lemma, draw_params,
                            rows_to_csv, trial_rng, verify_deep_lower_bound,
-                           verify_min_cut, verify_shallow_rank_law,
-                           _grid_matrix_rank, _weights_matrix_rank)
+                           verify_min_cut, verify_shallow_rank_law)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -49,6 +49,43 @@ def _add_grid_flags(p):
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
+def _even(values):
+    odd = [t for t in values if t % 2]
+    if odd:
+        raise RacsepError(f"T must be even, got {odd[0]}")
+    return values
+
+
+def _cells(a):
+    return itertools.product(a.M, a.R, _even(a.T))
+
+
+def _depth_cells(a):
+    return itertools.product(a.M, a.R, _even(a.T), a.L)
+
+
+# verify suite -> (cells of the parsed args, per-cell call returning reports).
+# The calls look checks up by module-level name when they run, so patched
+# module attributes (tracing, mocks) see every call.
+SUITES = {
+    "shallow": (_cells, lambda a, M, R, T: [verify_shallow_rank_law(
+        M, R, T, a.trials, field=a.field, seed=a.seed, rel_tol=a.rel_tol)]),
+    "deep": (_cells, lambda a, M, R, T: [verify_deep_lower_bound(
+        M, R, T, a.trials, seed=a.seed, rel_tol=a.rel_tol)]),
+    "claim1": (_cells, lambda a, M, R, T: [check_claim1_equality(
+        M, R, T, a.trials, seed=a.seed)]),
+    "conjecture": (_depth_cells, lambda a, M, R, T, L: [check_conjecture_bound(
+        M, R, T, L, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)]),
+    "lemmas": (_cells, lambda a, M, R, T: [
+        check_decomposition_identity(M, min(R, 3), T, seed=a.seed),
+        check_bucket_lemma(min(R, 3), T)]),
+    "noclone": (lambda a: ((P,) for P in a.P),
+                lambda a, P: [check_no_cloning(P)]),
+    "mincut": (_cells, lambda a, M, R, T: [verify_min_cut(
+        M, R, T, a.trials, seed=a.seed)]),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="racsep",
@@ -57,9 +94,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     vp = sub.add_parser("verify", help="run one verification suite")
-    vp.add_argument("suite", choices=["shallow", "deep", "claim1",
-                                      "conjecture", "lemmas", "noclone",
-                                      "mincut"])
+    vp.add_argument("suite", choices=list(SUITES))
     _add_grid_flags(vp)
     vp.add_argument("--P", type=_int_list, default=[2, 3, 4],
                     help="duplication dims for the noclone suite")
@@ -79,69 +114,23 @@ def build_parser():
     return ap
 
 
-def _even(values):
-    odd = [t for t in values if t % 2]
-    if odd:
-        raise RacsepError(f"T must be even, got {odd[0]}")
-    return values
-
-
-def cmd_verify(args):
-    reports = []
-    if args.suite == "shallow":
-        for M in args.M:
-            for R in args.R:
-                for T in _even(args.T):
-                    reports.append(verify_shallow_rank_law(
-                        M, R, T, args.trials, field=args.field,
-                        seed=args.seed, rel_tol=args.rel_tol))
-    elif args.suite == "deep":
-        for M in args.M:
-            for R in args.R:
-                for T in _even(args.T):
-                    reports.append(verify_deep_lower_bound(
-                        M, R, T, args.trials, seed=args.seed,
-                        rel_tol=args.rel_tol))
-    elif args.suite == "claim1":
-        for M in args.M:
-            for R in args.R:
-                for T in _even(args.T):
-                    reports.append(check_claim1_equality(
-                        M, R, T, args.trials, seed=args.seed))
-    elif args.suite == "conjecture":
-        for M in args.M:
-            for R in args.R:
-                for T in _even(args.T):
-                    for L in args.L:
-                        reports.append(check_conjecture_bound(
-                            M, R, T, L, trials=args.trials, seed=args.seed,
-                            rel_tol=args.rel_tol))
-    elif args.suite == "lemmas":
-        for M in args.M:
-            for R in args.R:
-                for T in _even(args.T):
-                    reports.append(check_decomposition_identity(
-                        M, min(R, 3), T, seed=args.seed))
-                    reports.append(check_bucket_lemma(min(R, 3), T))
-        reports.append(check_rearrangement_lemma(
-            3, max(args.R), args.trials, seed=args.seed))
-        reports.append(check_hadamard_power_bound(args.trials, seed=args.seed))
-    elif args.suite == "noclone":
-        for P in args.P:
-            reports.append(check_no_cloning(P))
-    elif args.suite == "mincut":
-        for M in args.M:
-            for R in args.R:
-                for T in _even(args.T):
-                    reports.append(verify_min_cut(
-                        M, R, T, args.trials, seed=args.seed))
-    rows = [r for rep in reports for r in rep.rows]
-    text = rows_to_csv(rows)
+def _emit(args, text):
+    """Writes a CSV report to --out, or to stdout without one."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def cmd_verify(args):
+    cells, check = SUITES[args.suite]
+    reports = [rep for cell in cells(args) for rep in check(args, *cell)]
+    if args.suite == "lemmas":
+        reports += [check_rearrangement_lemma(3, max(args.R), args.trials,
+                                              seed=args.seed),
+                    check_hadamard_power_bound(args.trials, seed=args.seed)]
+    _emit(args, rows_to_csv([r for rep in reports for r in rep.rows]))
     return EXIT_PASS if all(rep.passed for rep in reports) else EXIT_FAIL
 
 
@@ -154,42 +143,32 @@ def cmd_scan(args):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SCAN_COLUMNS)
-    for M in args.M:
-        for R in args.R:
-            for T in _even(args.T):
-                for L in args.L:
-                    rng = trial_rng(args.seed, M, R, T, L, 0)
-                    if L == 1:
-                        p = draw_params(rng, M, R, L=1, field=EXACT)
-                        rank = _weights_matrix_rank(p, T)
-                        ref = f"theorem={min(R, M ** (T // 2))}"
-                        cut = str(min_cut(build_mps(p, T))[0])
-                        fld = EXACT
-                    else:
-                        p = draw_params(rng, M, R, L=L, field=FLOAT)
-                        rank = _grid_matrix_rank(p, T, args.rel_tol)
-                        inner = multiset_coefficient(T // 2, L - 1)
-                        bound = min(multiset_coefficient(min(M, R), inner),
-                                    M ** (T // 2))
-                        ref = f"conjecture={bound}"
-                        cut = ""
-                        fld = FLOAT
-                    units = count_basic_units(L, T).closed_form
-                    w.writerow([M, R, T, L, fld, f"{args.seed}.0",
-                                rank, ref, cut, units])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    for M, R, T, L in _depth_cells(args):
+        rng = trial_rng(args.seed, M, R, T, L, 0)
+        if L == 1:
+            p = draw_params(rng, M, R, L=1, field=EXACT)
+            rank = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
+            ref = f"theorem={min(R, M ** (T // 2))}"
+            cut = str(min_cut(build_mps(p, T))[0])
+            fld = EXACT
+        else:
+            p = draw_params(rng, M, R, L=L, field=FLOAT)
+            rank = start_end_rank(build_grid_tensor(p, T=T).tensor,
+                                  args.rel_tol).rank
+            inner = multiset_coefficient(T // 2, L - 1)
+            bound = min(multiset_coefficient(min(M, R), inner), M ** (T // 2))
+            ref = f"conjecture={bound}"
+            cut = ""
+            fld = FLOAT
+        units = count_basic_units(L, T).closed_form
+        w.writerow([M, R, T, L, fld, f"{args.seed}.0", rank, ref, cut, units])
+    _emit(args, buf.getvalue())
     return EXIT_PASS
 
 
 def cmd_export(args):
     from .tn import build_deep_tn, build_mps, save_graph
-    if args.T % 2:
-        raise RacsepError(f"T must be even, got {args.T}")
+    _even([args.T])
     rng = trial_rng(args.seed, args.M, args.R, args.T, args.L, 0)
     p = draw_params(rng, args.M, args.R, L=args.L, field=args.field)
     if args.what == "weights":

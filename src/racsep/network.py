@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError
 from .ranks import rank_exact, rank_numeric
-from .tensor import (EXACT, field_of, header_ints, header_words,
-                     parse_scalars)
+from .tensor import (EXACT, field_of, format_scalars, header_field,
+                     header_ints, header_words, parse_scalars)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,8 @@ class InputSequence:
         return len(self.symbols)
 
 
-def _coerce_seq(seq):
+def as_symbols(seq):
+    """The symbol tuple of an InputSequence or of any iterable of symbols."""
     return seq.symbols if isinstance(seq, InputSequence) else tuple(seq)
 
 
@@ -210,7 +211,7 @@ def step_deep(p: RacParams, g: Nonlinearity, states, encoded):
 
 def forward_deep(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
     """Class scores after the final time-step of an L-layer network."""
-    symbols = _coerce_seq(seq)
+    symbols = as_symbols(seq)
     _check_compat(p, enc, symbols)
     states = list(p.h0)
     for s in symbols:
@@ -224,30 +225,11 @@ def forward_shallow(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
     return forward_deep(p, g, enc, seq)
 
 
-def forward_all_timesteps(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
-    """One class-score vector per time-step."""
-    symbols = _coerce_seq(seq)
-    _check_compat(p, enc, symbols)
-    states = list(p.h0)
-    out = []
-    for s in symbols:
-        states = step_deep(p, g, states, enc.row(s))
-        out.append(p.w_out @ states[-1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parameter serialization: flat self-describing text, matrices row-major,
 # rationals stored as "num/den".
 
 PARAMS_TAG = "racsep-params v1"
-
-
-def _fmt(v, fld):
-    if fld == EXACT:
-        f = Fraction(v)
-        return f"{f.numerator}/{f.denominator}"
-    return np.format_float_scientific(v, unique=True)
 
 
 def dump_params(p: RacParams) -> str:
@@ -256,7 +238,7 @@ def dump_params(p: RacParams) -> str:
 
     def emit(name, mat):
         lines.append(f"{name} {' '.join(map(str, mat.shape))}")
-        lines.extend(_fmt(v, p.field) for v in np.asarray(mat).reshape(-1))
+        lines.extend(format_scalars(np.asarray(mat).reshape(-1), p.field))
 
     for l, m in enumerate(p.w_in):
         emit(f"w_in {l}", m)
@@ -273,28 +255,27 @@ def parse_params(text: str) -> RacParams:
     if not lines or lines[0].strip() != PARAMS_TAG:
         raise InvalidInputError("not a parameters file (bad header)")
     (L,) = header_ints(header_words(lines, 1, "L", 1))
-    for pos, key in enumerate(("R", "M", "C"), 2):
-        header_ints(header_words(lines, pos, key, 1))  # blocks carry shapes
-    (fld,) = header_words(lines, 5, "field", 1)
+    sizes = [header_ints(header_words(lines, pos, key, 1))[0]
+             for pos, key in enumerate(("R", "M", "C"), 2)]
+    fld = header_field(lines, 5)
     pos = 6
 
     def read_block(key):
         nonlocal pos
         nums = header_ints(header_words(lines, pos, key))
         shape = nums if key == "w_out" else nums[1:]  # drop the layer index
-        count = math.prod(shape)
-        raw = lines[pos + 1:pos + 1 + count]
-        if len(raw) != count:
-            raise InvalidInputError(
-                f"{key} block needs {count} entries, the file has {len(raw)}")
-        pos += 1 + count
-        return parse_scalars(raw, fld).reshape(shape)
+        start, pos = pos + 1, pos + 1 + math.prod(shape)
+        return parse_scalars(lines[start:pos], fld, shape)
 
     w_in = [read_block("w_in") for _ in range(L)]
     w_hidden = [read_block("w_hidden") for _ in range(L)]
     w_out = read_block("w_out")
     h0 = [read_block("h0") for _ in range(L)]
-    return RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
+    p = RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
+    if [p.R, p.M, p.C] != sizes:
+        raise InvalidInputError(
+            f"header R M C = {sizes} but the blocks have {[p.R, p.M, p.C]}")
+    return p
 
 
 def save_params(p: RacParams, path):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldMismatchError, InvalidInputError, ShapeError
-from .tensor import EXACT, FLOAT, DenseTensor, clear_denominators
+from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition,
+                     clear_denominators, matricize)
 
 DEFAULT_REL_TOL = 1e-12
 
@@ -96,6 +97,16 @@ def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
     rank = int(np.count_nonzero(sv > cutoff))
     return RankReport(rank=rank, method="svd", singular_values=tuple(sv),
                       tolerance=rel_tol)
+
+
+def start_end_rank(t: DenseTensor, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
+    """Rank of the start/end matricization of an order-T tensor (T even):
+    the Start-End separation rank.  Exact for the exact field, SVD-based
+    with ``rel_tol`` for the float field."""
+    mat = matricize(t, IndexPartition.start_end(t.order))
+    if t.field == EXACT:
+        return rank_exact(mat)
+    return rank_numeric(mat, rel_tol=rel_tol)
 
 
 def multiset_coefficient(n: int, k: int) -> int:

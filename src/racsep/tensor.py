@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FieldMismatchError, InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -45,11 +45,6 @@ def clear_denominators(values):
 
 def field_of(array):
     return EXACT if array.dtype == object else FLOAT
-
-
-def _check_same_field(a, b):
-    if a.field != b.field:
-        raise FieldMismatchError(f"cannot mix {a.field} and {b.field} tensors")
 
 
 class DenseTensor:
@@ -110,11 +105,6 @@ class DenseTensor:
         """Flat row-major view of the entries."""
         return self.data.reshape(-1)
 
-    def to_float(self):
-        if self.field == FLOAT:
-            return self
-        return DenseTensor(self.data.astype(np.float64), FLOAT)
-
     def __getitem__(self, idx):
         return self.data[idx]
 
@@ -156,12 +146,6 @@ class IndexPartition:
         return len(self.S) + len(self.E)
 
 
-def tensor_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Outer product: result order is order(a) + order(b)."""
-    _check_same_field(a, b)
-    return DenseTensor(np.multiply.outer(a.data, b.data), a.field)
-
-
 def matricize(t: DenseTensor, p: IndexPartition) -> DenseTensor:
     """Rearrange an order-T tensor as an M^|S| x M^|E| matrix.
 
@@ -179,17 +163,6 @@ def matricize(t: DenseTensor, p: IndexPartition) -> DenseTensor:
     return DenseTensor(arr, t.field)
 
 
-def dematricize(m: DenseTensor, p: IndexPartition, M: int) -> DenseTensor:
-    """Inverse of :func:`matricize` for a tensor of equal mode dims M."""
-    if m.order != 2:
-        raise ShapeError("dematricize expects an order-2 tensor")
-    T = p.order
-    arr = m.data.reshape((M,) * T)
-    axes = [i - 1 for i in p.S] + [i - 1 for i in p.E]
-    inverse = np.argsort(axes)
-    return DenseTensor(np.transpose(arr, inverse), m.field)
-
-
 def hadamard_power(m: DenseTensor, p: int) -> DenseTensor:
     """Raise every entry to the integer power p, shape preserved."""
     if p < 1:
@@ -198,20 +171,24 @@ def hadamard_power(m: DenseTensor, p: int) -> DenseTensor:
 
 
 # ---------------------------------------------------------------------------
-# Portable text format: header (order, dims, field), row-major entries,
-# rationals as "num/den".
+# Portable text format, shared by tensor, parameter and graph files: a tag
+# line, "key value..." header lines, and scalars written as "num/den"
+# (exact) or shortest round-trip scientific notation (float).
 
 FORMAT_TAG = "racsep-tensor v1"
+
+
+def format_scalars(values, field):
+    """The text form of every scalar in ``values``, in order."""
+    if field == EXACT:
+        return [f"{f.numerator}/{f.denominator}" for f in map(Fraction, values)]
+    return [np.format_float_scientific(v, unique=True) for v in values]
 
 
 def dump_tensor(t: DenseTensor) -> str:
     lines = [FORMAT_TAG, f"order {t.order}", "dims " + " ".join(map(str, t.dims)),
              f"field {t.field}"]
-    if t.field == EXACT:
-        lines += [f"{v.numerator}/{v.denominator}" for v in t.entries]
-    else:
-        lines += [np.format_float_scientific(v, unique=True) for v in t.entries]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + format_scalars(t.entries, t.field)) + "\n"
 
 
 def header_words(lines, pos, key, count=None):
@@ -233,21 +210,33 @@ def header_ints(words):
     return tuple(int(w) for w in words)
 
 
-def parse_scalars(raw, field):
-    """One block of text entries as a flat array of the field: Fractions
-    (``num/den``) in an object array, or finite float64 values."""
+def header_field(lines, pos):
+    """The scalar field named on the ``field`` line lines[pos]."""
+    (field,) = header_words(lines, pos, "field", 1)
     if field not in (EXACT, FLOAT):
         raise InvalidInputError(
             f"field must be {EXACT!r} or {FLOAT!r}, got {field!r}")
+    return field
+
+
+def parse_scalars(raw, field, shape):
+    """One block of text entries as an array of the field shaped ``shape``:
+    Fractions (``num/den``) in an object array, or finite float64 values."""
+    if not all(shape):
+        raise InvalidInputError(f"all dims must be >= 1, got {shape}")
+    if len(raw) != math.prod(shape):
+        raise InvalidInputError(f"a block of shape {shape} needs "
+                                f"{math.prod(shape)} entries, got {len(raw)}")
     try:
         if field == EXACT:
-            return np.array([Fraction(s) for s in raw], dtype=object)
+            return np.array([Fraction(s) for s in raw],
+                            dtype=object).reshape(shape)
         arr = np.array([float(s) for s in raw], dtype=np.float64)
     except (ValueError, ZeroDivisionError) as e:
         raise InvalidInputError(f"bad {field} entry: {e}") from None
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("float entries must be finite")
-    return arr
+    return arr.reshape(shape)
 
 
 def parse_tensor(text: str) -> DenseTensor:
@@ -258,9 +247,8 @@ def parse_tensor(text: str) -> DenseTensor:
     dims = header_ints(header_words(lines, 2, "dims"))
     if len(dims) != order:
         raise InvalidInputError("dims line does not match order")
-    (field,) = header_words(lines, 3, "field", 1)
-    return DenseTensor.from_entries(dims, parse_scalars(lines[4:], field),
-                                    field)
+    field = header_field(lines, 3)
+    return DenseTensor(parse_scalars(lines[4:], field, dims), field)
 
 
 def save_tensor(t: DenseTensor, path):

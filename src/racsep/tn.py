@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError)
-from .network import RacParams, TemplateEncoder, _coerce_seq
+from .network import RacParams, TemplateEncoder, as_symbols
 from .ranks import multiset_coefficient
-from .tensor import EXACT, FLOAT, DenseTensor
+from .tensor import (EXACT, FLOAT, DenseTensor, format_scalars, header_field,
+                     header_ints, header_words, parse_scalars)
 
 CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
 DEFAULT_CONTRACT_BUDGET = 10 ** 7
@@ -215,7 +216,7 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1,
 
 def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     """Contract every input leg with its time-step's encoded template vector."""
-    symbols = _coerce_seq(seq)
+    symbols = as_symbols(seq)
     nodes = dict(g.nodes)
     edges = list(g.edges)
     remaining = []
@@ -410,20 +411,13 @@ def no_clone_counterexample(P: int) -> NoCloneReport:
 GRAPH_TAG = "racsep-tn v1"
 
 
-def _fmt_entry(v, fld):
-    if fld == EXACT:
-        f = Fraction(v)
-        return f"{f.numerator}/{f.denominator}"
-    return np.format_float_scientific(v, unique=True)
-
-
 def dump_graph(g: TnGraph) -> str:
     fld = g.field
     lines = [GRAPH_TAG, f"field {fld}", f"nodes {len(g.nodes)}"]
     for nid in sorted(g.nodes):
         t = g.nodes[nid]
         lines.append(f"node {nid} {t.order} " + " ".join(map(str, t.dims)))
-        lines.append(" ".join(_fmt_entry(v, fld) for v in t.entries))
+        lines.append(" ".join(format_scalars(t.entries, fld)))
     lines.append(f"edges {len(g.edges)}")
     for e in g.edges:
         lines.append(f"edge {e.node_a} {e.leg_a} {e.node_b} {e.leg_b} {e.dim}")
@@ -438,37 +432,43 @@ def parse_graph(text: str) -> TnGraph:
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != GRAPH_TAG:
         raise InvalidInputError("not a tensor-network file (bad header)")
-    fld = lines[1].split()[1]
+    fld = header_field(lines, 1)
     pos = 2
-    n_nodes = int(lines[pos].split()[1])
-    pos += 1
+
+    def take(key, count=None):
+        """The words after ``key`` on the next line."""
+        nonlocal pos
+        pos += 1
+        return header_words(lines, pos - 1, key, count)
+
+    def items(key):
+        (n,) = header_ints(take(key, 1))
+        return range(n)
+
     nodes = {}
-    for _ in range(n_nodes):
-        head = lines[pos].split()
-        nid, order = head[1], int(head[2])
-        dims = tuple(int(x) for x in head[3:3 + order])
-        raw = lines[pos + 1].split()
-        if fld == EXACT:
-            entries = [Fraction(s) for s in raw]
-        else:
-            entries = [float(s) for s in raw]
-        nodes[nid] = DenseTensor.from_entries(dims, entries, fld)
-        pos += 2
-    n_edges = int(lines[pos].split()[1])
-    pos += 1
+    for _ in items("nodes"):
+        words = take("node")
+        dims = header_ints(words[2:])
+        if header_ints(words[1:2]) != (len(dims),):
+            raise InvalidInputError(
+                f"node line {' '.join(words)!r}: dims do not match the order")
+        raw = lines[pos].split() if pos < len(lines) else []
+        pos += 1
+        nodes[words[0]] = DenseTensor(parse_scalars(raw, fld, dims), fld)
     edges = []
-    for _ in range(n_edges):
-        _, a, la, b, lb, dim = lines[pos].split()
-        edges.append(Edge(a, int(la), b, int(lb), int(dim)))
-        pos += 1
-    n_open = int(lines[pos].split()[1])
-    pos += 1
+    for _ in items("edges"):
+        a, la, b, lb, dim = take("edge", 5)
+        la, lb, dim = header_ints((la, lb, dim))
+        edges.append(Edge(a, la, b, lb, dim))
     open_legs = []
-    for _ in range(n_open):
-        _, node, leg, dim, t, side = lines[pos].split()
-        open_legs.append(OpenLeg(node, int(leg), int(dim),
-                                 None if t == "-" else int(t), side))
-        pos += 1
+    for _ in items("open"):
+        node, leg, dim, t, side = take("leg", 5)
+        if side not in (START, END, OUTPUT):
+            raise InvalidInputError(
+                f"leg side must be {START}, {END} or {OUTPUT}, got {side!r}")
+        leg, dim = header_ints((leg, dim))
+        t = None if t == "-" else header_ints((t,))[0]
+        open_legs.append(OpenLeg(node, leg, dim, t, side))
     return TnGraph(nodes, edges, open_legs)
 
 

@@ -21,9 +21,8 @@ from .builders import build_grid_tensor, build_weights_tensor
 from .errors import InvalidInputError, ParameterError
 from .network import RacParams, exact_identity
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
-                    rank_numeric)
-from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,
-                     hadamard_power, matricize)
+                    start_end_rank)
+from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
 
 DEFAULT_THRESHOLD = 0.95
 
@@ -87,11 +86,6 @@ def rows_to_csv(rows) -> str:
         w.writerow([r.check, r.M, r.R, r.T, r.L, r.field, r.seed,
                     r.observed, r.expected, str(r.passed).lower()])
     return buf.getvalue()
-
-
-def write_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +184,6 @@ class AppendixBAssignment:
                          w_out=w_out, h0=[ones, ones])
 
 
-def _grid_matrix_rank(p: RacParams, T: int, rel_tol=DEFAULT_REL_TOL):
-    grid = build_grid_tensor(p, T=T).tensor
-    mat = matricize(grid, IndexPartition.start_end(T))
-    if p.field == EXACT:
-        return rank_exact(mat).rank
-    return rank_numeric(mat, rel_tol=rel_tol).rank
-
-
-def _weights_matrix_rank(p: RacParams, T: int, rel_tol=DEFAULT_REL_TOL):
-    w = build_weights_tensor(p, T=T).tensor
-    mat = matricize(w, IndexPartition.start_end(T))
-    if p.field == EXACT:
-        return rank_exact(mat).rank
-    return rank_numeric(mat, rel_tol=rel_tol).rank
-
-
 # ---------------------------------------------------------------------------
 # Theorem checks.
 
@@ -221,7 +199,8 @@ def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
     for trial in range(trials):
         rng = trial_rng(seed, M, R, T, 1, trial)
         p = draw_params(rng, M, R, L=1, field=field)
-        observed = _weights_matrix_rank(p, T, rel_tol)
+        observed = start_end_rank(build_weights_tensor(p, T=T).tensor,
+                                  rel_tol).rank
         if observed > expected:
             # unconditional upper bound: a violation is a hard failure
             rep.add(M=M, R=R, T=T, L=1, field=field, seed=f"{seed}.{trial}",
@@ -241,14 +220,14 @@ def verify_deep_lower_bound(M, R, T, trials=30, seed=0,
     explicit assignment, and met or exceeded by random float draws."""
     asg = AppendixBAssignment(M=M, R=R, T=T)
     rep = Report("deep", threshold=threshold)
-    observed = _grid_matrix_rank(asg.params(), T)
+    observed = start_end_rank(build_grid_tensor(asg.params(), T=T).tensor).rank
     rep.add(M=M, R=R, T=T, L=2, field=EXACT, seed="-",
             observed=str(observed), expected=str(asg.bound),
             passed=observed == asg.bound, required=True)
     for trial in range(trials):
         rng = trial_rng(seed, M, R, T, 2, trial)
         p = draw_params(rng, M, R, L=2, field=FLOAT)
-        r = _grid_matrix_rank(p, T, rel_tol)
+        r = start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol).rank
         rep.add(M=M, R=R, T=T, L=2, field=FLOAT, seed=f"{seed}.{trial}",
                 observed=str(r), expected=f">={asg.bound}",
                 passed=r >= asg.bound, required=False)
@@ -262,8 +241,8 @@ def check_claim1_equality(M, R, T, trials, seed=0) -> Report:
     for trial in range(trials):
         rng = trial_rng(seed, M, R, T, 1, trial)
         p = draw_params(rng, M, R, L=1, field=EXACT)
-        rg = _grid_matrix_rank(p, T)
-        rw = _weights_matrix_rank(p, T)
+        rg = start_end_rank(build_grid_tensor(p, T=T).tensor).rank
+        rw = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
         rep.add(M=M, R=R, T=T, L=1, field=EXACT, seed=f"{seed}.{trial}",
                 observed=str(rg), expected=str(rw), passed=rg == rw)
     return rep
@@ -284,7 +263,7 @@ def check_conjecture_bound(M, R, T, L, trials=10, seed=0,
     for trial in range(trials):
         rng = trial_rng(seed, M, R, T, L, trial)
         p = draw_params(rng, M, R, L=L, field=FLOAT)
-        r = _grid_matrix_rank(p, T, rel_tol)
+        r = start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol).rank
         rep.add(M=M, R=R, T=T, L=L, field=FLOAT, seed=f"{seed}.{trial}",
                 observed=str(r), expected=f"conjectured>={bound}",
                 passed=r <= cap)
@@ -473,7 +452,7 @@ def verify_min_cut(M, R, T, trials=30, seed=0,
                     observed=f"cut={cut}", expected=f"cut={structural}",
                     passed=False, required=True)
             continue
-        rank = _weights_matrix_rank(p, T)
+        rank = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
         rep.add(M=M, R=R, T=T, L=1, field=EXACT, seed=f"{seed}.{trial}",
                 observed=f"rank={rank}", expected=f"rank={cut}",
                 passed=rank == cut, required=False)
@@ -490,33 +469,4 @@ def check_no_cloning(P) -> Report:
             observed=f"basis={r.basis_cloned} ones={r.ones_cloned}",
             expected=f"basis=True ones={expect_ones}",
             passed=r.basis_cloned and r.ones_cloned == expect_ones)
-    return rep
-
-
-def check_polynomial_rank_prevalence(construction, M, R, T, trials, seed=0,
-                                     rel_tol=DEFAULT_REL_TOL,
-                                     threshold=DEFAULT_THRESHOLD) -> Report:
-    """Maximal-rank prevalence: over random draws of a polynomial matrix
-    family, the maximal observed rank is attained by nearly all draws (the
-    sub-maximal locus is an algebraic set of measure zero)."""
-    if construction not in ("shallow", "deep"):
-        raise InvalidInputError(
-            f"construction must be 'shallow' or 'deep', got {construction!r}")
-    L = 1 if construction == "shallow" else 2
-    fld = EXACT if construction == "shallow" else FLOAT
-    ranks, seeds = [], []
-    for trial in range(trials):
-        rng = trial_rng(seed, M, R, T, L, trial)
-        p = draw_params(rng, M, R, L=L, field=fld)
-        if construction == "shallow":
-            ranks.append(_weights_matrix_rank(p, T))
-        else:
-            ranks.append(_grid_matrix_rank(p, T, rel_tol))
-        seeds.append(f"{seed}.{trial}")
-    modal = max(ranks) if ranks else 0
-    rep = Report("prevalence", threshold=threshold)
-    for r, s in zip(ranks, seeds):
-        rep.add(M=M, R=R, T=T, L=L, field=fld, seed=s,
-                observed=str(r), expected=str(modal), passed=r == modal,
-                required=False)
     return rep

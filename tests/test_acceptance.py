@@ -4,12 +4,7 @@ The sampled criteria (1, 2, 4) use a fixed recorded seed; every draw is
 reproducible from it, so the gate is deterministic.
 """
 
-import itertools
-
-import numpy as np
-import pytest
-
-from racsep import (EXACT, FLOAT, RAC_PRODUCT, TemplateEncoder,
+from racsep import (FLOAT, RAC_PRODUCT, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_mps,
                     build_weights_tensor, contract, count_basic_units,
                     check_bucket_lemma, check_decomposition_identity,
@@ -19,7 +14,7 @@ from racsep import (EXACT, FLOAT, RAC_PRODUCT, TemplateEncoder,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
 from racsep.cli import main
-from racsep.verification import _weights_matrix_rank, check_claim1_equality
+from racsep.verification import check_claim1_equality
 
 SEED = 7
 

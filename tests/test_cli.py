@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, CSV determinism, exports."""
 
+import itertools
 import subprocess
 import sys
 
 import pytest
 
-from racsep import load_graph, load_tensor
+from racsep import (check_conjecture_bound, load_graph, load_tensor,
+                    rows_to_csv, verify_deep_lower_bound)
 from racsep.cli import main
 
 
@@ -120,3 +122,68 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "noclone" in proc.stdout
+
+
+HEADER = "check,M,R,T,L,field,seed,observed,expected,pass\n"
+
+# exact-only suites: CSV and exit code recorded from a known-good build
+GOLDEN = [
+    ("shallow --M 2 --R 1,2 --T 4 --trials 3 --seed 7", 1, """\
+shallow,2,1,4,1,exact,7.0,1,1,true
+shallow,2,1,4,1,exact,7.1,1,1,true
+shallow,2,1,4,1,exact,7.2,1,1,true
+shallow,2,2,4,1,exact,7.0,2,2,true
+shallow,2,2,4,1,exact,7.1,1,2,false
+shallow,2,2,4,1,exact,7.2,2,2,true
+"""),
+    ("claim1 --M 2 --R 1,2 --T 4 --trials 2 --seed 7", 0, """\
+claim1,2,1,4,1,exact,7.0,1,1,true
+claim1,2,1,4,1,exact,7.1,1,1,true
+claim1,2,2,4,1,exact,7.0,2,2,true
+claim1,2,2,4,1,exact,7.1,1,1,true
+"""),
+    ("lemmas --M 2 --R 2 --T 2 --trials 2 --seed 7", 0, """\
+decomposition,2,2,2,1,exact,7.0,0 mismatches,0 mismatches,true
+bucket,2,2,2,1,exact,d=1,"argmax=[(1, 0)]","argmax=[(1, 0)]",true
+bucket,2,2,2,1,exact,d=2,"argmax=[(0, 1)]","argmax=[(0, 1)]",true
+rearrangement,2,2,0,1,exact,7.0,0 non-strict,0 non-strict,true
+rearrangement,2,2,0,1,exact,7.1,0 non-strict,0 non-strict,true
+hadamard,4,4,0,1,exact,7.0,rank^3=4,<=20,true
+hadamard,4,4,0,1,exact,7.1,rank^3=4,<=20,true
+"""),
+    ("noclone --P 1,2 --T 3", 0, """\
+noclone,1,1,0,1,exact,-,basis=True ones=True,basis=True ones=True,true
+noclone,2,2,0,1,exact,-,basis=True ones=False,basis=True ones=False,true
+"""),
+    ("mincut --M 2 --R 1,2 --T 4 --trials 3 --seed 5", 1, """\
+mincut,2,1,4,1,exact,5.0,rank=1,rank=1,true
+mincut,2,1,4,1,exact,5.1,rank=1,rank=1,true
+mincut,2,1,4,1,exact,5.2,rank=1,rank=1,true
+mincut,2,2,4,1,exact,5.0,rank=2,rank=2,true
+mincut,2,2,4,1,exact,5.1,rank=0,rank=2,false
+mincut,2,2,4,1,exact,5.2,rank=2,rank=2,true
+"""),
+]
+
+
+@pytest.mark.parametrize("args,code,rows", GOLDEN,
+                         ids=[g[0].split()[0] for g in GOLDEN])
+def test_verify_golden_csv(args, code, rows, capsys):
+    assert run_cli(["verify"] + args.split(), capsys)[:2] == (code,
+                                                              HEADER + rows)
+
+
+# float SVD ranks may differ across BLAS builds, so these suites are checked
+# against the direct report calls in grid order instead
+@pytest.mark.parametrize("args,reports", [
+    ("deep --M 2 --R 2,3 --T 4 --trials 2 --seed 3",
+     lambda: [verify_deep_lower_bound(2, R, 4, 2, seed=3) for R in (2, 3)]),
+    ("conjecture --M 2 --R 2 --T 4,6 --L 1,2 --trials 2 --seed 3",
+     lambda: [check_conjecture_bound(2, 2, T, L, trials=2, seed=3)
+              for T, L in itertools.product((4, 6), (1, 2))]),
+], ids=["deep", "conjecture"])
+def test_verify_matches_direct_reports(args, reports, capsys):
+    reps = reports()
+    code = 0 if all(r.passed for r in reps) else 1
+    assert run_cli(["verify"] + args.split(), capsys)[:2] == (
+        code, rows_to_csv([row for r in reps for row in r.rows]))

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, InputSequence, InvalidInputError,
                     Nonlinearity, ParameterError, RAC_PRODUCT, RacParams,
-                    TemplateEncoder, exact_array, forward_all_timesteps,
-                    forward_deep, forward_shallow, neutral_h0, rnn_additive,
-                    step_deep)
+                    TemplateEncoder, exact_array, forward_deep,
+                    forward_shallow, neutral_h0, rnn_additive, step_deep)
 from racsep.network import dump_params, parse_params
 
 
@@ -106,19 +105,6 @@ def test_forward_shallow_rejects_deep():
         forward_shallow(p, RAC_PRODUCT, TemplateEncoder.identity(1), [1])
 
 
-def test_forward_all_timesteps_prefix_consistency():
-    rng = np.random.default_rng(5)
-    p = exact_params(w_in=[rng.integers(-3, 4, (2, 2))],
-                     w_hidden=[[[2, 1], [1, 1]]],
-                     w_out=[[1, -1]])
-    enc = TemplateEncoder.identity(2)
-    seq = [1, 2, 2, 1]
-    per_step = forward_all_timesteps(p, RAC_PRODUCT, enc, seq)
-    for t in range(1, len(seq) + 1):
-        assert per_step[t - 1][0] == forward_shallow(p, RAC_PRODUCT, enc,
-                                                     seq[:t])[0]
-
-
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10 ** 6))
 def test_step_deep_multiplicative_structure(seed):
@@ -200,5 +186,15 @@ def test_parse_params_rejects_unknown_field():
 def test_parse_params_rejects_non_finite(bad):
     lines = _dumped_params(FLOAT).splitlines()
     lines[7] = bad
+    with pytest.raises(InvalidInputError):
+        parse_params("\n".join(lines))
+
+
+@pytest.mark.parametrize("header", ["R 5", "M 2", "C 3"])
+def test_parse_params_rejects_header_mismatch(header):
+    # the blocks hold R=2, M=3, C=1
+    lines = _dumped_params(EXACT).splitlines()
+    pos = 2 + "RMC".index(header[0])
+    lines[pos] = header
     with pytest.raises(InvalidInputError):
         parse_params("\n".join(lines))

@@ -1,5 +1,6 @@
 """Core tensor type, matricization, serialization, and rank oracles."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, DenseTensor, FieldMismatchError,
                     IndexPartition, InvalidInputError, ShapeError,
-                    dematricize, exact_array, hadamard_power, matricize,
+                    exact_array, hadamard_power, matricize,
                     multiset_coefficient, rank_exact, rank_numeric,
-                    tensor_product)
+                    start_end_rank)
 from racsep.tensor import dump_tensor, parse_tensor
 
 
@@ -25,21 +26,6 @@ def test_exact_tensor_holds_fractions():
 def test_from_entries_wrong_count():
     with pytest.raises(ShapeError):
         DenseTensor.from_entries((2, 2), [1, 2, 3], EXACT)
-
-
-def test_tensor_product_orders_add():
-    a = DenseTensor.from_entries((2,), [1, 2], EXACT)
-    b = DenseTensor.from_entries((3,), [1, 0, 2], EXACT)
-    p = tensor_product(a, b)
-    assert p.dims == (2, 3)
-    assert p[1, 2] == Fraction(4)
-
-
-def test_tensor_product_field_mismatch():
-    a = DenseTensor.from_entries((2,), [1, 2], EXACT)
-    b = DenseTensor.from_entries((2,), [1.0, 2.0], FLOAT)
-    with pytest.raises(FieldMismatchError):
-        tensor_product(a, b)
 
 
 def test_matricize_known_entry_placement():
@@ -78,15 +64,34 @@ def test_partition_must_cover_modes():
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.integers(2, 3), st.sampled_from([2, 4]), st.randoms(use_true_random=False))
+@given(st.integers(2, 3), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_matricize_roundtrip(M, T, rnd):
-    entries = [Fraction(rnd.randint(-5, 5)) for _ in range(M ** T)]
-    t = DenseTensor.from_entries((M,) * T, entries, EXACT)
-    S = tuple(sorted(rnd.sample(range(1, T + 1), T // 2)))
+    # every entry (d_1..d_T) lands in row sum_t d_{S_t} M^(|S|-t) and column
+    # sum_t d_{E_t} M^(|E|-t) (0-based d); distinct entries make it a bijection
+    t = DenseTensor.from_entries((M,) * T, range(M ** T), EXACT)
+    S = tuple(sorted(rnd.sample(range(1, T + 1), rnd.randint(0, T))))
     E = tuple(i for i in range(1, T + 1) if i not in S)
-    p = IndexPartition(S=S, E=E)
-    back = dematricize(matricize(t, p), p, M)
-    assert back.equals(t)
+    m = matricize(t, IndexPartition(S=S, E=E))
+    assert m.dims == (M ** len(S), M ** len(E))
+
+    def place(d, modes):
+        return sum(d[i - 1] * M ** (len(modes) - k)
+                   for k, i in enumerate(modes, 1))
+
+    for d in itertools.product(range(M), repeat=T):
+        assert m[place(d, S), place(d, E)] == t[d]
+
+
+def test_start_end_rank_matches_matricized_rank():
+    rng = np.random.default_rng(3)
+    t = DenseTensor(exact_array(rng.integers(-2, 3, (2,) * 4)), EXACT)
+    mat = matricize(t, IndexPartition.start_end(4))
+    assert start_end_rank(t) == rank_exact(mat)
+    f = DenseTensor(rng.uniform(-1, 1, (3,) * 4), FLOAT)
+    mat = matricize(f, IndexPartition.start_end(4))
+    assert start_end_rank(f, rel_tol=1e-9) == rank_numeric(mat, rel_tol=1e-9)
+    with pytest.raises(ShapeError):
+        start_end_rank(DenseTensor.zeros((2, 2, 2), EXACT))
 
 
 def test_hadamard_power_entrywise():
@@ -126,6 +131,16 @@ def test_parse_rejects_truncated_header(cut):
 def test_parse_rejects_unknown_field():
     with pytest.raises(InvalidInputError):
         parse_tensor("racsep-tensor v1\norder 1\ndims 2\nfield bogus\n1\n2\n")
+
+
+@pytest.mark.parametrize("dims,entries", [("3", "1\n2"), ("1", "1\n2"),
+                                          ("2 0", "")],
+                         ids=["short", "long", "zero-dim"])
+def test_parse_rejects_block_not_matching_dims(dims, entries):
+    order = len(dims.split())
+    with pytest.raises(InvalidInputError):
+        parse_tensor(f"racsep-tensor v1\norder {order}\ndims {dims}\n"
+                     f"field exact\n{entries}\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from racsep import (EXACT, FLOAT, DenseTensor, RAC_PRODUCT, ResourceBudgetError,
-                    ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
+from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError, RAC_PRODUCT,
+                    ResourceBudgetError, ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
                     build_mps, build_weights_tensor, contract,
                     count_basic_units, delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
@@ -193,3 +193,31 @@ def test_graph_serialization_roundtrip(field):
     h = parse_graph(dump_graph(g))
     assert dump_graph(h) == dump_graph(g)
     assert contract(h).equals(contract(g))
+
+
+def _edit(pos, new):
+    """Replaces line ``pos`` of a dumped graph (deletes it when new is None)."""
+    return lambda lines: lines[:pos] + ([] if new is None else [new]) \
+        + lines[pos + 1:]
+
+
+# edits of a dumped float MPS chain, T=4: line 3 heads node cell1 and line 4
+# holds its 8 entries, line 12 holds the h0 entries, 16 is the first edge
+# and 22 the first open leg
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:2],
+    _edit(1, "field bogus"),
+    _edit(4, " ".join(["nan"] * 8)),
+    _edit(3, "node cell1 3 2 2"),
+    _edit(12, None),
+    _edit(16, "edge h0 0 cell1 0"),
+    _edit(22, "leg cell1 1 2 1"),
+    _edit(22, "leg cell1 1 2 1 middle"),
+], ids=["truncated", "unknown-field", "nan-entry", "dims-vs-order",
+        "missing-entries", "short-edge", "short-leg", "bad-side"])
+def test_parse_graph_rejects_malformed(edit):
+    p = draw_params(trial_rng(2, 2, 2, 4, 1, 0), 2, 2, L=1, field=FLOAT)
+    lines = dump_graph(build_mps(p, 4)).splitlines()
+    assert lines[3] == "node cell1 3 2 2 2" and lines[11] == "node h0 1 2"
+    with pytest.raises(InvalidInputError):
+        parse_graph("\n".join(edit(lines)))

@@ -10,7 +10,6 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
                     check_bucket_lemma, check_claim1_equality,
                     check_conjecture_bound, check_decomposition_identity,
                     check_hadamard_power_bound, check_no_cloning,
-                    check_polynomial_rank_prevalence,
                     check_rearrangement_lemma, draw_params, matricize,
                     rank_exact, rows_to_csv, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
@@ -177,15 +176,6 @@ def test_no_cloning_reports():
 def test_min_cut_verification():
     rep = verify_min_cut(2, 2, 4, trials=5, seed=0)
     assert rep.passed
-
-
-def test_prevalence():
-    rep = check_polynomial_rank_prevalence("shallow", 2, 2, 4, trials=10, seed=0)
-    assert rep.passed and rep.rows[0].expected == "2"
-    rep = check_polynomial_rank_prevalence("deep", 2, 2, 4, trials=5, seed=0)
-    assert rep.passed and int(rep.rows[0].expected) >= 3
-    with pytest.raises(InvalidInputError):
-        check_polynomial_rank_prevalence("other", 2, 2, 4, trials=1)
 
 
 def test_csv_format():
