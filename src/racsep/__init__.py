@@ -11,10 +11,9 @@ from .builders import (GridTensor, WeightsTensor, build_grid_tensor,
                        build_weights_tensor, grid_budget, score_from_tensor)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
-from .network import (InputSequence, Nonlinearity, RAC_PRODUCT, RacParams,
-                      TemplateEncoder, forward_deep, forward_shallow,
-                      load_params, neutral_h0, rnn_additive, save_params,
-                      step_deep)
+from .network import (Nonlinearity, RAC_PRODUCT, RacParams, TemplateEncoder,
+                      forward_deep, forward_shallow, load_params, neutral_h0,
+                      rnn_additive, save_params, step_deep)
 from .ranks import (RankReport, multiset_coefficient, rank_exact, rank_numeric,
                     start_end_rank)
 from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,

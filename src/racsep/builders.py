@@ -97,7 +97,7 @@ def _integer_form(a):
 def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
     """Full contraction sum_d A_d prod_i F[seq_i, d_i]; a single entry lookup
     when the encoder is the identity."""
-    symbols = as_symbols(seq)
+    symbols = as_symbols(seq, enc.M)
     t = w.tensor
     if len(symbols) != t.order:
         raise ShapeError(f"sequence length {len(symbols)} != tensor order {t.order}")
@@ -108,34 +108,36 @@ def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
 
 
 def build_grid_tensor(p: RacParams, g: Nonlinearity = RAC_PRODUCT,
-                      enc: TemplateEncoder = None, c: int = 1, T: int = 2,
-                      budget: int = None) -> GridTensor:
+                      enc: TemplateEncoder = None, c: int = 1,
+                      T: int = 2) -> GridTensor:
     """Order-T tensor of network outputs over all M^T template sequences.
 
     Enumeration shares hidden states across common prefixes, so the cost is
-    one network step per grid-trie node rather than T steps per leaf.
+    one network step per grid-trie node rather than T steps per leaf.  The
+    entry budget is read from the RACSEP_GRID_BUDGET environment variable.
     """
     if enc is None:
         enc = TemplateEncoder.identity(p.M, p.field)
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
     M = p.M
-    if budget is None:
-        budget = grid_budget()
+    budget = grid_budget()
     required = M ** T
     if required > budget:
         raise ResourceBudgetError(
             f"grid tensor needs {required} entries, budget is {budget}",
             required=required, budget=budget)
 
-    out = DenseTensor.zeros((M,) * T, p.field)
+    # object for the exact field; float64 even for integer-typed float weights
+    out = np.zeros((M,) * T, dtype=np.result_type(p.w_out, np.float64))
 
     def walk(states, prefix):
         if len(prefix) == T:
-            out.data[tuple(s - 1 for s in prefix)] = (p.w_out @ states[-1])[c - 1]
+            out[tuple(s - 1 for s in prefix)] = (p.w_out @ states[-1])[c - 1]
             return
         for d in range(1, M + 1):
             walk(step_deep(p, g, states, enc.row(d)), prefix + (d,))
 
     walk(list(p.h0), ())
-    return GridTensor(tensor=out, depth=p.L, class_index=c)
+    return GridTensor(tensor=DenseTensor(out, p.field), depth=p.L,
+                      class_index=c)

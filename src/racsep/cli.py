@@ -27,11 +27,20 @@ from .verification import (check_bucket_lemma, check_claim1_equality,
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
 
 
-def _int_list(text):
+def _positive(text):
+    """A size argument: one integer >= 1."""
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of ints: {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _int_list(text):
+    values = [_positive(x) for x in text.split(",") if x.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty range")
     return values
@@ -42,7 +51,7 @@ def _add_grid_flags(p):
     p.add_argument("--R", type=_int_list, default=[2], help="hidden widths")
     p.add_argument("--T", type=_int_list, default=[4], help="sequence lengths")
     p.add_argument("--L", type=_int_list, default=[1], help="depths")
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_positive, default=30)
     p.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
@@ -104,10 +113,10 @@ def build_parser():
 
     ep = sub.add_parser("export", help="write a tensor or graph as text")
     ep.add_argument("what", choices=["weights", "grid", "mps", "deep-tn"])
-    ep.add_argument("--M", type=int, default=2)
-    ep.add_argument("--R", type=int, default=2)
-    ep.add_argument("--T", type=int, default=4)
-    ep.add_argument("--L", type=int, default=1)
+    ep.add_argument("--M", type=_positive, default=2)
+    ep.add_argument("--R", type=_positive, default=2)
+    ep.add_argument("--T", type=_positive, default=4)
+    ep.add_argument("--L", type=_positive, default=1)
     ep.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--out", required=True)

@@ -11,6 +11,7 @@ Biases are omitted throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError
 from .ranks import rank_exact, rank_numeric
-from .tensor import (EXACT, field_of, format_scalars, header_field,
-                     header_ints, header_words, parse_scalars)
+from .tensor import (EXACT, DenseTensor, field_of, format_scalars,
+                     header_field, header_ints, header_words, parse_scalars)
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,6 @@ def rnn_additive(activation="identity"):
     return Nonlinearity("rnn", activation)
 
 
-def exact_identity(n):
-    eye = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        eye[i, i] = Fraction(1)
-    return eye
-
-
 def solve_exact(a, b):
     """Solve a x = b over the rationals; raises ParameterError if singular."""
     n = a.shape[0]
@@ -71,8 +65,7 @@ def neutral_h0(w_hidden):
     """Initial state solving W_h h0 = 1, so the first update sees all-ones."""
     n = w_hidden.shape[0]
     if field_of(w_hidden) == EXACT:
-        ones = np.array([Fraction(1)] * n, dtype=object)
-        return solve_exact(w_hidden, ones)
+        return solve_exact(w_hidden, [1] * n)
     try:
         return np.linalg.solve(w_hidden, np.ones(n))
     except np.linalg.LinAlgError:
@@ -113,6 +106,9 @@ class RacParams:
                 raise ParameterError(f"w_hidden[{l}] must be ({R},{R}), got {m.shape}")
         if self.w_out.shape[1] != R:
             raise ParameterError(f"w_out must have {R} columns")
+        if not (R and self.M and self.C):
+            raise ParameterError(
+                f"R, M and C must be >= 1, got {R}, {self.M}, {self.C}")
         if self.h0 is None:
             self.h0 = [neutral_h0(w) for w in self.w_hidden]
         if len(self.h0) != self.L or any(h.shape != (R,) for h in self.h0):
@@ -153,9 +149,7 @@ class TemplateEncoder:
 
     @classmethod
     def identity(cls, M, field=EXACT):
-        if field == EXACT:
-            return cls(exact_identity(M))
-        return cls(np.eye(M))
+        return cls(DenseTensor(np.eye(M, dtype=int), field).data)
 
     @property
     def M(self):
@@ -169,33 +163,22 @@ class TemplateEncoder:
         return self.F[symbol - 1]
 
 
-@dataclass(frozen=True)
-class InputSequence:
-    """Symbols in [1..M], one per time-step."""
-
-    symbols: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-        if any(s < 1 for s in self.symbols):
-            raise InvalidInputError("symbols are 1-based positive integers")
-
-    def __len__(self):
-        return len(self.symbols)
+def as_symbols(seq, M):
+    """The symbols of ``seq`` as a tuple of ints; each must be an integer in
+    [1..M], one per time-step."""
+    symbols = tuple(seq)
+    if not all(isinstance(s, numbers.Integral) and 1 <= s <= M
+               for s in symbols):
+        raise InvalidInputError(
+            f"symbols must be integers in [1..{M}], got {symbols}")
+    return tuple(map(int, symbols))
 
 
-def as_symbols(seq):
-    """The symbol tuple of an InputSequence or of any iterable of symbols."""
-    return seq.symbols if isinstance(seq, InputSequence) else tuple(seq)
-
-
-def _check_compat(p: RacParams, enc: TemplateEncoder, symbols):
+def _check_compat(p: RacParams, enc: TemplateEncoder):
     if enc.M != p.M:
         raise ParameterError(f"encoder dim {enc.M} != network input dim {p.M}")
     if enc.field != p.field:
         raise ParameterError("encoder and parameters must share one scalar field")
-    if any(s > p.M for s in symbols):
-        raise InvalidInputError(f"symbol out of range [1..{p.M}]")
 
 
 def step_deep(p: RacParams, g: Nonlinearity, states, encoded):
@@ -211,8 +194,8 @@ def step_deep(p: RacParams, g: Nonlinearity, states, encoded):
 
 def forward_deep(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
     """Class scores after the final time-step of an L-layer network."""
-    symbols = as_symbols(seq)
-    _check_compat(p, enc, symbols)
+    _check_compat(p, enc)
+    symbols = as_symbols(seq, p.M)
     states = list(p.h0)
     for s in symbols:
         states = step_deep(p, g, states, enc.row(s))
@@ -260,17 +243,22 @@ def parse_params(text: str) -> RacParams:
     fld = header_field(lines, 5)
     pos = 6
 
-    def read_block(key):
+    def read_block(key, *index):
+        """The block headed ``key *index dims...`` at lines[pos]."""
         nonlocal pos
         nums = header_ints(header_words(lines, pos, key))
-        shape = nums if key == "w_out" else nums[1:]  # drop the layer index
+        if nums[:len(index)] != index:
+            raise InvalidInputError(
+                f"expected a {' '.join(map(str, (key,) + index))} block, "
+                f"got {lines[pos]!r}")
+        shape = nums[len(index):]
         start, pos = pos + 1, pos + 1 + math.prod(shape)
         return parse_scalars(lines[start:pos], fld, shape)
 
-    w_in = [read_block("w_in") for _ in range(L)]
-    w_hidden = [read_block("w_hidden") for _ in range(L)]
+    w_in = [read_block("w_in", l) for l in range(L)]
+    w_hidden = [read_block("w_hidden", l) for l in range(L)]
     w_out = read_block("w_out")
-    h0 = [read_block("h0") for _ in range(L)]
+    h0 = [read_block("h0", l) for l in range(L)]
     p = RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
     if [p.R, p.M, p.C] != sizes:
         raise InvalidInputError(

@@ -1,8 +1,8 @@
 """Dense tensors over a switchable scalar field, with matricization.
 
 Two scalar fields are supported: IEEE double ("float") and exact rationals
-("exact", backed by ``fractions.Fraction`` in object arrays).  A tensor never
-mixes fields.  Entries are kept in row-major order (last index fastest), so
+("exact", ``fractions.Fraction`` over Python ints in object arrays, built by
+:func:`exact_array`).  A tensor never mixes fields.  Entries are kept in row-major order (last index fastest), so
 matricization w.r.t. an index partition reduces to an axis permutation
 followed by a reshape.
 """
@@ -22,11 +22,20 @@ FLOAT = "float"
 
 
 def exact_array(values, shape=None):
-    """Build an object ndarray of Fractions from nested ints/Fractions/strings."""
+    """An object ndarray of Fractions over Python ints from nested
+    ints/Fractions/strings; the one way integer arrays enter the exact field.
+
+    Numpy integers are converted too: a Fraction of numpy integers would
+    compute in wrapping int64.
+    """
     arr = np.array(values, dtype=object)
     flat = arr.reshape(-1)
     for i, v in enumerate(flat):
-        flat[i] = Fraction(v)
+        f = Fraction(v)
+        if type(v) is not int and (type(f.numerator) is not int
+                                   or type(f.denominator) is not int):
+            f = Fraction(int(f.numerator), int(f.denominator))
+        flat[i] = f
     arr = flat.reshape(arr.shape)
     if shape is not None:
         arr = arr.reshape(shape)
@@ -34,13 +43,19 @@ def exact_array(values, shape=None):
 
 
 def clear_denominators(values):
-    """Integers n_i and their common denominator d with values[i] == n_i / d.
+    """Python ints n_i and a common denominator d with values[i] == n_i / d.
 
     ``values`` holds ints or Fractions; d is the lcm of their denominators.
     """
     values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    if set(map(type, nums + dens)) != {int}:  # numpy integers wrap around
+        nums, dens = list(map(int, nums)), list(map(int, dens))
+    den = math.lcm(*dens)
+    if den == 1:  # integer entries, the common case
+        return nums, den
+    return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
 def field_of(array):
@@ -51,7 +66,8 @@ class DenseTensor:
     """An order-T multi-dimensional array over a single scalar field.
 
     ``data`` is a numpy array shaped ``dims``; dtype float64 for the float
-    field, object (holding Fractions) for the exact field.
+    field, object (holding Fractions) for the exact field.  An integer array
+    enters either field here: ``DenseTensor(ints, field)``.
     """
 
     __slots__ = ("data", "field")
@@ -68,29 +84,6 @@ class DenseTensor:
             data = data.astype(np.float64, copy=False)
         self.data = data
         self.field = field
-
-    @classmethod
-    def from_entries(cls, dims, entries, field):
-        dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise ShapeError(f"all dims must be >= 1, got {dims}")
-        n = int(np.prod(dims))
-        entries = list(entries)
-        if len(entries) != n:
-            raise ShapeError(f"expected {n} entries, got {len(entries)}")
-        if field == EXACT:
-            data = exact_array(entries, shape=dims)
-        else:
-            data = np.array(entries, dtype=np.float64).reshape(dims)
-        return cls(data, field)
-
-    @classmethod
-    def zeros(cls, dims, field):
-        if field == EXACT:
-            data = np.full(dims, Fraction(0), dtype=object)
-        else:
-            data = np.zeros(dims)
-        return cls(data, field)
 
     @property
     def dims(self):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,13 +21,14 @@ from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError)
 from .network import RacParams, TemplateEncoder, as_symbols
 from .ranks import multiset_coefficient
-from .tensor import (EXACT, FLOAT, DenseTensor, format_scalars, header_field,
-                     header_ints, header_words, parse_scalars)
+from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
+                     header_field, header_ints, header_words, parse_scalars)
 
 CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
 DEFAULT_CONTRACT_BUDGET = 10 ** 7
 DEEP_TN_MAX_L = 3
 DEEP_TN_MAX_T = 8
+MIN_CUT_MAX_NODES = 24
 
 START, END, OUTPUT = "start", "end", "output"
 
@@ -110,11 +110,8 @@ class TnGraph:
 
 def delta_tensor(R: int, field=EXACT) -> DenseTensor:
     """Order-3 tensor equal to 1 on the super-diagonal, 0 elsewhere."""
-    t = DenseTensor.zeros((R, R, R), field)
-    one = Fraction(1) if field == EXACT else 1.0
-    for i in range(R):
-        t.data[i, i, i] = one
-    return t
+    eye = np.eye(R, dtype=int)
+    return DenseTensor(eye[:, :, None] * eye[:, None, :], field)
 
 
 def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
@@ -130,15 +127,7 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
         raise ShapeError("T must be >= 1")
     wi, wh = p.w_in[0], p.w_hidden[0]
     R, M = p.R, p.M
-    # cell[k_prev, d, k] = wi[k, d] * wh[k, k_prev]
-    if p.field == FLOAT:
-        cell = np.einsum("kd,kp->pdk", wi, wh)
-    else:
-        cell = np.empty((R, M, R), dtype=object)
-        for kp in range(R):
-            for d in range(M):
-                for k in range(R):
-                    cell[kp, d, k] = wi[k, d] * wh[k, kp]
+    cell = wh.T[:, None, :] * wi.T[None, :, :]
     nodes = {"h0": DenseTensor(p.h0[0], p.field)}
     edges, open_legs = [], []
     for t in range(1, T + 1):
@@ -158,19 +147,18 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
     return TnGraph(nodes, edges, open_legs)
 
 
-def build_deep_tn(p: RacParams, T: int, c: int = 1,
-                  max_depth: int = DEEP_TN_MAX_L,
-                  max_steps: int = DEEP_TN_MAX_T) -> TnGraph:
+def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     """Input-duplicating graph of an L-layer network after T steps.
 
     The layer-l state at time t is produced by a cell {Wh, Wi, delta} whose
     lower leg is a fresh copy of the layer-(l-1) sub-network of length t;
     each input time-step therefore appears once per duplication path.
     Contraction (with inputs attached) equals the forward evaluation exactly.
+    The graph is capped at L <= DEEP_TN_MAX_L and T <= DEEP_TN_MAX_T.
     """
-    if p.L > max_depth or T > max_steps:
+    if p.L > DEEP_TN_MAX_L or T > DEEP_TN_MAX_T:
         raise ResourceBudgetError(
-            f"deep graph budget is L<={max_depth}, T<={max_steps}; "
+            f"deep graph budget is L<={DEEP_TN_MAX_L}, T<={DEEP_TN_MAX_T}; "
             f"requested L={p.L}, T={T}")
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
@@ -216,7 +204,7 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1,
 
 def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     """Contract every input leg with its time-step's encoded template vector."""
-    symbols = as_symbols(seq)
+    symbols = as_symbols(seq, enc.M)
     nodes = dict(g.nodes)
     edges = list(g.edges)
     remaining = []
@@ -235,15 +223,15 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     return TnGraph(nodes, edges, remaining)
 
 
-def contract(g: TnGraph, budget: int = None) -> DenseTensor:
+def contract(g: TnGraph) -> DenseTensor:
     """Sum over all contracted indices; result order = number of open legs.
 
     Pairwise contraction, greedily picking the pair with the smallest
     intermediate.  Open legs are ordered by time index (inputs) with output
-    legs last; a fully closed network yields a single-entry tensor.
+    legs last; a fully closed network yields a single-entry tensor.  The
+    entry budget is read from the RACSEP_CONTRACT_BUDGET environment variable.
     """
-    if budget is None:
-        budget = int(os.environ.get(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET))
+    budget = int(os.environ.get(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET))
 
     open_ids = {}
     for i, o in enumerate(g.open_legs):
@@ -311,13 +299,14 @@ def contract(g: TnGraph, budget: int = None) -> DenseTensor:
     return DenseTensor(np.transpose(arr, perm), g.field)
 
 
-def min_cut(g: TnGraph, max_nodes: int = 24):
+def min_cut(g: TnGraph):
     """Minimal multiplicative cut separating start-tagged from end-tagged legs.
 
     Every bipartition of the nodes is scored by the product of bond dims of
     crossing edges plus any start/end open legs stranded on the wrong side;
     products are compared exactly over the integers.  Returns the cut value
-    and the cut-edge descriptors.
+    and the cut-edge descriptors.  Graphs of more than MIN_CUT_MAX_NODES
+    nodes are refused.
     """
     starts = [o for o in g.open_legs if o.side == START]
     ends = [o for o in g.open_legs if o.side == END]
@@ -325,9 +314,9 @@ def min_cut(g: TnGraph, max_nodes: int = 24):
         raise ShapeError("min_cut needs both start- and end-tagged open legs")
     node_ids = sorted(g.nodes)
     n = len(node_ids)
-    if n > max_nodes:
-        raise ResourceBudgetError(
-            f"min_cut enumeration supports up to {max_nodes} nodes, got {n}")
+    if n > MIN_CUT_MAX_NODES:
+        raise ResourceBudgetError(f"min_cut enumeration supports up to "
+                                  f"{MIN_CUT_MAX_NODES} nodes, got {n}")
     idx = {nid: i for i, nid in enumerate(node_ids)}
     best_val, best_cut = None, None
     for mask in range(2 ** n):
@@ -393,16 +382,14 @@ def no_clone_counterexample(P: int) -> NoCloneReport:
     if P < 1:
         raise InvalidInputError("P must be >= 1")
     d = delta_tensor(P, EXACT).data
-    basis_ok = True
-    for a in range(P):
-        e = np.full(P, Fraction(0), dtype=object)
-        e[a] = Fraction(1)
-        applied = np.tensordot(d, e, axes=([0], [0]))
-        basis_ok &= bool(np.all(applied == np.multiply.outer(e, e)))
-    ones = np.full(P, Fraction(1), dtype=object)
-    applied = np.tensordot(d, ones, axes=([0], [0]))
-    ones_ok = bool(np.all(applied == np.multiply.outer(ones, ones)))
-    return NoCloneReport(dim=P, basis_cloned=basis_ok, ones_cloned=ones_ok)
+
+    def cloned(v):
+        return bool(np.all(np.tensordot(d, v, axes=([0], [0]))
+                           == np.multiply.outer(v, v)))
+
+    basis, ones = exact_array(np.eye(P, dtype=int)), exact_array([1] * P)
+    return NoCloneReport(dim=P, basis_cloned=all(map(cloned, basis)),
+                         ones_cloned=cloned(ones))
 
 
 # ---------------------------------------------------------------------------

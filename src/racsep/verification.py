@@ -19,7 +19,7 @@ import numpy as np
 
 from .builders import build_grid_tensor, build_weights_tensor
 from .errors import InvalidInputError, ParameterError
-from .network import RacParams, exact_identity
+from .network import RacParams
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
                     start_end_rank)
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
@@ -52,12 +52,8 @@ class Report:
         self.rows.append(ReportRow(check=self.check, **kw))
 
     @property
-    def sampled(self):
-        return [r for r in self.rows if not r.required]
-
-    @property
     def fraction(self):
-        rows = self.sampled
+        rows = [r for r in self.rows if not r.required]
         if not rows:
             return 1.0
         return sum(r.passed for r in rows) / len(rows)
@@ -68,10 +64,6 @@ class Report:
             return False
         required_ok = all(r.passed for r in self.rows if r.required)
         return required_ok and self.fraction >= self.threshold
-
-    @property
-    def failures(self):
-        return [r for r in self.rows if not r.passed]
 
 
 CSV_COLUMNS = ("check", "M", "R", "T", "L", "field", "seed",
@@ -158,44 +150,34 @@ class AppendixBAssignment:
 
     @property
     def Z(self):
-        z = Fraction(self.z)
-        out = np.full((self.R, self.M), Fraction(0), dtype=object)
-        for i in range(self.R):
-            if i >= self.M:
-                break
-            for j in range(self.M):
-                out[i, j] = z ** (self.omega ** (i + 1)) if i == j \
-                    else Fraction(1)
-        return out
+        return exact_array([[self.z ** self.omega ** (i + 1) if i == j
+                             else int(i < self.M) for j in range(self.M)]
+                            for i in range(self.R)])
 
     @property
     def bound(self):
         return multiset_coefficient(min(self.M, self.R), self.T // 2)
 
     def params(self) -> RacParams:
-        R = self.R
-        eye = exact_identity(R)
-        w_in2 = np.full((R, R), Fraction(0), dtype=object)
-        w_in2[0, :] = Fraction(1)
-        w_out = np.full((1, R), Fraction(0), dtype=object)
-        w_out[0, 0] = Fraction(1)
-        ones = np.full(R, Fraction(1), dtype=object)
+        first = np.eye(1, self.R, dtype=int)  # the row (1, 0, ..., 0)
+        ones = np.ones(self.R, dtype=int)
+        eye, w_in2, w_out, h0 = map(exact_array, (
+            np.eye(self.R, dtype=int), first.T * ones, first, ones))
         return RacParams(w_in=[self.Z, w_in2], w_hidden=[eye, eye],
-                         w_out=w_out, h0=[ones, ones])
+                         w_out=w_out, h0=[h0, h0])
 
 
 # ---------------------------------------------------------------------------
 # Theorem checks.
 
 def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
-                            rel_tol=DEFAULT_REL_TOL,
-                            threshold=DEFAULT_THRESHOLD) -> Report:
+                            rel_tol=DEFAULT_REL_TOL) -> Report:
     """Single-layer law: rank of the matricized weights tensor equals
     min{R, M^(T/2)} almost everywhere, and never exceeds it."""
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     expected = min(R, M ** (T // 2))
-    rep = Report("shallow", threshold=threshold)
+    rep = Report("shallow", threshold=DEFAULT_THRESHOLD)
     for trial in range(trials):
         rng = trial_rng(seed, M, R, T, 1, trial)
         p = draw_params(rng, M, R, L=1, field=field)
@@ -214,12 +196,11 @@ def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
 
 
 def verify_deep_lower_bound(M, R, T, trials=30, seed=0,
-                            rel_tol=DEFAULT_REL_TOL,
-                            threshold=DEFAULT_THRESHOLD) -> Report:
+                            rel_tol=DEFAULT_REL_TOL) -> Report:
     """Depth-2 lower bound multiset(min{M,R}, T/2): attained exactly by the
     explicit assignment, and met or exceeded by random float draws."""
     asg = AppendixBAssignment(M=M, R=R, T=T)
-    rep = Report("deep", threshold=threshold)
+    rep = Report("deep", threshold=DEFAULT_THRESHOLD)
     observed = start_end_rank(build_grid_tensor(asg.params(), T=T).tensor).rank
     rep.add(M=M, R=R, T=T, L=2, field=EXACT, seed="-",
             observed=str(observed), expected=str(asg.bound),
@@ -416,15 +397,17 @@ def check_bucket_lemma(Rbar, T, omega=None) -> Report:
     return rep
 
 
-def check_hadamard_power_bound(trials, n=4, max_power=3, seed=0) -> Report:
-    """Entrywise p-th powers obey rank(m^(op)) <= multiset(rank(m), p)."""
+def check_hadamard_power_bound(trials, seed=0) -> Report:
+    """Entrywise p-th powers obey rank(m^(op)) <= multiset(rank(m), p), on
+    random 4 x 4 integer matrices and powers p in 1..3."""
+    n = 4
     rep = Report("hadamard")
     for trial in range(trials):
         rng = trial_rng(seed, n, n, 0, 1, trial)
-        m = DenseTensor(exact_array(rng.integers(-4, 5, (n, n))), EXACT)
-        base = rank_exact(m.data).rank
-        p = int(rng.integers(1, max_power + 1))
-        powered = rank_exact(hadamard_power(m, p).data).rank
+        m = DenseTensor(rng.integers(-4, 5, (n, n)), EXACT)
+        base = rank_exact(m).rank
+        p = int(rng.integers(1, 4))
+        powered = rank_exact(hadamard_power(m, p)).rank
         bound = multiset_coefficient(base, p)
         rep.add(M=n, R=n, T=0, L=1, field=EXACT, seed=f"{seed}.{trial}",
                 observed=f"rank^{p}={powered}", expected=f"<={bound}",
@@ -432,8 +415,7 @@ def check_hadamard_power_bound(trials, n=4, max_power=3, seed=0) -> Report:
     return rep
 
 
-def verify_min_cut(M, R, T, trials=30, seed=0,
-                   threshold=DEFAULT_THRESHOLD) -> Report:
+def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
     """Min-cut certificate: on the single-layer chain the minimal
     multiplicative cut between start and end legs equals min{R, M^(T/2)}
     structurally, and equals the exact matricization rank for almost every
@@ -442,7 +424,7 @@ def verify_min_cut(M, R, T, trials=30, seed=0,
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     structural = min(R, M ** (T // 2))
-    rep = Report("mincut", threshold=threshold)
+    rep = Report("mincut", threshold=DEFAULT_THRESHOLD)
     for trial in range(trials):
         rng = trial_rng(seed, M, R, T, 1, trial)
         p = draw_params(rng, M, R, L=1, field=EXACT)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV determinism, exports."""
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -44,6 +45,23 @@ def test_bad_range_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "shallow", "--M", ""])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    "verify shallow --trials 0",
+    "verify shallow --trials -3",
+    "verify shallow --M 0 --trials 2",
+    "verify shallow --R 2,0 --trials 2",
+    "verify deep --R 0 --trials 2",
+    "scan --L 0",
+    "export mps --M 0 --out unused.txt",
+])
+def test_non_positive_size_usage_error(args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        main(args.split())
+    assert ei.value.code == 2
+    assert not (tmp_path / "unused.txt").exists()
 
 
 def test_unknown_suite_usage_error():
@@ -187,3 +205,32 @@ def test_verify_matches_direct_reports(args, reports, capsys):
     code = 0 if all(r.passed for r in reps) else 1
     assert run_cli(["verify"] + args.split(), capsys)[:2] == (
         code, rows_to_csv([row for r in reps for row in r.rows]))
+
+
+# sha256 of exported files at M=2, R=2, T=4, seed 7, recorded from a
+# known-good build; float weights and grids are left out because their
+# matmul rounding may differ under another BLAS
+EXPORT_SHA256 = [
+    ("weights", "exact", 1,
+     "37f3fc5ede95cdc55dbf7afd509a38d7ba9d085b702d8638f02de62c5aa8b017"),
+    ("grid", "exact", 2,
+     "18731ce71cb49bbb4fe54f5ebddd247aefbea96ef824e146780dd25bdce31dd6"),
+    ("mps", "exact", 1,
+     "39ec98c6c1d58e4fc6194e0b2fc208c82163fa005b381354ce7703c863620a3c"),
+    ("deep-tn", "exact", 2,
+     "1f6a827bc4c5b1b5684678acd8284dbe62f7a1398b73a8416c17ddde0d784434"),
+    ("mps", "float", 1,
+     "592603a2136693a49bae0da75ad44362cf634e5a6e30e3d23ef87da57e1a7455"),
+    ("deep-tn", "float", 2,
+     "a53516b7abff461374718b7bc55366571bed9cb1886096e359f3e2b952c6ed00"),
+]
+
+
+@pytest.mark.parametrize("what,field,L,digest", EXPORT_SHA256,
+                         ids=[f"{w}-{f}" for w, f, _, _ in EXPORT_SHA256])
+def test_export_golden_bytes(what, field, L, digest, tmp_path, capsys):
+    out = tmp_path / "export.txt"
+    assert run_cli(["export", what, "--M", "2", "--R", "2", "--T", "4",
+                    "--L", str(L), "--field", field, "--seed", "7",
+                    "--out", str(out)], capsys)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, InputSequence, InvalidInputError,
-                    Nonlinearity, ParameterError, RAC_PRODUCT, RacParams,
-                    TemplateEncoder, exact_array, forward_deep,
-                    forward_shallow, neutral_h0, rnn_additive, step_deep)
+from racsep import (EXACT, FLOAT, InvalidInputError, Nonlinearity,
+                    ParameterError, RAC_PRODUCT, RacParams, TemplateEncoder,
+                    attach_inputs, build_mps, build_weights_tensor,
+                    exact_array, forward_deep, forward_shallow, neutral_h0,
+                    rnn_additive, score_from_tensor, step_deep)
 from racsep.network import dump_params, parse_params
 
 
@@ -89,13 +90,28 @@ def test_encoder_validation():
     assert np.all(enc.row(2) == exact_array([0, 1, 0]))
 
 
-def test_sequence_validation():
-    with pytest.raises(InvalidInputError):
-        InputSequence((0, 1))
+@pytest.mark.parametrize("seq", [(0, 1), (1, 3), (1, 1.5)],
+                         ids=["zero", "above-M", "non-integer"])
+@pytest.mark.parametrize("evaluate", [
+    lambda p, enc, seq: forward_deep(p, RAC_PRODUCT, enc, seq),
+    lambda p, enc, seq: attach_inputs(build_mps(p, 2), enc, seq),
+    lambda p, enc, seq: score_from_tensor(build_weights_tensor(p, T=2), enc,
+                                          seq),
+], ids=["forward_deep", "attach_inputs", "score_from_tensor"])
+def test_sequence_validation(evaluate, seq):
+    # M=2: symbols must be integers in [1..2]; 0 used to wrap to symbol M
     p = exact_params(w_in=[[[1, 2], [3, 4]]], w_hidden=[[[1, 0], [0, 1]]],
                      w_out=[[1, 1]])
     with pytest.raises(InvalidInputError):
-        forward_shallow(p, RAC_PRODUCT, TemplateEncoder.identity(2), [1, 3])
+        evaluate(p, TemplateEncoder.identity(2), seq)
+
+
+def test_params_reject_empty_sizes():
+    with pytest.raises(ParameterError):
+        RacParams(w_in=[np.zeros((0, 0))], w_hidden=[np.zeros((0, 0))],
+                  w_out=np.zeros((1, 0)))
+    with pytest.raises(ParameterError):
+        exact_params(w_in=[[[1]]], w_hidden=[[[1]]], w_out=np.zeros((0, 1)))
 
 
 def test_forward_shallow_rejects_deep():
@@ -190,11 +206,13 @@ def test_parse_params_rejects_non_finite(bad):
         parse_params("\n".join(lines))
 
 
-@pytest.mark.parametrize("header", ["R 5", "M 2", "C 3"])
+@pytest.mark.parametrize("header", ["R 5", "M 2", "C 3", "w_in 7", "h0 5"])
 def test_parse_params_rejects_header_mismatch(header):
-    # the blocks hold R=2, M=3, C=1
+    # the blocks hold R=2, M=3, C=1 and one layer, index 0; the edit replaces
+    # the first value on the line of that key
+    key, value = header.split()
     lines = _dumped_params(EXACT).splitlines()
-    pos = 2 + "RMC".index(header[0])
-    lines[pos] = header
+    pos = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    lines[pos] = " ".join([key, value] + lines[pos].split()[2:])
     with pytest.raises(InvalidInputError):
         parse_params("\n".join(lines))

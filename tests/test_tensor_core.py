@@ -17,36 +17,36 @@ from racsep.tensor import dump_tensor, parse_tensor
 
 
 def test_exact_tensor_holds_fractions():
-    t = DenseTensor.from_entries((2, 2), [1, 2, 3, 4], EXACT)
+    t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     assert t.data.dtype == object
     assert t[0, 1] == Fraction(2)
     assert t.order == 2 and t.dims == (2, 2)
 
 
-def test_from_entries_wrong_count():
-    with pytest.raises(ShapeError):
-        DenseTensor.from_entries((2, 2), [1, 2, 3], EXACT)
+def _one_hot(index, value):
+    """An int array shaped (2,) * len(index) holding value at index."""
+    a = np.zeros((2,) * len(index), dtype=int)
+    a[index] = value
+    return a
 
 
 def test_matricize_known_entry_placement():
     # order-4, M=2: entry (d1,d2,d3,d4) -> row 2*(d1-1)+(d2-1), col likewise
-    t = DenseTensor.zeros((2, 2, 2, 2), EXACT)
-    t.data[0, 1, 1, 0] = Fraction(7)
+    t = DenseTensor(_one_hot((0, 1, 1, 0), 7), EXACT)
     m = matricize(t, IndexPartition.start_end(4))
     assert m.dims == (4, 4)
     assert m[1, 2] == Fraction(7)
 
 
 def test_matricize_interleaved_partition():
-    t = DenseTensor.zeros((2, 2, 2, 2), EXACT)
-    t.data[1, 0, 1, 0] = Fraction(5)
+    t = DenseTensor(_one_hot((1, 0, 1, 0), 5), EXACT)
     p = IndexPartition(S=(1, 3), E=(2, 4))
     m = matricize(t, p)
     assert m[3, 0] == Fraction(5)
 
 
 def test_matricize_requires_equal_dims():
-    t = DenseTensor.zeros((2, 3), EXACT)
+    t = DenseTensor(np.zeros((2, 3), dtype=int), EXACT)
     with pytest.raises(ShapeError):
         matricize(t, IndexPartition(S=(1,), E=(2,)))
 
@@ -68,7 +68,7 @@ def test_partition_must_cover_modes():
 def test_matricize_roundtrip(M, T, rnd):
     # every entry (d_1..d_T) lands in row sum_t d_{S_t} M^(|S|-t) and column
     # sum_t d_{E_t} M^(|E|-t) (0-based d); distinct entries make it a bijection
-    t = DenseTensor.from_entries((M,) * T, range(M ** T), EXACT)
+    t = DenseTensor(np.arange(M ** T).reshape((M,) * T), EXACT)
     S = tuple(sorted(rnd.sample(range(1, T + 1), rnd.randint(0, T))))
     E = tuple(i for i in range(1, T + 1) if i not in S)
     m = matricize(t, IndexPartition(S=S, E=E))
@@ -91,11 +91,11 @@ def test_start_end_rank_matches_matricized_rank():
     mat = matricize(f, IndexPartition.start_end(4))
     assert start_end_rank(f, rel_tol=1e-9) == rank_numeric(mat, rel_tol=1e-9)
     with pytest.raises(ShapeError):
-        start_end_rank(DenseTensor.zeros((2, 2, 2), EXACT))
+        start_end_rank(DenseTensor(np.zeros((2, 2, 2), dtype=int), EXACT))
 
 
 def test_hadamard_power_entrywise():
-    m = DenseTensor.from_entries((2, 2), [1, 2, 3, 4], EXACT)
+    m = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     sq = hadamard_power(m, 2)
     assert sq[1, 1] == Fraction(16)
     with pytest.raises(InvalidInputError):
@@ -105,11 +105,11 @@ def test_hadamard_power_entrywise():
 @pytest.mark.parametrize("fmt_field", [EXACT, FLOAT])
 def test_serialization_roundtrip(fmt_field):
     if fmt_field == EXACT:
-        t = DenseTensor.from_entries((2, 3), [Fraction(1, 3), 2, 0, -5,
-                                              Fraction(-7, 2), 9], EXACT)
+        t = DenseTensor(exact_array([Fraction(1, 3), 2, 0, -5,
+                                     Fraction(-7, 2), 9], shape=(2, 3)))
     else:
-        t = DenseTensor.from_entries((2, 3), [0.1, -2.5, 3e-17, 1.0, -0.0, 7.25],
-                                     FLOAT)
+        t = DenseTensor(np.array([0.1, -2.5, 3e-17, 1.0, -0.0, 7.25])
+                        .reshape(2, 3), FLOAT)
     back = parse_tensor(dump_tensor(t))
     assert back.equals(t)
     # byte-determinism of the text format
@@ -123,7 +123,7 @@ def test_parse_rejects_bad_header():
 
 @pytest.mark.parametrize("cut", [1, 2, 3])
 def test_parse_rejects_truncated_header(cut):
-    text = dump_tensor(DenseTensor.from_entries((2,), [1, 2], EXACT))
+    text = dump_tensor(DenseTensor(np.array([1, 2]), EXACT))
     with pytest.raises(InvalidInputError):
         parse_tensor("\n".join(text.splitlines()[:cut]))
 
@@ -166,6 +166,18 @@ def test_rank_exact_known_values():
     assert rank_exact(m).rank == 2
     m[1, 0] = 2
     assert rank_exact(m).rank == 3
+
+
+@pytest.mark.parametrize("entry", [np.int64(2 ** 32),
+                                   Fraction(np.int64(2 ** 32))],
+                         ids=["int64", "fraction-of-int64"])
+def test_exact_oracles_on_numpy_integers(entry):
+    # int64 Bareiss would wrap 2^32 * 2^32 to 0 and report rank 1
+    diag = np.array([[entry, 0], [0, entry]], dtype=object)
+    assert rank_exact(diag).rank == 2
+    assert start_end_rank(DenseTensor(diag, EXACT)).rank == 2
+    assert all(type(f.numerator) is int and type(f.denominator) is int
+               for f in exact_array(diag).reshape(-1))
 
 
 def test_rank_exact_rejects_float():

@@ -23,13 +23,13 @@ def test_delta_tensor_superdiagonal():
 
 
 def test_graph_validation():
-    t = DenseTensor.from_entries((2, 2), [1, 0, 0, 1], EXACT)
-    v = DenseTensor.from_entries((2,), [1, 1], EXACT)
+    t = DenseTensor(np.eye(2, dtype=int), EXACT)
+    v = DenseTensor(np.ones(2, dtype=int), EXACT)
     # unused leg
     with pytest.raises(ShapeError):
         TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)], [])
     # dim mismatch
-    w = DenseTensor.from_entries((3,), [1, 1, 1], EXACT)
+    w = DenseTensor(np.ones(3, dtype=int), EXACT)
     with pytest.raises(ShapeError):
         TnGraph({"a": t, "b": w}, [Edge("a", 0, "b", 0, 2)],
                 [OpenLeg("a", 1, 2, 1, "start")])
@@ -44,8 +44,8 @@ def test_graph_validation():
 
 
 def test_contract_matrix_vector():
-    m = DenseTensor.from_entries((2, 2), [1, 2, 3, 4], EXACT)
-    v = DenseTensor.from_entries((2,), [5, 6], EXACT)
+    m = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
+    v = DenseTensor(np.array([5, 6]), EXACT)
     g = TnGraph({"m": m, "v": v}, [Edge("m", 1, "v", 0, 2)],
                 [OpenLeg("m", 0, 2, 1, "start")])
     out = contract(g)
@@ -66,7 +66,7 @@ def test_contract_chain_vs_nested_loops():
 
 
 def test_contract_single_node():
-    t = DenseTensor.from_entries((2, 2), [1, 2, 3, 4], EXACT)
+    t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start"),
                                OpenLeg("t", 1, 2, 2, "end")])
     assert contract(g).equals(t)
@@ -74,7 +74,7 @@ def test_contract_single_node():
 
 def test_contract_orders_legs_by_time():
     # open legs declared out of order must come back sorted by time index
-    t = DenseTensor.from_entries((2, 3), list(range(6)), EXACT)
+    t = DenseTensor(np.arange(6).reshape(2, 3), EXACT)
     g = TnGraph({"t": t}, [], [OpenLeg("t", 1, 3, 2, "end"),
                                OpenLeg("t", 0, 2, 1, "start")])
     out = contract(g)
@@ -136,10 +136,10 @@ def test_deep_tn_depth3():
 def test_deep_tn_budget():
     p = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2)
     with pytest.raises(ResourceBudgetError):
-        build_deep_tn(p, 10)
-    p4 = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2)
+        build_deep_tn(p, 10)  # T above DEEP_TN_MAX_T = 8
+    p4 = draw_params(trial_rng(0, 2, 2, 4, 4, 0), 2, 2, L=4)
     with pytest.raises(ResourceBudgetError):
-        build_deep_tn(p4, 4, max_depth=1)
+        build_deep_tn(p4, 4)  # L above DEEP_TN_MAX_L = 3
 
 
 def test_min_cut_structural_value():
@@ -152,8 +152,8 @@ def test_min_cut_structural_value():
 
 
 def test_min_cut_single_edge():
-    a = DenseTensor.from_entries((2, 3), list(range(6)), EXACT)
-    b = DenseTensor.from_entries((3, 2), list(range(6)), EXACT)
+    a = DenseTensor(np.arange(6).reshape(2, 3), EXACT)
+    b = DenseTensor(np.arange(6).reshape(3, 2), EXACT)
     g = TnGraph({"a": a, "b": b}, [Edge("a", 1, "b", 0, 3)],
                 [OpenLeg("a", 0, 2, 1, "start"), OpenLeg("b", 1, 2, 2, "end")])
     cut, edges = min_cut(g)
@@ -161,7 +161,7 @@ def test_min_cut_single_edge():
 
 
 def test_min_cut_requires_both_sides():
-    t = DenseTensor.from_entries((2,), [1, 1], EXACT)
+    t = DenseTensor(np.ones(2, dtype=int), EXACT)
     g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start")])
     with pytest.raises(ShapeError):
         min_cut(g)
