@@ -28,7 +28,8 @@ from .verification import (AppendixBAssignment, Report, ReportRow,
                            check_conjecture_bound,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
-                           check_rearrangement_lemma, draw_params,
+                           check_rearrangement_lemma, conjectured_bound,
+                           draw_params,
                            rows_to_csv, trial_rng, verify_deep_lower_bound,
                            verify_min_cut, verify_shallow_rank_law)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError, ShapeError
 from .network import (RAC_PRODUCT, Nonlinearity, RacParams, TemplateEncoder,
-                      as_symbols, step_deep)
+                      as_symbols, check_encoder, step_deep)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -97,8 +97,9 @@ def _integer_form(a):
 def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
     """Full contraction sum_d A_d prod_i F[seq_i, d_i]; a single entry lookup
     when the encoder is the identity."""
-    symbols = as_symbols(seq, enc.M)
     t = w.tensor
+    check_encoder(enc, t.dims[0], t.field)
+    symbols = as_symbols(seq, enc.M)
     if len(symbols) != t.order:
         raise ShapeError(f"sequence length {len(symbols)} != tensor order {t.order}")
     acc = t.data

@@ -14,14 +14,15 @@ import sys
 
 from .builders import build_grid_tensor, build_weights_tensor
 from .errors import RacsepError, ResourceBudgetError
-from .ranks import DEFAULT_REL_TOL, multiset_coefficient, start_end_rank
+from .ranks import DEFAULT_REL_TOL, start_end_rank
 from .tensor import EXACT, FLOAT, save_tensor
 from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
-                           check_rearrangement_lemma, draw_params,
-                           rows_to_csv, trial_rng, verify_deep_lower_bound,
+                           check_rearrangement_lemma, conjectured_bound,
+                           draw_params, rows_to_csv, trial_rng,
+                           verify_deep_lower_bound,
                            verify_min_cut, verify_shallow_rank_law)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
@@ -46,13 +47,15 @@ def _int_list(text):
     return values
 
 
-def _add_grid_flags(p):
+def _add_grid_flags(p, trials):
+    """The parameter-grid flags; ``--trials`` and ``--field`` if trials."""
     p.add_argument("--M", type=_int_list, default=[2], help="template counts")
     p.add_argument("--R", type=_int_list, default=[2], help="hidden widths")
     p.add_argument("--T", type=_int_list, default=[4], help="sequence lengths")
     p.add_argument("--L", type=_int_list, default=[1], help="depths")
-    p.add_argument("--trials", type=_positive, default=30)
-    p.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
+    if trials:
+        p.add_argument("--trials", type=_positive, default=30)
+        p.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
@@ -104,12 +107,12 @@ def build_parser():
 
     vp = sub.add_parser("verify", help="run one verification suite")
     vp.add_argument("suite", choices=list(SUITES))
-    _add_grid_flags(vp)
+    _add_grid_flags(vp, trials=True)
     vp.add_argument("--P", type=_int_list, default=[2, 3, 4],
                     help="duplication dims for the noclone suite")
 
     sp = sub.add_parser("scan", help="rank/bound table over a parameter grid")
-    _add_grid_flags(sp)
+    _add_grid_flags(sp, trials=False)
 
     ep = sub.add_parser("export", help="write a tensor or graph as text")
     ep.add_argument("what", choices=["weights", "grid", "mps", "deep-tn"])
@@ -164,9 +167,7 @@ def cmd_scan(args):
             p = draw_params(rng, M, R, L=L, field=FLOAT)
             rank = start_end_rank(build_grid_tensor(p, T=T).tensor,
                                   args.rel_tol).rank
-            inner = multiset_coefficient(T // 2, L - 1)
-            bound = min(multiset_coefficient(min(M, R), inner), M ** (T // 2))
-            ref = f"conjecture={bound}"
+            ref = f"conjecture={conjectured_bound(M, R, T, L)}"
             cut = ""
             fld = FLOAT
         units = count_basic_units(L, T).closed_form

@@ -174,10 +174,11 @@ def as_symbols(seq, M):
     return tuple(map(int, symbols))
 
 
-def _check_compat(p: RacParams, enc: TemplateEncoder):
-    if enc.M != p.M:
-        raise ParameterError(f"encoder dim {enc.M} != network input dim {p.M}")
-    if enc.field != p.field:
+def check_encoder(enc: TemplateEncoder, M, field):
+    """Raises ParameterError unless ``enc`` encodes M symbols in ``field``."""
+    if enc.M != M:
+        raise ParameterError(f"encoder dim {enc.M} != network input dim {M}")
+    if enc.field != field:
         raise ParameterError("encoder and parameters must share one scalar field")
 
 
@@ -194,7 +195,7 @@ def step_deep(p: RacParams, g: Nonlinearity, states, encoded):
 
 def forward_deep(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
     """Class scores after the final time-step of an L-layer network."""
-    _check_compat(p, enc)
+    check_encoder(enc, p.M, p.field)
     symbols = as_symbols(seq, p.M)
     states = list(p.h0)
     for s in symbols:

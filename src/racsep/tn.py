@@ -12,6 +12,7 @@ These graphs are analysis tools, not an execution scheme.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -75,14 +76,21 @@ class TnGraph:
             if t.dims[leg] != dim:
                 raise ShapeError(
                     f"leg dim mismatch at {nid!r}[{leg}]: {t.dims[leg]} != {dim}")
+            if dim < 1:
+                raise ShapeError(f"leg {nid!r}[{leg}] has dim {dim} < 1")
             if leg in used[nid]:
                 raise ShapeError(f"leg {nid!r}[{leg}] used more than once")
             used[nid].add(leg)
 
         for e in self.edges:
+            if e.node_a == e.node_b:
+                raise ShapeError(f"edge joins node {e.node_a!r} to itself")
             claim(e.node_a, e.leg_a, e.dim)
             claim(e.node_b, e.leg_b, e.dim)
         for o in self.open_legs:
+            if o.side != OUTPUT and o.time_index is None:
+                raise ShapeError(
+                    f"{o.side} leg {o.node!r}[{o.leg}] needs a time index")
             claim(o.node, o.leg, o.dim)
         for nid, legs in used.items():
             if len(legs) != self.nodes[nid].order:
@@ -181,7 +189,8 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
         edges.append(Edge(wh, 1, prev[0], prev[1], R))
         wi = add("wi", DenseTensor(p.w_in[l - 1], p.field))
         if l == 1:
-            open_legs.append(OpenLeg(wi, 1, M, time_index=t, side=None))
+            side = START if t <= T // 2 else END
+            open_legs.append(OpenLeg(wi, 1, M, time_index=t, side=side))
         else:
             below = fragment(l - 1, t)
             edges.append(Edge(wi, 1, below[0], below[1], R))
@@ -193,12 +202,6 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     top = fragment(p.L, T)
     out = add("out", DenseTensor(p.w_out[c - 1], p.field))
     edges.append(Edge(out, 0, top[0], top[1], R))
-    half = T // 2
-    open_legs = [
-        OpenLeg(o.node, o.leg, o.dim, o.time_index,
-                START if o.time_index <= half else END)
-        for o in open_legs
-    ]
     return TnGraph(nodes, edges, open_legs)
 
 
@@ -210,7 +213,7 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     remaining = []
     k = 0
     for o in g.open_legs:
-        if o.side == OUTPUT or o.time_index is None:
+        if o.side == OUTPUT:
             remaining.append(o)
             continue
         if o.time_index > len(symbols):
@@ -226,76 +229,65 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
 def contract(g: TnGraph) -> DenseTensor:
     """Sum over all contracted indices; result order = number of open legs.
 
-    Pairwise contraction, greedily picking the pair with the smallest
-    intermediate.  Open legs are ordered by time index (inputs) with output
-    legs last; a fully closed network yields a single-entry tensor.  The
-    entry budget is read from the RACSEP_CONTRACT_BUDGET environment variable.
+    Greedy pairwise contraction along bonds: each step merges the two
+    tensors sharing a bond whose result is smallest, the first such pair in
+    pool order on a tie.  Open legs are ordered by time index (inputs) with
+    output legs last; a fully closed network yields a single-entry tensor.
+    The entry budget is read from the RACSEP_CONTRACT_BUDGET environment
+    variable.
     """
     budget = int(os.environ.get(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET))
-
-    open_ids = {}
-    for i, o in enumerate(g.open_legs):
-        key = (0, o.time_index, i) if o.side != OUTPUT else (1, 0, i)
-        open_ids[(o.node, o.leg)] = (f"open{i}", key)
-    total_open = 1
-    for o in g.open_legs:
-        total_open *= o.dim
+    total_open = math.prod(o.dim for o in g.open_legs)
     if total_open > budget:
         raise ResourceBudgetError(
             f"contraction result needs {total_open} entries, budget {budget}",
             required=total_open, budget=budget)
 
-    # working tensors: [array, {axis -> leg id}]
-    leg_of = {}
-    for e in g.edges:
-        eid = f"bond{len(leg_of)}"
-        leg_of[(e.node_a, e.leg_a)] = eid
-        leg_of[(e.node_b, e.leg_b)] = eid
-    pool = []
-    for nid, t in g.nodes.items():
-        legs = []
-        for ax in range(t.order):
-            key = (nid, ax)
-            legs.append(leg_of.get(key) or open_ids[key][0])
-        pool.append([t.data, legs])
+    # every axis is labelled once: a bond number, or its open leg's sort key
+    label = {}
+    for b, e in enumerate(g.edges):
+        label[e.node_a, e.leg_a] = label[e.node_b, e.leg_b] = b
+    for i, o in enumerate(g.open_legs):
+        label[o.node, o.leg] = (1, 0, i) if o.side == OUTPUT \
+            else (0, o.time_index, i)
+    # the pool: key -> (array, axis labels); keys count up in pool order, so
+    # on a size tie min() takes the first pair in pool order
+    keys = itertools.count()
+    node_key = {nid: next(keys) for nid in g.nodes}
+    pool = {node_key[nid]: (t.data, [label[nid, ax] for ax in range(t.order)])
+            for nid, t in g.nodes.items()}
+    # bond -> the keys of its two holders, ascending
+    holders = {b: tuple(sorted((node_key[e.node_a], node_key[e.node_b])))
+               for b, e in enumerate(g.edges)}
 
-    def contract_pair(a, b):
-        shared = [l for l in a[1] if l in b[1]]
-        ax_a = [a[1].index(l) for l in shared]
-        ax_b = [b[1].index(l) for l in shared]
-        arr = np.tensordot(a[0], b[0], axes=(ax_a, ax_b))
-        legs = [l for l in a[1] if l not in shared] + \
-               [l for l in b[1] if l not in shared]
-        return [arr, legs]
-
-    while len(pool) > 1:
-        best = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                if set(pool[i][1]) & set(pool[j][1]):
-                    size = 1
-                    shared = set(pool[i][1]) & set(pool[j][1])
-                    for t in (pool[i], pool[j]):
-                        for ax, l in enumerate(t[1]):
-                            if l not in shared:
-                                size *= t[0].shape[ax]
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
-        if best is None:
-            raise ShapeError("tensor-network graph must be connected")
-        size, i, j = best
+    while holders:
+        shared = {}  # holder pair -> product of the dims of its bonds
+        for b, pair in holders.items():
+            shared[pair] = shared.get(pair, 1) * g.edges[b].dim
+        size, x, y = min((pool[x][0].size * pool[y][0].size // d ** 2, x, y)
+                         for (x, y), d in shared.items())
         if size > budget:
             raise ResourceBudgetError(
                 f"intermediate tensor needs {size} entries, budget {budget}",
                 required=size, budget=budget)
-        merged = contract_pair(pool[i], pool[j])
-        pool = [t for k, t in enumerate(pool) if k not in (i, j)] + [merged]
+        (ax, lx), (ay, ly) = pool.pop(x), pool.pop(y)
+        common = [l for l in lx if l in ly]
+        arr = np.tensordot(ax, ay, axes=([lx.index(l) for l in common],
+                                         [ly.index(l) for l in common]))
+        legs = [l for l in lx + ly if l not in common]
+        z = next(keys)
+        pool[z] = (arr, legs)
+        for l in common:
+            del holders[l]
+        for l in legs:
+            if l in holders:
+                other, = (h for h in holders[l] if h not in (x, y))
+                holders[l] = (other, z)
 
-    arr, legs = pool[0]
+    (arr, legs), = pool.values()
     if not g.open_legs:
         return DenseTensor(arr.reshape(1), g.field)
-    order = {v[0]: v[1] for v in open_ids.values()}
-    perm = sorted(range(len(legs)), key=lambda ax: order[legs[ax]])
+    perm = sorted(range(len(legs)), key=legs.__getitem__)
     return DenseTensor(np.transpose(arr, perm), g.field)
 
 

@@ -14,12 +14,13 @@ import io
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
 from .builders import build_grid_tensor, build_weights_tensor
 from .errors import InvalidInputError, ParameterError
-from .network import RacParams
+from .network import RacParams, neutral_h0
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
                     start_end_rank)
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
@@ -110,9 +111,10 @@ def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
             w_hidden = [rng.uniform(-1, 1, (R, R)) for _ in range(L)]
             w_out = rng.uniform(-1, 1, (C, R))
         try:
-            return RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out)
-        except ParameterError:
+            h0 = [neutral_h0(w) for w in w_hidden]
+        except ParameterError:  # a singular hidden matrix
             continue
+        return RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
     raise ParameterError("could not draw a non-singular hidden matrix")
 
 
@@ -128,25 +130,21 @@ class AppendixBAssignment:
     (i = j <= M), 1 elsewhere in rows i <= M, and 0 in rows i > M; both
     hidden matrices are the identity, the second-layer input matrix has a
     single row of ones, the output row picks the first coordinate, and the
-    initial states are all-ones.  Requires Omega > (T/2)^2.
+    initial states are all-ones, with z = 2 and Omega = (T/2)^2 + 1.
     """
 
     M: int
     R: int
     T: int
-    z: int = 2
-    omega: int = None
+    z: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.T % 2 != 0 or self.T < 2:
             raise InvalidInputError(f"T must be even and >= 2, got {self.T}")
-        if self.omega is None:
-            object.__setattr__(self, "omega", (self.T // 2) ** 2 + 1)
-        if self.omega <= (self.T // 2) ** 2:
-            raise InvalidInputError(
-                f"omega must exceed (T/2)^2 = {(self.T // 2) ** 2}")
-        if self.z == 0:
-            raise InvalidInputError("z must be nonzero")
+
+    @property
+    def omega(self):
+        return (self.T // 2) ** 2 + 1
 
     @property
     def Z(self):
@@ -229,16 +227,21 @@ def check_claim1_equality(M, R, T, trials, seed=0) -> Report:
     return rep
 
 
+def conjectured_bound(M, R, T, L):
+    """The conjectured depth-L start/end rank bound
+    min{multiset(min{M,R}, multiset(T/2, L-1)), M^(T/2)}."""
+    inner = multiset_coefficient(T // 2, L - 1)
+    return min(multiset_coefficient(min(M, R), inner), M ** (T // 2))
+
+
 def check_conjecture_bound(M, R, T, L, trials=10, seed=0,
                            rel_tol=DEFAULT_REL_TOL) -> Report:
-    """Reports observed grid rank against the conjectured depth-L bound
-    min{multiset(min{M,R}, multiset(T/2, L-1)), M^(T/2)}.
+    """Reports observed grid rank against :func:`conjectured_bound`.
 
     The bound is CONJECTURE: rows assert only the dimension cap M^(T/2);
     the comparison is recorded in the expected column for inspection.
     """
-    inner = multiset_coefficient(T // 2, L - 1)
-    bound = min(multiset_coefficient(min(M, R), inner), M ** (T // 2))
+    bound = conjectured_bound(M, R, T, L)
     cap = M ** (T // 2)
     rep = Report("conjecture")
     for trial in range(trials):
@@ -349,20 +352,18 @@ def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
     return rep
 
 
-def check_bucket_lemma(Rbar, T, omega=None) -> Report:
+def check_bucket_lemma(Rbar, T) -> Report:
     """Optimal-emptying lemma: for every non-decreasing color word d of
     length T/2 the reward max over trajectories of
-    sum_j omega^(d_j) * state_j[d_j] is maximized over starting states p,
-    strictly and uniquely, at p-hat with p-hat_r = multiplicity of r in d."""
+    sum_j omega^(d_j) * state_j[d_j], with omega = (T/2)^2 + 1, is maximized
+    over starting states p, strictly and uniquely, at p-hat with
+    p-hat_r = multiplicity of r in d."""
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     k = T // 2
     if Rbar > 3 or k > 4:
         raise InvalidInputError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
-    if omega is None:
-        omega = k ** 2 + 1
-    if omega <= k ** 2:
-        raise InvalidInputError(f"omega must exceed (T/2)^2 = {k ** 2}")
+    omega = k ** 2 + 1
 
     def reward(d, p):
         best = None

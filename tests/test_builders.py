@@ -70,6 +70,16 @@ def test_score_from_tensor_general_encoder():
                 == forward_shallow(p, RAC_PRODUCT, enc, seq)[0])
 
 
+@pytest.mark.parametrize("enc", [TemplateEncoder.identity(3),
+                                 TemplateEncoder.identity(2, FLOAT)],
+                         ids=["wrong-M", "wrong-field"])
+def test_score_from_tensor_rejects_mismatched_encoder(enc):
+    p = draw_params(trial_rng(7, 2, 2, 4, 1, 0), 2, 2, L=1)
+    w = build_weights_tensor(p, T=4)
+    with pytest.raises(ParameterError):
+        score_from_tensor(w, enc, (1, 2, 1, 2))
+
+
 def test_grid_tensor_matches_forward_deep():
     p = draw_params(trial_rng(4, 2, 2, 4, 2, 0), 2, 2, L=2)
     g = build_grid_tensor(p, T=3)

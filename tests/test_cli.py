@@ -64,6 +64,14 @@ def test_non_positive_size_usage_error(args, tmp_path, monkeypatch):
     assert not (tmp_path / "unused.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--trials 3", "--field float"])
+def test_scan_refuses_verify_only_flags(flag, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["scan"] + flag.split())
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "bogus"])

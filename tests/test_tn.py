@@ -41,6 +41,19 @@ def test_graph_validation():
     with pytest.raises(ShapeError):
         TnGraph({"a": v, "b": v}, [],
                 [OpenLeg("a", 0, 2, 1, "start"), OpenLeg("b", 0, 2, 2, "end")])
+    # edge from a node to itself
+    with pytest.raises(ShapeError):
+        TnGraph({"a": t}, [Edge("a", 0, "a", 1, 2)], [])
+    # start or end leg without a time index
+    for side in ("start", "end"):
+        with pytest.raises(ShapeError):
+            TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
+                    [OpenLeg("a", 1, 2, None, side)])
+    # leg of dimension 0
+    empty = DenseTensor(np.zeros((2, 0), dtype=int), EXACT)
+    with pytest.raises(ShapeError):
+        TnGraph({"e": empty}, [], [OpenLeg("e", 0, 2, 1, "start"),
+                                   OpenLeg("e", 1, 0, 2, "end")])
 
 
 def test_contract_matrix_vector():
@@ -87,6 +100,21 @@ def test_contract_budget(monkeypatch):
     monkeypatch.setenv(CONTRACT_BUDGET_ENV, "4")
     with pytest.raises(ResourceBudgetError):
         contract(build_mps(p, 4))
+
+
+def test_contract_budget_is_the_greedy_peak(monkeypatch):
+    # merging the pair with the smallest result keeps every intermediate of
+    # this 334-node graph at R^2 = 9 entries; any budget below that fails
+    p = draw_params(trial_rng(5, 2, 3, 6, 3, 0), 2, 3, L=3)
+    enc, seq = TemplateEncoder.identity(2), (1, 2, 1, 2, 1, 2)
+    g = attach_inputs(build_deep_tn(p, 6), enc, seq)
+    assert len(g.nodes) == 334
+    monkeypatch.setenv(CONTRACT_BUDGET_ENV, "9")
+    assert contract(g).entries[0] == forward_deep(p, RAC_PRODUCT, enc, seq)[0]
+    monkeypatch.setenv(CONTRACT_BUDGET_ENV, "8")
+    with pytest.raises(ResourceBudgetError) as ei:
+        contract(g)
+    assert (ei.value.required, ei.value.budget) == (9, 8)
 
 
 def test_mps_contracts_to_weights_tensor():
@@ -221,3 +249,30 @@ def test_parse_graph_rejects_malformed(edit):
     assert lines[3] == "node cell1 3 2 2 2" and lines[11] == "node h0 1 2"
     with pytest.raises(InvalidInputError):
         parse_graph("\n".join(edit(lines)))
+
+
+SQUARE_DUMP = """racsep-tn v1
+field exact
+nodes 1
+node t 2 2 2
+1/1 2/1 3/1 4/1
+edges 0
+open 2
+leg t 0 2 1 start
+leg t 1 2 2 end
+"""
+
+
+@pytest.mark.parametrize("old,new", [
+    ("edges 0\nopen 2\nleg t 0 2 1 start\nleg t 1 2 2 end\n",
+     "edges 1\nedge t 0 t 1 2\nopen 0\n"),
+    ("leg t 0 2 1 start", "leg t 0 2 - start"),
+    ("leg t 1 2 2 end", "leg t 1 2 - end"),
+], ids=["self-loop", "start-leg-without-time", "end-leg-without-time"])
+def test_parse_graph_refuses_what_contract_cannot_handle(old, new):
+    t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start"),
+                               OpenLeg("t", 1, 2, 2, "end")])
+    assert dump_graph(g) == SQUARE_DUMP
+    with pytest.raises(ShapeError):
+        parse_graph(SQUARE_DUMP.replace(old, new))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
-                    InvalidInputError, build_grid_tensor,
+                    InvalidInputError, ParameterError, build_grid_tensor,
                     check_bucket_lemma, check_claim1_equality,
                     check_conjecture_bound, check_decomposition_identity,
                     check_hadamard_power_bound, check_no_cloning,
-                    check_rearrangement_lemma, draw_params, matricize,
+                    check_rearrangement_lemma, conjectured_bound,
+                    draw_params, matricize,
                     rank_exact, rows_to_csv, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
@@ -34,6 +35,14 @@ def test_draw_params_ranges():
     assert np.all(np.abs(q.w_out) <= 1)
 
 
+@pytest.mark.parametrize("M,R", [(2, 0), (0, 2)])
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_draw_params_empty_size_reason(M, R, field):
+    # an empty size is reported as such, not as a failed redraw
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        draw_params(trial_rng(0, M, R, 4, 1, 0), M, R, field=field)
+
+
 def test_appendix_b_assignment_structure():
     a = AppendixBAssignment(M=2, R=3, T=4)
     assert a.omega == 5
@@ -54,10 +63,6 @@ def test_appendix_b_assignment_structure():
 def test_appendix_b_validation():
     with pytest.raises(InvalidInputError):
         AppendixBAssignment(M=2, R=2, T=3)
-    with pytest.raises(InvalidInputError):
-        AppendixBAssignment(M=2, R=2, T=4, omega=4)
-    with pytest.raises(InvalidInputError):
-        AppendixBAssignment(M=2, R=2, T=4, z=0)
 
 
 @pytest.mark.parametrize("M,R,T,expected", [
@@ -107,6 +112,12 @@ def test_claim1_equality():
         assert rep.passed and all(r.passed for r in rep.rows)
 
 
+def test_conjectured_bound():
+    assert conjectured_bound(2, 2, 4, 3) == 4  # capped at M^(T/2)
+    assert conjectured_bound(3, 3, 6, 2) == 10  # multiset(3, 3)
+    assert conjectured_bound(3, 2, 6, 1) == 2  # the shallow min{R, M^(T/2)}
+
+
 def test_conjecture_report_only():
     rep = check_conjecture_bound(2, 2, 4, L=3, trials=3, seed=0)
     # the cap M^(T/2) is asserted; the conjectured bound is only reported
@@ -136,8 +147,6 @@ def test_bucket_lemma():
     assert rep.passed
     rep = check_bucket_lemma(3, 6)
     assert rep.passed
-    with pytest.raises(InvalidInputError):
-        check_bucket_lemma(2, 4, omega=4)
 
 
 def test_bucket_lemma_worked_example():
