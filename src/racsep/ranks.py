@@ -3,7 +3,9 @@
 The exact oracle runs Bareiss (division-deferred) elimination with full
 pivoting over arbitrary-precision integers, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
-handled without loss.
+handled without loss.  Before elimination every row is divided by its
+content (the gcd of its entries) and repeated and zero rows are dropped,
+which changes no rank.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ def rank_exact(m) -> RankReport:
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
     try:
-        rows = [clear_denominators(row)[0] for row in arr]
+        rows = _primitive_rows(clear_denominators(row)[0] for row in arr)
     except AttributeError:
         raise FieldMismatchError(
             "rank_exact requires int or Fraction entries") from None
-    n, ncols = len(rows), len(rows[0]) if rows else 0
+    n, ncols = len(rows), arr.shape[1]
 
     rank = 0
     prev = 1
@@ -80,6 +82,24 @@ def rank_exact(m) -> RankReport:
         prev = pivot
         rank += 1
     return RankReport(rank=rank, method="exact")
+
+
+def _primitive_rows(rows):
+    """The distinct nonzero rows, each divided by the gcd of its entries
+    and signed so that its first nonzero entry is positive.
+
+    Scaling a row by a nonzero integer or dropping a repeated or zero row
+    leaves the rank unchanged, and fewer, smaller rows shorten Bareiss.
+    """
+    distinct = {}
+    for row in rows:
+        g = math.gcd(*row)
+        if g == 0:
+            continue
+        if next(x for x in row if x) < 0:
+            g = -g
+        distinct.setdefault(tuple(x // g for x in row), None)
+    return [list(row) for row in distinct]
 
 
 def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:

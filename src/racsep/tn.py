@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError)
-from .network import RacParams, TemplateEncoder, as_symbols
+from .network import RacParams, TemplateEncoder, as_symbols, check_encoder
 from .ranks import multiset_coefficient
 from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
@@ -219,6 +219,7 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
         if o.time_index > len(symbols):
             raise InvalidInputError(
                 f"sequence too short: leg needs time-step {o.time_index}")
+        check_encoder(enc, o.dim, g.field)
         nid = f"in{k}"
         k += 1
         nodes[nid] = DenseTensor(enc.row(symbols[o.time_index - 1]), g.field)

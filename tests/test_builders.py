@@ -1,11 +1,12 @@
 """Weights tensor (tensor-train assembly) and grid tensor builders."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, IndexPartition, ParameterError, RAC_PRODUCT,
@@ -13,7 +14,7 @@ from racsep import (EXACT, FLOAT, IndexPartition, ParameterError, RAC_PRODUCT,
                     TemplateEncoder, attach_inputs, build_grid_tensor,
                     build_mps, build_weights_tensor, contract, draw_params,
                     exact_array, forward_deep, forward_shallow, matricize,
-                    rank_exact, score_from_tensor, trial_rng)
+                    rank_exact, score_from_tensor, step_deep, trial_rng)
 from racsep.builders import GRID_BUDGET_ENV
 
 
@@ -105,6 +106,16 @@ def test_grid_tensor_custom_encoder():
     assert g.tensor[1, 0] == forward_shallow(p, RAC_PRODUCT, enc, [2, 1])[0]
 
 
+@pytest.mark.parametrize("enc", [
+    TemplateEncoder.identity(3),
+    TemplateEncoder(np.array([[0.5, 1], [1, -0.25]]))],
+    ids=["wrong-M", "wrong-field"])
+def test_grid_tensor_rejects_mismatched_encoder(enc):
+    p = draw_params(trial_rng(7, 2, 2, 4, 2, 0), 2, 2, L=2)
+    with pytest.raises(ParameterError):
+        build_grid_tensor(p, enc=enc, T=4)
+
+
 def test_grid_budget_enforced(monkeypatch):
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
     monkeypatch.setenv(GRID_BUDGET_ENV, "8")
@@ -126,7 +137,7 @@ def test_grid_equals_weights_tensor_identity_encoder():
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_builders_agree_with_forward_for_explicit_h0(data):
-    # weights tensor (TT recursion), grid walk, MPS contraction and forward
+    # weights tensor (TT recursion), grid frontier, MPS contraction and forward
     # pass are independent paths; with an explicit rational h0 and a hidden
     # matrix that may be singular, all four must give the same exact output
     M = data.draw(st.integers(1, 3))
@@ -157,3 +168,64 @@ def test_builders_agree_with_forward_for_explicit_h0(data):
         assert grid[idx] == want
         assert contract(attach_inputs(mps, enc, d)).entries[0] == want
         assert isinstance(weights[idx], Fraction)
+
+
+def _abs_forward(p, F, seq):
+    """Output of the network with every weight, h0 and encoding replaced by
+    its absolute value: a bound on the sum of |terms| of an output entry."""
+    q = RacParams(w_in=[abs(w) for w in p.w_in],
+                  w_hidden=[abs(w) for w in p.w_hidden],
+                  w_out=abs(p.w_out), h0=[abs(h) for h in p.h0])
+    states = q.h0
+    for s in seq:
+        states = step_deep(q, RAC_PRODUCT, states, abs(F[s - 1]))
+    return (q.w_out @ states[-1])[0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_grid_frontier_matches_forward_with_rational_weights(data):
+    # exact grids run on integers over one denominator per layer; rational
+    # weights, h0 and encoder feed every factor of that denominator
+    L = data.draw(st.integers(1, 3))
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 3))
+    T = data.draw(st.integers(1, 3 if M == 3 else 4))
+
+    def rationals(*shape):
+        n = math.prod(shape)
+        vals = data.draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            min_size=n, max_size=n))
+        return exact_array(vals, shape=shape)
+
+    F = rationals(M, M)
+    assume(rank_exact(F).rank == M)
+    w_in = [rationals(R, M if l == 0 else R) for l in range(L)]
+    w_hidden = [rationals(R, R) for _ in range(L)]
+    h0 = [rationals(R) for _ in range(L)] if data.draw(st.booleans()) else None
+    try:
+        p = RacParams(w_in=w_in, w_hidden=w_hidden, w_out=rationals(1, R),
+                      h0=h0)
+    except ParameterError:  # a singular hidden matrix has no neutral h0
+        assume(False)
+    enc = TemplateEncoder(F)
+    grid = build_grid_tensor(p, enc=enc, T=T).tensor
+
+    # the same network in floats; the frontier sums in another order than
+    # the forward pass, so the two agree to rounding of the |terms| bound
+    def to_float(a):
+        return a.astype(np.float64)
+
+    q = RacParams(w_in=list(map(to_float, p.w_in)),
+                  w_hidden=list(map(to_float, p.w_hidden)),
+                  w_out=to_float(p.w_out), h0=list(map(to_float, p.h0)))
+    fenc = TemplateEncoder(to_float(F))
+    fgrid = build_grid_tensor(q, enc=fenc, T=T).tensor
+    assert fgrid.field == FLOAT
+    for d in itertools.product(range(1, M + 1), repeat=T):
+        idx = tuple(x - 1 for x in d)
+        assert grid[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
+        assert isinstance(grid[idx], Fraction)
+        want = forward_deep(q, RAC_PRODUCT, fenc, d)[0]
+        assert abs(fgrid[idx] - want) <= 1e-12 * float(_abs_forward(p, F, d))

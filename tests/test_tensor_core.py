@@ -180,6 +180,25 @@ def test_exact_oracles_on_numpy_integers(entry):
                for f in exact_array(diag).reshape(-1))
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_rank_exact_ignores_scaled_repeated_and_zero_rows(data):
+    # the content/repeat pre-pass before Bareiss must not change any rank
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * m,
+                                    max_size=n * m))).reshape(n, m)
+    rows = [list(map(int, r)) for r in a]
+    scaled = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1),
+        st.integers(-2 ** 70, 2 ** 70).filter(bool)), max_size=6))
+    b = (rows + [[k * x for x in rows[i]] for i, k in scaled]
+         + [[0] * m] * data.draw(st.integers(0, 2)))
+    b = data.draw(st.permutations(b))
+    want = int(np.linalg.matrix_rank(a.astype(float)))
+    assert (rank_exact(exact_array(b)).rank == rank_exact(exact_array(a)).rank
+            == rank_exact(exact_array(a.T)).rank == want)
+
+
 def test_rank_exact_rejects_float():
     with pytest.raises(FieldMismatchError):
         rank_exact(np.eye(2))

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError, RAC_PRODUCT,
-                    ResourceBudgetError, ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
+from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
+                    ParameterError, RAC_PRODUCT, ResourceBudgetError, ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
                     build_mps, build_weights_tensor, contract,
                     count_basic_units, delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
@@ -141,6 +141,17 @@ def test_deep_tn_matches_forward_exact():
         for seq in [(1, 1, 2, 2), (2, 1, 2, 1)]:
             val = contract(attach_inputs(g, enc, seq)).entries[0]
             assert val == forward_deep(p, RAC_PRODUCT, enc, seq)[0]
+
+
+@pytest.mark.parametrize("enc", [
+    TemplateEncoder.identity(3),
+    TemplateEncoder(np.array([[0.5, 1], [1, -0.25]]))],
+    ids=["wrong-M", "wrong-field"])
+def test_attach_inputs_rejects_mismatched_encoder(enc):
+    # a float encoder on an exact graph used to give an exact score
+    p = draw_params(trial_rng(7, 2, 2, 4, 2, 0), 2, 2, L=2)
+    with pytest.raises(ParameterError):
+        attach_inputs(build_deep_tn(p, 4), enc, (1, 2, 1, 2))
 
 
 def test_deep_tn_matches_forward_float():

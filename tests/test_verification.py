@@ -69,6 +69,8 @@ def test_appendix_b_validation():
     (2, 2, 4, 3),   # multiset(2, 2)
     (3, 3, 4, 6),   # multiset(3, 2)
     (2, 3, 4, 3),   # multiset(min{2,3}, 2)
+    (3, 2, 8, 5),   # multiset(2, 4)
+    (3, 3, 6, 10),  # multiset(3, 3)
 ])
 def test_appendix_b_grid_rank(M, R, T, expected):
     p = AppendixBAssignment(M=M, R=R, T=T).params()
