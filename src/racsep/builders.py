@@ -33,6 +33,16 @@ def grid_budget():
     return int(os.environ.get(GRID_BUDGET_ENV, DEFAULT_GRID_BUDGET))
 
 
+def _check_entries(what, M, T):
+    """Refuses an order-T tensor of M^T entries above the grid budget."""
+    budget = grid_budget()
+    required = M ** T
+    if required > budget:
+        raise ResourceBudgetError(
+            f"{what} needs {required} entries, budget is {budget}",
+            required=required, budget=budget)
+
+
 @dataclass(frozen=True)
 class WeightsTensor:
     tensor: DenseTensor
@@ -61,7 +71,8 @@ def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> WeightsTensor:
     which reproduces the step-by-step forward pass from the initial state
     p.h0.  Over the exact field the recursion runs on Python integers: the
     denominators of Wi, Wh, Wo[c] and s are cleared once, and every entry is
-    divided by the one common denominator at the end.
+    divided by the one common denominator at the end.  The entry budget is
+    the grid tensors' RACSEP_GRID_BUDGET.
     """
     if p.L != 1:
         raise ParameterError("weights tensor is defined for single-layer networks")
@@ -69,6 +80,7 @@ def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> WeightsTensor:
         raise ShapeError(f"T must be >= 2, got {T}")
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+    _check_entries("weights tensor", p.M, T)
     wi, wh, out = p.w_in[0], p.w_hidden[0], p.w_out[c - 1]
     s = wh @ p.h0[0]
     if p.field == EXACT:
@@ -141,12 +153,7 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
     M, R = p.M, p.R
-    budget = grid_budget()
-    required = M ** T
-    if required > budget:
-        raise ResourceBudgetError(
-            f"grid tensor needs {required} entries, budget is {budget}",
-            required=required, budget=budget)
+    _check_entries("grid tensor", M, T)
 
     exact = p.field == EXACT
     form = _integer_form if exact else _float_form

@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +31,6 @@ CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
 DEFAULT_CONTRACT_BUDGET = 10 ** 7
 DEEP_TN_MAX_L = 3
 DEEP_TN_MAX_T = 8
-MIN_CUT_MAX_NODES = 24
 
 START, END, OUTPUT = "start", "end", "output"
 
@@ -295,42 +296,83 @@ def contract(g: TnGraph) -> DenseTensor:
 def min_cut(g: TnGraph):
     """Minimal multiplicative cut separating start-tagged from end-tagged legs.
 
-    Every bipartition of the nodes is scored by the product of bond dims of
-    crossing edges plus any start/end open legs stranded on the wrong side;
-    products are compared exactly over the integers.  Returns the cut value
-    and the cut-edge descriptors.  Graphs of more than MIN_CUT_MAX_NODES
-    nodes are refused.
+    A cut puts every node on the start or the end side; its value is the
+    product of the bond dims of crossing edges and of the start/end open
+    legs stranded on the wrong side.  The minimum is found by a max-flow
+    (Edmonds-Karp) in the multiplicative group of positive rationals, where
+    1 plays the role of zero: a super-source feeds every start leg, every
+    end leg drains into a super-sink, and each bond is an arc both ways of
+    capacity dim.  Values are exact over the integers.  Among minimal cuts
+    the one with the smallest end side is returned: the nodes that still
+    reach the sink in the residual graph.  Returns the cut value and the
+    cut descriptors (crossing edges, then stranded start legs, then
+    stranded end legs, each in graph order).
     """
     starts = [o for o in g.open_legs if o.side == START]
     ends = [o for o in g.open_legs if o.side == END]
     if not starts or not ends:
         raise ShapeError("min_cut needs both start- and end-tagged open legs")
-    node_ids = sorted(g.nodes)
-    n = len(node_ids)
-    if n > MIN_CUT_MAX_NODES:
-        raise ResourceBudgetError(f"min_cut enumeration supports up to "
-                                  f"{MIN_CUT_MAX_NODES} nodes, got {n}")
-    idx = {nid: i for i, nid in enumerate(node_ids)}
-    best_val, best_cut = None, None
-    for mask in range(2 ** n):
-        # bit set -> node on the end side
-        val = 1
-        cut = []
-        for e in g.edges:
-            if (mask >> idx[e.node_a] & 1) != (mask >> idx[e.node_b] & 1):
-                val *= e.dim
-                cut.append(e)
-        for o in starts:
-            if mask >> idx[o.node] & 1:
-                val *= o.dim
-                cut.append(o)
-        for o in ends:
-            if not (mask >> idx[o.node] & 1):
-                val *= o.dim
-                cut.append(o)
-        if best_val is None or val < best_val:
-            best_val, best_cut = val, cut
-    return best_val, tuple(best_cut)
+    source, sink = object(), object()
+    # residual[u][v] = capacity / flow of the arc u -> v; usable when > 1
+    residual = {v: {} for v in (source, sink, *g.nodes)}
+
+    def arc(u, v, dim):
+        residual[u][v] = residual[u].get(v, Fraction(1)) * dim
+        residual[v].setdefault(u, Fraction(1))
+
+    for e in g.edges:
+        arc(e.node_a, e.node_b, e.dim)
+        arc(e.node_b, e.node_a, e.dim)
+    for o in starts:
+        arc(source, o.node, o.dim)
+    for o in ends:
+        arc(o.node, sink, o.dim)
+
+    # shortest augmenting paths first: at most O(VE) augmentations
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, r in residual[u].items():
+                if r > 1 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        path = []
+        v = sink
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] /= bottleneck
+            residual[v][u] *= bottleneck
+
+    # contained in the end side of every minimal cut
+    end_side = {sink}
+    stack = [sink]
+    while stack:
+        v = stack.pop()
+        for u in residual[v]:
+            if u not in end_side and residual[u][v] > 1:
+                end_side.add(u)
+                stack.append(u)
+    val, cut = 1, []
+    for e in g.edges:
+        if (e.node_a in end_side) != (e.node_b in end_side):
+            val *= e.dim
+            cut.append(e)
+    for o in starts:
+        if o.node in end_side:
+            val *= o.dim
+            cut.append(o)
+    for o in ends:
+        if o.node not in end_side:
+            val *= o.dim
+            cut.append(o)
+    return val, tuple(cut)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,15 @@ def test_grid_budget_enforced(monkeypatch):
     build_grid_tensor(p, T=3)  # 8 entries fits
 
 
+def test_weights_budget_enforced(monkeypatch):
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
+    monkeypatch.setenv(GRID_BUDGET_ENV, "15")
+    with pytest.raises(ResourceBudgetError) as ei:
+        build_weights_tensor(p, T=4)
+    assert ei.value.required == 16 and ei.value.budget == 15
+    build_weights_tensor(p, T=3)  # 8 entries fits
+
+
 def test_grid_equals_weights_tensor_identity_encoder():
     # single-layer, identity templates: the two constructions coincide
     for seed in range(3):

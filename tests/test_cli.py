@@ -86,6 +86,15 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_mincut_weights_budget_exit_code(capsys):
+    # the 26-node chain is cut at once; its 2^24-entry weights tensor is
+    # above the default budget of 10^7
+    code, _, err = run_cli(["verify", "mincut", "--M", "2", "--R", "3",
+                            "--T", "24", "--trials", "1"], capsys)
+    assert code == 3
+    assert "weights tensor needs 16777216 entries" in err
+
+
 def test_csv_byte_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

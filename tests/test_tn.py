@@ -1,10 +1,13 @@
 """Tensor-network graphs: construction, contraction, cuts, counting."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
                     ParameterError, RAC_PRODUCT, ResourceBudgetError, ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
@@ -12,8 +15,8 @@ from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
                     count_basic_units, delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
                     no_clone_counterexample, trial_rng)
-from racsep.tn import (CONTRACT_BUDGET_ENV, Edge, OpenLeg, TnGraph, dump_graph,
-                       parse_graph)
+from racsep.tn import (CONTRACT_BUDGET_ENV, END, OUTPUT, START, Edge, OpenLeg,
+                       TnGraph, dump_graph, parse_graph)
 
 
 def test_delta_tensor_superdiagonal():
@@ -204,6 +207,88 @@ def test_min_cut_requires_both_sides():
     g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start")])
     with pytest.raises(ShapeError):
         min_cut(g)
+
+
+def _brute_min_cut(g):
+    """The reference cut: every bipartition of the nodes, scored exactly."""
+    starts = [o for o in g.open_legs if o.side == START]
+    ends = [o for o in g.open_legs if o.side == END]
+    if not starts or not ends:
+        raise ShapeError("min_cut needs both start- and end-tagged open legs")
+    node_ids = sorted(g.nodes)
+    n = len(node_ids)
+    idx = {nid: i for i, nid in enumerate(node_ids)}
+    best_val, best_cut = None, None
+    for mask in range(2 ** n):
+        # bit set -> node on the end side
+        val = 1
+        cut = []
+        for e in g.edges:
+            if (mask >> idx[e.node_a] & 1) != (mask >> idx[e.node_b] & 1):
+                val *= e.dim
+                cut.append(e)
+        for o in starts:
+            if mask >> idx[o.node] & 1:
+                val *= o.dim
+                cut.append(o)
+        for o in ends:
+            if not (mask >> idx[o.node] & 1):
+                val *= o.dim
+                cut.append(o)
+        if best_val is None or val < best_val:
+            best_val, best_cut = val, cut
+    return best_val, tuple(best_cut)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_min_cut_matches_enumeration(data):
+    # connected graphs with parallel and dim-1 bonds, several legs per node,
+    # nodes holding start and end legs, and output legs; "v10" sorts before
+    # "v2", so the enumeration's bit order differs from insertion order
+    n = data.draw(st.integers(1, 12))
+    names = [f"v{i}" for i in range(n)]
+    dim = st.integers(1, 4)
+    pairs = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        for _ in range(data.draw(st.integers(0, n))):
+            a = data.draw(st.integers(0, n - 1))
+            b = data.draw(st.integers(0, n - 2))
+            pairs.append((a, b + (b >= a)))
+    legs = {v: [] for v in names}
+
+    def leg(v, d):
+        legs[v].append(d)
+        return len(legs[v]) - 1
+
+    edges = []
+    for a, b in pairs:
+        d = data.draw(dim)
+        edges.append(Edge(names[a], leg(names[a], d), names[b],
+                          leg(names[b], d), d))
+    sides = [START, END] + data.draw(st.lists(
+        st.sampled_from([START, END, OUTPUT]), max_size=5))
+    open_legs = []
+    for t, side in enumerate(sides, 1):
+        v, d = names[data.draw(st.integers(0, n - 1))], data.draw(dim)
+        open_legs.append(OpenLeg(v, leg(v, d), d,
+                                 None if side == OUTPUT else t, side))
+    # float views of one scalar hold every shape without allocating it
+    nodes = {v: DenseTensor(np.broadcast_to(1.0, tuple(legs[v])), FLOAT)
+             for v in names}
+    g = TnGraph(nodes, edges, open_legs)
+    assert min_cut(g) == _brute_min_cut(g)
+
+
+def test_min_cut_past_the_enumeration_limit():
+    # 42 nodes: the chain is cut at its middle bond
+    p = draw_params(trial_rng(0, 2, 3, 40, 1, 0), 2, 3, L=1)
+    assert min_cut(build_mps(p, 40)) == (3, (Edge("cell20", 2, "cell21", 0, 3),))
+    p = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2)
+    g = build_deep_tn(p, 4)
+    assert len(g.nodes) == 48
+    val, cut = min_cut(g)
+    assert val == math.prod(d.dim for d in cut)
 
 
 def test_count_basic_units():
