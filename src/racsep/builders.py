@@ -152,6 +152,8 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
     check_encoder(enc, p.M, p.field)
     if not 1 <= c <= p.C:
         raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+    if T < 1:
+        raise ShapeError(f"T must be >= 1, got {T}")
     M, R = p.M, p.R
     _check_entries("grid tensor", M, T)
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError
-from .ranks import rank_exact, rank_numeric
+from .ranks import rank_exact, rank_numeric, solve_exact
 from .tensor import (EXACT, DenseTensor, field_of, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
 
@@ -42,23 +41,6 @@ RAC_PRODUCT = Nonlinearity("rac")
 
 def rnn_additive(activation="identity"):
     return Nonlinearity("rnn", activation)
-
-
-def solve_exact(a, b):
-    """Solve a x = b over the rationals; raises ParameterError if singular."""
-    n = a.shape[0]
-    aug = [[Fraction(a[i, j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ParameterError("singular matrix")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k] / pk
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return np.array([aug[i][n] / aug[i][i] for i in range(n)], dtype=object)
 
 
 def neutral_h0(w_hidden):

@@ -5,17 +5,20 @@ pivoting over arbitrary-precision integers, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
 handled without loss.  Before elimination every row is divided by its
 content (the gcd of its entries) and repeated and zero rows are dropped,
-which changes no rank.
+which changes no rank.  The same elimination solves square exact systems
+(:func:`solve_exact`), such as the neutral initial state W_h h0 = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import FieldMismatchError, InvalidInputError, ShapeError
+from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
+                     ShapeError)
 from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition,
                      clear_denominators, matricize)
 
@@ -46,14 +49,34 @@ def rank_exact(m) -> RankReport:
     arr, fld = _as_matrix(m)
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
-    try:
-        rows = _primitive_rows(clear_denominators(row)[0] for row in arr)
-    except AttributeError:
-        raise FieldMismatchError(
-            "rank_exact requires int or Fraction entries") from None
-    n, ncols = len(rows), arr.shape[1]
+    rank, _ = _bareiss(_primitive_rows(arr), arr.shape[1])
+    return RankReport(rank=rank, method="exact")
 
-    rank = 0
+
+def solve_exact(a, b):
+    """The x with a x = b over the rationals, for square exact ``a``, as an
+    object array of Fractions; raises ParameterError if ``a`` is singular.
+    A zero or repeated row of [a | b] makes ``a`` singular, so dropping it
+    only shortens the elimination."""
+    n = a.shape[0]
+    rows = _primitive_rows([*a[i], b[i]] for i in range(n))
+    rank, order = _bareiss(rows, n)
+    if rank < n:
+        raise ParameterError("singular matrix")
+    x = np.empty(n, dtype=object)
+    for k in reversed(range(n)):
+        rest = sum(rows[k][j] * x[order[j]] for j in range(k + 1, n))
+        x[order[k]] = Fraction(rows[k][n] - rest, rows[k][k])
+    return x
+
+
+def _bareiss(rows, ncols):
+    """Bareiss elimination of the integer ``rows`` in place, with full
+    pivoting over the first ``ncols`` columns and any trailing right-hand
+    side carried along.  Returns the rank r and the column order (column k
+    now holds original column order[k]); rows[:r] end upper triangular."""
+    n = len(rows)
+    order = list(range(ncols))
     prev = 1
     for k in range(min(n, ncols)):
         # full pivoting: any nonzero entry in the trailing block will do
@@ -66,33 +89,39 @@ def rank_exact(m) -> RankReport:
             if piv:
                 break
         if piv is None:
-            break
+            return k, order
         pi, pj = piv
         if pi != k:
             rows[k], rows[pi] = rows[pi], rows[k]
         if pj != k:
             for row in rows:
                 row[k], row[pj] = row[pj], row[k]
+            order[k], order[pj] = order[pj], order[k]
         pivot = rows[k][k]
         for i in range(k + 1, n):
             rik = rows[i][k]
-            for j in range(k + 1, ncols):
+            for j in range(k + 1, len(rows[i])):
                 rows[i][j] = (rows[i][j] * pivot - rik * rows[k][j]) // prev
             rows[i][k] = 0
         prev = pivot
-        rank += 1
-    return RankReport(rank=rank, method="exact")
+    return min(n, ncols), order
 
 
 def _primitive_rows(rows):
-    """The distinct nonzero rows, each divided by the gcd of its entries
-    and signed so that its first nonzero entry is positive.
+    """The distinct nonzero rows of exact ``rows`` as Python ints: each is
+    cleared of denominators, divided by the gcd of its entries and signed
+    so that its first nonzero entry is positive.
 
-    Scaling a row by a nonzero integer or dropping a repeated or zero row
+    Scaling a row by a nonzero rational or dropping a repeated or zero row
     leaves the rank unchanged, and fewer, smaller rows shorten Bareiss.
     """
     distinct = {}
     for row in rows:
+        try:
+            row = clear_denominators(row)[0]
+        except AttributeError:
+            raise FieldMismatchError(
+                "exact elimination requires int or Fraction entries") from None
         g = math.gcd(*row)
         if g == 0:
             continue

@@ -62,6 +62,14 @@ def field_of(array):
     return EXACT if array.dtype == object else FLOAT
 
 
+def check_field(field):
+    """``field``, if it names a scalar field; else InvalidInputError."""
+    if field not in (EXACT, FLOAT):
+        raise InvalidInputError(
+            f"field must be {EXACT!r} or {FLOAT!r}, got {field!r}")
+    return field
+
+
 class DenseTensor:
     """An order-T multi-dimensional array over a single scalar field.
 
@@ -76,8 +84,7 @@ class DenseTensor:
         data = np.asarray(data)
         if data.ndim < 1:
             data = data.reshape(1)
-        if field is None:
-            field = field_of(data)
+        field = field_of(data) if field is None else check_field(field)
         if field == EXACT and data.dtype != object:
             data = exact_array(data)
         elif field == FLOAT:
@@ -206,10 +213,7 @@ def header_ints(words):
 def header_field(lines, pos):
     """The scalar field named on the ``field`` line lines[pos]."""
     (field,) = header_words(lines, pos, "field", 1)
-    if field not in (EXACT, FLOAT):
-        raise InvalidInputError(
-            f"field must be {EXACT!r} or {FLOAT!r}, got {field!r}")
-    return field
+    return check_field(field)
 
 
 def parse_scalars(raw, field, shape):

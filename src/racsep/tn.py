@@ -165,6 +165,8 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     Contraction (with inputs attached) equals the forward evaluation exactly.
     The graph is capped at L <= DEEP_TN_MAX_L and T <= DEEP_TN_MAX_T.
     """
+    if T < 1:
+        raise ShapeError(f"T must be >= 1, got {T}")
     if p.L > DEEP_TN_MAX_L or T > DEEP_TN_MAX_T:
         raise ResourceBudgetError(
             f"deep graph budget is L<={DEEP_TN_MAX_L}, T<={DEEP_TN_MAX_T}; "

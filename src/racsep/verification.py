@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -291,31 +291,29 @@ def check_decomposition_identity(M, Rbar, T, seed=0) -> Report:
     equals the double sum over bucket states p (level T/2) and trajectories
     of prod_r prod_{j<=T/2} Z[r,d_j]^p_r * prod_{j>T/2} Z[r,d_j]^chain_j[r],
     where chain_j is the trajectory state in force at step j."""
+    if T < 2 or T % 2 != 0:
+        raise InvalidInputError(f"T must be even and >= 2, got {T}")
     rng = trial_rng(seed, M, Rbar, T, 1, 0)
-    Z = exact_array(rng.integers(-3, 4, (Rbar, M)))
+    Z = rng.integers(-3, 4, (Rbar, M)).tolist()
     half = T // 2
+    # chain[i] is the state at step half+1+i
+    chains = [(p,) + traj for p in bucket_states(Rbar, half)
+              for traj in bucket_trajectories(p)]
     mismatches = 0
     for d in itertools.product(range(M), repeat=T):
-        lhs = Fraction(1)
-        for t in range(half + 1, T + 1):
-            s = Fraction(0)
-            for r in range(Rbar):
-                pr = Fraction(1)
-                for j in range(t):
-                    pr *= Z[r, d[j]]
-                s += pr
-            lhs *= s
-        rhs = Fraction(0)
-        for p in bucket_states(Rbar, half):
-            for traj in bucket_trajectories(p):
-                chain = (p,) + traj  # chain[i] is the state at step half+1+i
-                term = Fraction(1)
-                for r in range(Rbar):
-                    for j in range(half):
-                        term *= Z[r, d[j]] ** p[r]
-                    for j in range(half + 1, T + 1):
-                        term *= Z[r, d[j - 1]] ** chain[j - half - 1][r]
-                rhs += term
+        start = [math.prod(row[m] for m in d[:half]) for row in Z]
+        prefix, lhs = start, 1
+        for m in d[half:]:
+            prefix = [x * row[m] for x, row in zip(prefix, Z)]
+            lhs *= sum(prefix)
+        rhs = 0
+        for chain in chains:
+            term = 1
+            for r, row in enumerate(Z):
+                term *= start[r] ** chain[0][r]
+                for m, state in zip(d[half:], chain):
+                    term *= row[m] ** state[r]
+            rhs += term
         mismatches += lhs != rhs
     rep = Report("decomposition")
     rep.add(M=M, R=Rbar, T=T, L=1, field=EXACT, seed=f"{seed}.0",
@@ -358,31 +356,17 @@ def check_bucket_lemma(Rbar, T) -> Report:
     sum_j omega^(d_j) * state_j[d_j], with omega = (T/2)^2 + 1, is maximized
     over starting states p, strictly and uniquely, at p-hat with
     p-hat_r = multiplicity of r in d."""
-    if T % 2 != 0:
-        raise InvalidInputError(f"T must be even, got {T}")
+    if T < 2 or T % 2 != 0:
+        raise InvalidInputError(f"T must be even and >= 2, got {T}")
     k = T // 2
     if Rbar > 3 or k > 4:
         raise InvalidInputError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
     omega = k ** 2 + 1
 
     def reward(d, p):
-        best = None
-
-        def rec(state, i, acc):
-            nonlocal best
-            acc = acc + omega ** d[i] * state[d[i] - 1]
-            if i == len(d) - 1:
-                if best is None or acc > best:
-                    best = acc
-                return
-            for r in range(len(state)):
-                if state[r] > 0:
-                    q = list(state)
-                    q[r] -= 1
-                    rec(tuple(q), i + 1, acc)
-
-        rec(p, 0, 0)
-        return best
+        return max(sum(omega ** c * state[c - 1]
+                       for c, state in zip(d, (p,) + traj))
+                   for traj in bucket_trajectories(p))
 
     rep = Report("bucket")
     for d in itertools.combinations_with_replacement(range(1, Rbar + 1), k):

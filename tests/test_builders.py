@@ -59,6 +59,11 @@ def test_weights_tensor_requires_shallow_and_valid_T():
     shallow = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
     with pytest.raises(ShapeError):
         build_weights_tensor(shallow, T=1)
+    for T in (0, -3):  # used to give the 1-entry empty-sequence score
+        with pytest.raises(ShapeError):
+            build_grid_tensor(shallow, T=T)
+        with pytest.raises(ShapeError):
+            build_grid_tensor(deep, T=T)
 
 
 def test_score_from_tensor_general_encoder():

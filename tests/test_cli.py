@@ -186,6 +186,24 @@ rearrangement,2,2,0,1,exact,7.1,0 non-strict,0 non-strict,true
 hadamard,4,4,0,1,exact,7.0,rank^3=4,<=20,true
 hadamard,4,4,0,1,exact,7.1,rank^3=4,<=20,true
 """),
+    # T=6: bucket chains of three states, so the lemma walks are exercised
+    ("lemmas --M 3 --R 3 --T 6 --trials 2 --seed 7", 0, """\
+decomposition,3,3,6,1,exact,7.0,0 mismatches,0 mismatches,true
+bucket,3,3,6,1,exact,d=111,"argmax=[(3, 0, 0)]","argmax=[(3, 0, 0)]",true
+bucket,3,3,6,1,exact,d=112,"argmax=[(2, 1, 0)]","argmax=[(2, 1, 0)]",true
+bucket,3,3,6,1,exact,d=113,"argmax=[(2, 0, 1)]","argmax=[(2, 0, 1)]",true
+bucket,3,3,6,1,exact,d=122,"argmax=[(1, 2, 0)]","argmax=[(1, 2, 0)]",true
+bucket,3,3,6,1,exact,d=123,"argmax=[(1, 1, 1)]","argmax=[(1, 1, 1)]",true
+bucket,3,3,6,1,exact,d=133,"argmax=[(1, 0, 2)]","argmax=[(1, 0, 2)]",true
+bucket,3,3,6,1,exact,d=222,"argmax=[(0, 3, 0)]","argmax=[(0, 3, 0)]",true
+bucket,3,3,6,1,exact,d=223,"argmax=[(0, 2, 1)]","argmax=[(0, 2, 1)]",true
+bucket,3,3,6,1,exact,d=233,"argmax=[(0, 1, 2)]","argmax=[(0, 1, 2)]",true
+bucket,3,3,6,1,exact,d=333,"argmax=[(0, 0, 3)]","argmax=[(0, 0, 3)]",true
+rearrangement,3,3,0,1,exact,7.0,0 non-strict,0 non-strict,true
+rearrangement,3,3,0,1,exact,7.1,0 non-strict,0 non-strict,true
+hadamard,4,4,0,1,exact,7.0,rank^3=4,<=20,true
+hadamard,4,4,0,1,exact,7.1,rank^3=4,<=20,true
+"""),
     ("noclone --P 1,2 --T 3", 0, """\
 noclone,1,1,0,1,exact,-,basis=True ones=True,basis=True ones=True,true
 noclone,2,2,0,1,exact,-,basis=True ones=False,basis=True ones=False,true
@@ -201,8 +219,15 @@ mincut,2,2,4,1,exact,5.2,rank=2,rank=2,true
 ]
 
 
-@pytest.mark.parametrize("args,code,rows", GOLDEN,
-                         ids=[g[0].split()[0] for g in GOLDEN])
+def _golden_ids(rows):
+    """Each row's suite name, with "-2", "-3", ... on its later rows."""
+    names = [args.split()[0] for args, _, _ in rows]
+    return [name + (f"-{names[:i].count(name) + 1}"
+                    if name in names[:i] else "")
+            for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("args,code,rows", GOLDEN, ids=_golden_ids(GOLDEN))
 def test_verify_golden_csv(args, code, rows, capsys):
     assert run_cli(["verify"] + args.split(), capsys)[:2] == (code,
                                                               HEADER + rows)

@@ -1,6 +1,7 @@
 """Forward evaluation, parameter validation, and serialization."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,11 +56,51 @@ def test_rnn_additive_nonlinearity():
     assert out[0] == pytest.approx(2.0)
 
 
-def test_neutral_h0_makes_first_update_all_ones():
-    rng = np.random.default_rng(0)
-    w = exact_array(rng.integers(-5, 6, (3, 3)))
+def _det(rows):
+    """Leibniz determinant, one signed product per permutation."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+@st.composite
+def hidden_matrices(draw):
+    """A square W_h of size 1-5 in one of the exact forms: Python ints up to
+    +-2^70, Fractions, or numpy int64 in an object array; a third of the
+    draws repeat a scaled row, so singular ones are common."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["int", "fraction", "int64"]))
+    entry = {"int": st.integers(-2 ** 70, 2 ** 70),
+             "int64": st.integers(-2 ** 62, 2 ** 62),
+             "fraction": st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                      max_denominator=10 ** 6)}[kind]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        rows[-1] = [x * draw(st.sampled_from([1, -1, 2])) for x in rows[0]]
+    w = np.empty((n, n), dtype=object)
+    w[:, :] = [[np.int64(x) if kind == "int64" else x for x in row]
+               for row in rows]
+    return w
+
+
+@settings(deadline=None, max_examples=300)
+@given(hidden_matrices())
+def test_neutral_h0_makes_first_update_all_ones(w):
+    # numpy int64 entries used to wrap inside the elimination: h0 came back
+    # wrong with only a RuntimeWarning
+    exact = exact_array(w)  # Fractions over Python ints
+    if _det(exact.tolist()) == 0:
+        with pytest.raises(ParameterError):
+            neutral_h0(w)
+        return
     h0 = neutral_h0(w)
-    assert np.all(w @ h0 == exact_array([1, 1, 1]))
+    assert all(type(x) is Fraction and type(x.numerator) is int
+               and type(x.denominator) is int for x in h0)
+    assert list(exact @ h0) == [1] * len(w)
 
 
 def test_neutral_h0_rejects_singular():

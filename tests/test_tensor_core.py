@@ -133,6 +133,13 @@ def test_parse_rejects_unknown_field():
         parse_tensor("racsep-tensor v1\norder 1\ndims 2\nfield bogus\n1\n2\n")
 
 
+@pytest.mark.parametrize("field", ["bogus", "Exact", ""])
+def test_dense_tensor_rejects_unknown_field(field):
+    # an unknown field used to be stored as given, int64 data and all
+    with pytest.raises(InvalidInputError):
+        DenseTensor([[1, 2]], field)
+
+
 @pytest.mark.parametrize("dims,entries", [("3", "1\n2"), ("1", "1\n2"),
                                           ("2 0", "")],
                          ids=["short", "long", "zero-dim"])

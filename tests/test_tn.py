@@ -182,6 +182,10 @@ def test_deep_tn_budget():
     p4 = draw_params(trial_rng(0, 2, 2, 4, 4, 0), 2, 2, L=4)
     with pytest.raises(ResourceBudgetError):
         build_deep_tn(p4, 4)  # L above DEEP_TN_MAX_L = 3
+    # T = 0 gave a graph without input legs, T = -2 a RecursionError
+    for T in (0, -2):
+        with pytest.raises(ShapeError):
+            build_deep_tn(p, T)
 
 
 def test_min_cut_structural_value():

@@ -132,6 +132,9 @@ def test_decomposition_identity():
     for (M, Rb, T) in [(2, 2, 4), (2, 3, 4), (3, 2, 4)]:
         rep = check_decomposition_identity(M, Rb, T, seed=0)
         assert rep.passed, (M, Rb, T)
+    for T in (0, 3):  # a false mismatch and an IndexError before
+        with pytest.raises(InvalidInputError):
+            check_decomposition_identity(2, 2, T)
 
 
 def test_bucket_states_and_trajectories():
@@ -149,6 +152,8 @@ def test_bucket_lemma():
     assert rep.passed
     rep = check_bucket_lemma(3, 6)
     assert rep.passed
+    with pytest.raises(InvalidInputError):
+        check_bucket_lemma(2, 0)  # an IndexError before
 
 
 def test_bucket_lemma_worked_example():
