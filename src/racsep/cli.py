@@ -76,6 +76,15 @@ def _depth_cells(a):
     return itertools.product(a.M, a.R, _even(a.T), a.L)
 
 
+def _lemma_cells(a):
+    """The lemma cells, refused before any check runs if one is too large
+    for the exhaustive bucket sweep (R is capped at 3 there, T/2 is not)."""
+    cells = list(_cells(a))
+    if any(T // 2 > 4 for _, _, T in cells):
+        raise RacsepError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
+    return cells
+
+
 # verify suite -> (cells of the parsed args, per-cell call returning reports).
 # The calls look checks up by module-level name when they run, so patched
 # module attributes (tracing, mocks) see every call.
@@ -88,7 +97,7 @@ SUITES = {
         M, R, T, a.trials, seed=a.seed)]),
     "conjecture": (_depth_cells, lambda a, M, R, T, L: [check_conjecture_bound(
         M, R, T, L, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)]),
-    "lemmas": (_cells, lambda a, M, R, T: [
+    "lemmas": (_lemma_cells, lambda a, M, R, T: [
         check_decomposition_identity(M, min(R, 3), T, seed=a.seed),
         check_bucket_lemma(min(R, 3), T)]),
     "noclone": (lambda a: ((P,) for P in a.P),

@@ -1,12 +1,18 @@
 """Matrix rank oracles: exact fraction-free elimination and SVD-based.
 
-The exact oracle runs Bareiss (division-deferred) elimination with full
-pivoting over arbitrary-precision integers, so rationals with wildly
+The exact oracle first clears the matrix of denominators (one common
+denominator), divides every row by its content (the gcd of its entries) and
+drops repeated and zero rows, which changes no rank.  It then tries a
+certificate: row-echelon elimination modulo the prime 2147483629 over the
+shorter side (rows, or columns when there are more rows than columns).  If
+every vector stays independent mod p, the rank is min(rows, columns),
+exactly, since a minor that is nonzero mod p is a nonzero integer.  The
+attempt stops at the first vector that reduces to zero mod p, and then
+Bareiss (division-deferred) elimination with full pivoting over
+arbitrary-precision integers gives the rank, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
-handled without loss.  Before elimination every row is divided by its
-content (the gcd of its entries) and repeated and zero rows are dropped,
-which changes no rank.  The same elimination solves square exact systems
-(:func:`solve_exact`), such as the neutral initial state W_h h0 = 1.
+handled without loss.  The same Bareiss elimination solves square exact
+systems (:func:`solve_exact`), such as the neutral initial state W_h h0 = 1.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition,
                      clear_denominators, matricize)
 
 DEFAULT_REL_TOL = 1e-12
+# the word-size prime of the full-rank certificate, just under 2^31
+_PRIME = 2147483629
 
 
 @dataclass(frozen=True)
@@ -45,11 +53,17 @@ def _as_matrix(m):
 
 
 def rank_exact(m) -> RankReport:
-    """Exact rank by fraction-free Gaussian elimination with full pivoting."""
+    """Exact rank: full rank certified modulo a prime, else fraction-free
+    Gaussian elimination with full pivoting."""
     arr, fld = _as_matrix(m)
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
-    rank, _ = _bareiss(_primitive_rows(arr), arr.shape[1])
+    ncols = arr.shape[1]
+    rows = _primitive_rows(arr.reshape(-1), ncols)
+    if _full_rank_mod_p(rows, ncols):
+        rank = min(len(rows), ncols)
+    else:
+        rank, _ = _bareiss(rows, ncols)
     return RankReport(rank=rank, method="exact")
 
 
@@ -59,7 +73,7 @@ def solve_exact(a, b):
     A zero or repeated row of [a | b] makes ``a`` singular, so dropping it
     only shortens the elimination."""
     n = a.shape[0]
-    rows = _primitive_rows([*a[i], b[i]] for i in range(n))
+    rows = _primitive_rows([x for i in range(n) for x in (*a[i], b[i])], n + 1)
     rank, order = _bareiss(rows, n)
     if rank < n:
         raise ParameterError("singular matrix")
@@ -107,21 +121,48 @@ def _bareiss(rows, ncols):
     return min(n, ncols), order
 
 
-def _primitive_rows(rows):
-    """The distinct nonzero rows of exact ``rows`` as Python ints: each is
-    cleared of denominators, divided by the gcd of its entries and signed
-    so that its first nonzero entry is positive.
+def _full_rank_mod_p(rows, ncols):
+    """Whether the integer ``rows`` (of ``ncols`` columns) have full rank
+    min(len(rows), ncols) modulo _PRIME, which proves it over the rationals.
+
+    Row-echelon elimination over the shorter side, vector by vector; it
+    stops at the first vector that reduces to zero mod p, so a matrix of
+    rank r costs at most r + 1 reductions.  False says nothing over the
+    rationals: the caller falls back to Bareiss.
+    """
+    vectors = zip(*rows) if len(rows) > ncols else rows
+    basis = []  # (pivot position, vector scaled to 1 there)
+    for vec in vectors:
+        v = [x % _PRIME for x in vec]
+        for j, b in basis:
+            c = v[j]
+            if c:
+                v = [(x - c * y) % _PRIME for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is None:
+            return False
+        inv = pow(v[j], -1, _PRIME)
+        basis.append((j, [x * inv % _PRIME for x in v]))
+    return True
+
+
+def _primitive_rows(values, width):
+    """The distinct nonzero rows of the exact row-major ``values`` (rows of
+    ``width`` entries) as Python ints: the whole matrix is cleared of
+    denominators at once, then each row is divided by the gcd of its
+    entries and signed so that its first nonzero entry is positive.
 
     Scaling a row by a nonzero rational or dropping a repeated or zero row
     leaves the rank unchanged, and fewer, smaller rows shorten Bareiss.
     """
+    try:
+        nums = clear_denominators(values)[0]
+    except AttributeError:
+        raise FieldMismatchError(
+            "exact elimination requires int or Fraction entries") from None
     distinct = {}
-    for row in rows:
-        try:
-            row = clear_denominators(row)[0]
-        except AttributeError:
-            raise FieldMismatchError(
-                "exact elimination requires int or Fraction entries") from None
+    for i in range(0, len(nums), width or 1):  # no entries if width is 0
+        row = nums[i:i + width]
         g = math.gcd(*row)
         if g == 0:
             continue

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,6 +77,17 @@ def test_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "bogus"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("T", ["10", "8,10"])
+def test_lemmas_refuse_large_sweep_before_checking(T, capsys):
+    # refused before the decomposition check, which takes ~25 s at T=10
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "lemmas", "--M", "3", "--R", "3",
+                              "--T", T], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "exhaustive sweep needs Rbar <= 3, T/2 <= 4" in err
 
 
 def test_budget_exit_code(capsys, monkeypatch):
