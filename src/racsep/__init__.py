@@ -11,9 +11,8 @@ from .builders import (GridTensor, WeightsTensor, build_grid_tensor,
                        build_weights_tensor, grid_budget, score_from_tensor)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
-from .network import (Nonlinearity, RAC_PRODUCT, RacParams, TemplateEncoder,
-                      forward_deep, forward_shallow, load_params, neutral_h0,
-                      rnn_additive, save_params, step_deep)
+from .network import (RAC_PRODUCT, RacParams, TemplateEncoder, forward_deep,
+                      load_params, neutral_h0, save_params, step_deep)
 from .ranks import (RankReport, multiset_coefficient, rank_exact, rank_numeric,
                     start_end_rank)
 from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,
@@ -29,8 +28,8 @@ from .verification import (AppendixBAssignment, Report, ReportRow,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
                            check_rearrangement_lemma, conjectured_bound,
-                           draw_params,
-                           rows_to_csv, trial_rng, verify_deep_lower_bound,
-                           verify_min_cut, verify_shallow_rank_law)
+                           draw_params, draw_trials, rows_to_csv, trial_rng,
+                           verify_deep_lower_bound, verify_min_cut,
+                           verify_shallow_rank_law)
 
 __version__ = "0.1.0"

@@ -16,13 +16,14 @@ from .builders import build_grid_tensor, build_weights_tensor
 from .errors import RacsepError, ResourceBudgetError
 from .ranks import DEFAULT_REL_TOL, start_end_rank
 from .tensor import EXACT, FLOAT, save_tensor
+from .tn import (build_deep_tn, build_mps, count_basic_units, min_cut,
+                 save_graph)
 from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
                            check_rearrangement_lemma, conjectured_bound,
-                           draw_params, rows_to_csv, trial_rng,
-                           verify_deep_lower_bound,
+                           draw_trials, rows_to_csv, verify_deep_lower_bound,
                            verify_min_cut, verify_shallow_rank_law)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
@@ -52,10 +53,11 @@ def _add_grid_flags(p, trials):
     p.add_argument("--M", type=_int_list, default=[2], help="template counts")
     p.add_argument("--R", type=_int_list, default=[2], help="hidden widths")
     p.add_argument("--T", type=_int_list, default=[4], help="sequence lengths")
-    p.add_argument("--L", type=_int_list, default=[1], help="depths")
+    p.add_argument("--L", type=_int_list, default=None if trials else [1],
+                   help="depths")
     if trials:
         p.add_argument("--trials", type=_positive, default=30)
-        p.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
+        p.add_argument("--field", choices=[EXACT, FLOAT], default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
@@ -85,26 +87,47 @@ def _lemma_cells(a):
     return cells
 
 
-# verify suite -> (cells of the parsed args, per-cell call returning reports).
-# The calls look checks up by module-level name when they run, so patched
-# module attributes (tracing, mocks) see every call.
-SUITES = {
-    "shallow": (_cells, lambda a, M, R, T: [verify_shallow_rank_law(
-        M, R, T, a.trials, field=a.field, seed=a.seed, rel_tol=a.rel_tol)]),
-    "deep": (_cells, lambda a, M, R, T: [verify_deep_lower_bound(
-        M, R, T, a.trials, seed=a.seed, rel_tol=a.rel_tol)]),
-    "claim1": (_cells, lambda a, M, R, T: [check_claim1_equality(
-        M, R, T, a.trials, seed=a.seed)]),
-    "conjecture": (_depth_cells, lambda a, M, R, T, L: [check_conjecture_bound(
-        M, R, T, L, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)]),
-    "lemmas": (_lemma_cells, lambda a, M, R, T: [
+def _lemmas(a):
+    """Decomposition and bucket checks per cell, then the other two once."""
+    return [rep for M, R, T in _lemma_cells(a) for rep in (
         check_decomposition_identity(M, min(R, 3), T, seed=a.seed),
-        check_bucket_lemma(min(R, 3), T)]),
-    "noclone": (lambda a: ((P,) for P in a.P),
-                lambda a, P: [check_no_cloning(P)]),
-    "mincut": (_cells, lambda a, M, R, T: [verify_min_cut(
-        M, R, T, a.trials, seed=a.seed)]),
+        check_bucket_lemma(min(R, 3), T))] + [
+        check_rearrangement_lemma(3, max(a.R), a.trials, seed=a.seed),
+        check_hadamard_power_bound(a.trials, seed=a.seed)]
+
+
+# verify suite -> parsed args -> reports.  Checks are looked up by module-level
+# name at call time, so patched module attributes (tracing, mocks) see them.
+SUITES = {
+    "shallow": lambda a: [verify_shallow_rank_law(
+        M, R, T, a.trials, field=a.field, seed=a.seed, rel_tol=a.rel_tol)
+        for M, R, T in _cells(a)],
+    "deep": lambda a: [verify_deep_lower_bound(
+        M, R, T, a.trials, seed=a.seed, rel_tol=a.rel_tol)
+        for M, R, T in _cells(a)],
+    "claim1": lambda a: [check_claim1_equality(M, R, T, a.trials, seed=a.seed)
+                         for M, R, T in _cells(a)],
+    "conjecture": lambda a: [check_conjecture_bound(
+        M, R, T, L, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)
+        for M, R, T, L in _depth_cells(a)],
+    "lemmas": _lemmas,
+    "noclone": lambda a: [check_no_cloning(P) for P in a.P],
+    "mincut": lambda a: [verify_min_cut(M, R, T, a.trials, seed=a.seed)
+                         for M, R, T in _cells(a)],
 }
+
+# verify flag -> (the one suite that reads it, its default there).  On verify
+# these flags parse to None when not given, so other suites can refuse them.
+SUITE_FLAGS = {"field": ("shallow", EXACT), "L": ("conjecture", [1])}
+
+
+def _suite_flags(args):
+    """Fills in SUITE_FLAGS' defaults, refusing a flag its suite won't read."""
+    for flag, (suite, default) in SUITE_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.suite != suite:
+            raise RacsepError(f"--{flag} applies only to verify {suite}")
 
 
 def build_parser():
@@ -145,12 +168,8 @@ def _emit(args, text):
 
 
 def cmd_verify(args):
-    cells, check = SUITES[args.suite]
-    reports = [rep for cell in cells(args) for rep in check(args, *cell)]
-    if args.suite == "lemmas":
-        reports += [check_rearrangement_lemma(3, max(args.R), args.trials,
-                                              seed=args.seed),
-                    check_hadamard_power_bound(args.trials, seed=args.seed)]
+    _suite_flags(args)
+    reports = SUITES[args.suite](args)
     _emit(args, rows_to_csv([r for rep in reports for r in rep.rows]))
     return EXIT_PASS if all(rep.passed for rep in reports) else EXIT_FAIL
 
@@ -160,36 +179,31 @@ SCAN_COLUMNS = ("M", "R", "T", "L", "field", "seed", "observed_rank",
 
 
 def cmd_scan(args):
-    from .tn import build_mps, count_basic_units, min_cut
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SCAN_COLUMNS)
     for M, R, T, L in _depth_cells(args):
-        rng = trial_rng(args.seed, M, R, T, L, 0)
+        fld = EXACT if L == 1 else FLOAT
+        [(label, p)] = draw_trials(args.seed, M, R, T, L, 1, fld)
         if L == 1:
-            p = draw_params(rng, M, R, L=1, field=EXACT)
             rank = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
             ref = f"theorem={min(R, M ** (T // 2))}"
             cut = str(min_cut(build_mps(p, T))[0])
-            fld = EXACT
         else:
-            p = draw_params(rng, M, R, L=L, field=FLOAT)
             rank = start_end_rank(build_grid_tensor(p, T=T).tensor,
                                   args.rel_tol).rank
             ref = f"conjecture={conjectured_bound(M, R, T, L)}"
             cut = ""
-            fld = FLOAT
         units = count_basic_units(L, T).closed_form
-        w.writerow([M, R, T, L, fld, f"{args.seed}.0", rank, ref, cut, units])
+        w.writerow([M, R, T, L, fld, label, rank, ref, cut, units])
     _emit(args, buf.getvalue())
     return EXIT_PASS
 
 
 def cmd_export(args):
-    from .tn import build_deep_tn, build_mps, save_graph
     _even([args.T])
-    rng = trial_rng(args.seed, args.M, args.R, args.T, args.L, 0)
-    p = draw_params(rng, args.M, args.R, L=args.L, field=args.field)
+    [(_, p)] = draw_trials(args.seed, args.M, args.R, args.T, args.L, 1,
+                           args.field)
     if args.what == "weights":
         save_tensor(build_weights_tensor(p, T=args.T).tensor, args.out)
     elif args.what == "grid":

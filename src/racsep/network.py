@@ -1,9 +1,7 @@
-"""Step-by-step recurrent network evaluation (multiplicative and additive).
+"""Step-by-step evaluation of multiplicative recurrent networks.
 
-The multiplicative update merges hidden state and input by element-wise
-product: h_t = (W_h h_{t-1}) * (W_i f(x_t)).  The additive variant
-h_t = act(W_h h_{t-1} + W_i f(x_t)) is provided for demos only; all rank
-analyses use the multiplicative form.  Inputs are symbols in [1..M] mapped
+Each layer merges hidden state and input by element-wise product:
+h_t = (W_h h_{t-1}) * (W_i f(x_t)).  Inputs are symbols in [1..M] mapped
 through a template encoder: f(x^(d)) is row d of the encoder matrix F.
 Biases are omitted throughout.
 """
@@ -12,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,25 +21,8 @@ from .tensor import (EXACT, DenseTensor, field_of, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    kind: str  # "rac" | "rnn"
-    activation: str = "identity"  # rnn only: "identity" | "tanh"
-
-    def apply(self, a, b):
-        if self.kind == "rac":
-            return a * b
-        s = a + b
-        if self.activation == "tanh":
-            return np.tanh(s)
-        return s
-
-
-RAC_PRODUCT = Nonlinearity("rac")
-
-
-def rnn_additive(activation="identity"):
-    return Nonlinearity("rnn", activation)
+# the merge of hidden-state and input terms: the element-wise product
+RAC_PRODUCT = operator.mul
 
 
 def neutral_h0(w_hidden):
@@ -164,18 +146,19 @@ def check_encoder(enc: TemplateEncoder, M, field):
         raise ParameterError("encoder and parameters must share one scalar field")
 
 
-def step_deep(p: RacParams, g: Nonlinearity, states, encoded):
-    """Advance every layer one time-step; returns the new per-layer states."""
+def step_deep(p: RacParams, g, states, encoded):
+    """Advance every layer one time-step, merging the hidden-state and input
+    terms with ``g``; returns the new per-layer states."""
     below = encoded
     new = []
     for l in range(p.L):
-        h = g.apply(p.w_hidden[l] @ states[l], p.w_in[l] @ below)
+        h = g(p.w_hidden[l] @ states[l], p.w_in[l] @ below)
         new.append(h)
         below = h
     return new
 
 
-def forward_deep(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
+def forward_deep(p: RacParams, g, enc: TemplateEncoder, seq):
     """Class scores after the final time-step of an L-layer network."""
     check_encoder(enc, p.M, p.field)
     symbols = as_symbols(seq, p.M)
@@ -183,12 +166,6 @@ def forward_deep(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
     for s in symbols:
         states = step_deep(p, g, states, enc.row(s))
     return p.w_out @ states[-1]
-
-
-def forward_shallow(p: RacParams, g: Nonlinearity, enc: TemplateEncoder, seq):
-    if p.L != 1:
-        raise ParameterError(f"forward_shallow requires L=1, got L={p.L}")
-    return forward_deep(p, g, enc, seq)
 
 
 # ---------------------------------------------------------------------------

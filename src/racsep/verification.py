@@ -1,10 +1,10 @@
 """Executable checks of the separation-rank results.
 
-Each check returns a :class:`Report` of per-trial :class:`ReportRow` rows.
-Rows flagged ``required`` must pass individually (exact constructions);
-sampled rows (random draws) pass collectively when the passing fraction
-reaches the report's threshold, which tolerates the measure-zero parameter
-sets on which generic rank statements are allowed to fail.
+Each check returns a :class:`Report` of :class:`ReportRow` rows for one
+(M, R, T, L) cell, under one pass rule: ``required`` rows (exact
+constructions) must each pass, and at least a ``DEFAULT_THRESHOLD`` share of
+sampled rows (random draws) must pass, which tolerates the measure-zero
+parameter sets on which generic rank statements are allowed to fail.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .network import RacParams, neutral_h0
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
                     start_end_rank)
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
+from .tn import build_mps, min_cut, no_clone_counterexample
 
 DEFAULT_THRESHOLD = 0.95
 
@@ -46,11 +47,16 @@ class ReportRow:
 @dataclass
 class Report:
     check: str
+    M: int
+    R: int
+    T: int
+    L: int = 1
     rows: list = dc_field(default_factory=list)
-    threshold: float = 1.0
 
-    def add(self, **kw):
-        self.rows.append(ReportRow(check=self.check, **kw))
+    def add(self, field, seed, observed, expected, passed, required=True):
+        self.rows.append(ReportRow(
+            self.check, self.M, self.R, self.T, self.L, field, seed,
+            str(observed), str(expected), passed, required))
 
     @property
     def fraction(self):
@@ -64,7 +70,7 @@ class Report:
         if not self.rows:
             return False
         required_ok = all(r.passed for r in self.rows if r.required)
-        return required_ok and self.fraction >= self.threshold
+        return required_ok and self.fraction >= DEFAULT_THRESHOLD
 
 
 CSV_COLUMNS = ("check", "M", "R", "T", "L", "field", "seed",
@@ -91,31 +97,30 @@ def trial_rng(seed: int, M: int, R: int, T: int, L: int, trial: int):
         np.random.SeedSequence(seed, spawn_key=(cell, trial)))
 
 
-def _exact_ints(rng, shape):
-    return exact_array(rng.integers(-9, 10, shape))
-
-
 def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
                 C: int = 1) -> RacParams:
     """Random network weights: integer entries in [-9, 9] (exact field) or
     uniform on [-1, 1] (float field); singular hidden matrices redrawn."""
+    sample = ((lambda shape: exact_array(rng.integers(-9, 10, shape)))
+              if field == EXACT else (lambda shape: rng.uniform(-1, 1, shape)))
     for _ in range(100):
-        if field == EXACT:
-            w_in = [_exact_ints(rng, (R, M if l == 0 else R))
-                    for l in range(L)]
-            w_hidden = [_exact_ints(rng, (R, R)) for _ in range(L)]
-            w_out = _exact_ints(rng, (C, R))
-        else:
-            w_in = [rng.uniform(-1, 1, (R, M if l == 0 else R))
-                    for l in range(L)]
-            w_hidden = [rng.uniform(-1, 1, (R, R)) for _ in range(L)]
-            w_out = rng.uniform(-1, 1, (C, R))
+        w_in = [sample((R, M if l == 0 else R)) for l in range(L)]
+        w_hidden = [sample((R, R)) for _ in range(L)]
+        w_out = sample((C, R))
         try:
             h0 = [neutral_h0(w) for w in w_hidden]
         except ParameterError:  # a singular hidden matrix
             continue
         return RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
     raise ParameterError("could not draw a non-singular hidden matrix")
+
+
+def draw_trials(seed, M, R, T, L, trials, field):
+    """``(seed label, params)`` of each trial of one cell, each drawn by
+    :func:`draw_params` from the trial's own :func:`trial_rng` stream."""
+    for trial in range(trials):
+        yield f"{seed}.{trial}", draw_params(
+            trial_rng(seed, M, R, T, L, trial), M, R, L=L, field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +180,16 @@ def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     expected = min(R, M ** (T // 2))
-    rep = Report("shallow", threshold=DEFAULT_THRESHOLD)
-    for trial in range(trials):
-        rng = trial_rng(seed, M, R, T, 1, trial)
-        p = draw_params(rng, M, R, L=1, field=field)
+    rep = Report("shallow", M, R, T)
+    for label, p in draw_trials(seed, M, R, T, 1, trials, field):
         observed = start_end_rank(build_weights_tensor(p, T=T).tensor,
                                   rel_tol).rank
         if observed > expected:
             # unconditional upper bound: a violation is a hard failure
-            rep.add(M=M, R=R, T=T, L=1, field=field, seed=f"{seed}.{trial}",
-                    observed=str(observed), expected=f"<={expected}",
-                    passed=False, required=True)
-            continue
-        rep.add(M=M, R=R, T=T, L=1, field=field, seed=f"{seed}.{trial}",
-                observed=str(observed), expected=str(expected),
-                passed=observed == expected, required=False)
+            rep.add(field, label, observed, f"<={expected}", False)
+        else:
+            rep.add(field, label, observed, expected, observed == expected,
+                    required=False)
     return rep
 
 
@@ -198,32 +198,24 @@ def verify_deep_lower_bound(M, R, T, trials=30, seed=0,
     """Depth-2 lower bound multiset(min{M,R}, T/2): attained exactly by the
     explicit assignment, and met or exceeded by random float draws."""
     asg = AppendixBAssignment(M=M, R=R, T=T)
-    rep = Report("deep", threshold=DEFAULT_THRESHOLD)
+    rep = Report("deep", M, R, T, 2)
     observed = start_end_rank(build_grid_tensor(asg.params(), T=T).tensor).rank
-    rep.add(M=M, R=R, T=T, L=2, field=EXACT, seed="-",
-            observed=str(observed), expected=str(asg.bound),
-            passed=observed == asg.bound, required=True)
-    for trial in range(trials):
-        rng = trial_rng(seed, M, R, T, 2, trial)
-        p = draw_params(rng, M, R, L=2, field=FLOAT)
+    rep.add(EXACT, "-", observed, asg.bound, observed == asg.bound)
+    for label, p in draw_trials(seed, M, R, T, 2, trials, FLOAT):
         r = start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol).rank
-        rep.add(M=M, R=R, T=T, L=2, field=FLOAT, seed=f"{seed}.{trial}",
-                observed=str(r), expected=f">={asg.bound}",
-                passed=r >= asg.bound, required=False)
+        rep.add(FLOAT, label, r, f">={asg.bound}", r >= asg.bound,
+                required=False)
     return rep
 
 
 def check_claim1_equality(M, R, T, trials, seed=0) -> Report:
     """With identity templates the grid tensor's matricization rank equals
     the weights tensor's, draw for draw."""
-    rep = Report("claim1")
-    for trial in range(trials):
-        rng = trial_rng(seed, M, R, T, 1, trial)
-        p = draw_params(rng, M, R, L=1, field=EXACT)
+    rep = Report("claim1", M, R, T)
+    for label, p in draw_trials(seed, M, R, T, 1, trials, EXACT):
         rg = start_end_rank(build_grid_tensor(p, T=T).tensor).rank
         rw = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
-        rep.add(M=M, R=R, T=T, L=1, field=EXACT, seed=f"{seed}.{trial}",
-                observed=str(rg), expected=str(rw), passed=rg == rw)
+        rep.add(EXACT, label, rg, rw, rg == rw)
     return rep
 
 
@@ -243,14 +235,10 @@ def check_conjecture_bound(M, R, T, L, trials=10, seed=0,
     """
     bound = conjectured_bound(M, R, T, L)
     cap = M ** (T // 2)
-    rep = Report("conjecture")
-    for trial in range(trials):
-        rng = trial_rng(seed, M, R, T, L, trial)
-        p = draw_params(rng, M, R, L=L, field=FLOAT)
+    rep = Report("conjecture", M, R, T, L)
+    for label, p in draw_trials(seed, M, R, T, L, trials, FLOAT):
         r = start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol).rank
-        rep.add(M=M, R=R, T=T, L=L, field=FLOAT, seed=f"{seed}.{trial}",
-                observed=str(r), expected=f"conjectured>={bound}",
-                passed=r <= cap)
+        rep.add(FLOAT, label, r, f"conjectured>={bound}", r <= cap)
     return rep
 
 
@@ -315,10 +303,9 @@ def check_decomposition_identity(M, Rbar, T, seed=0) -> Report:
                     term *= row[m] ** state[r]
             rhs += term
         mismatches += lhs != rhs
-    rep = Report("decomposition")
-    rep.add(M=M, R=Rbar, T=T, L=1, field=EXACT, seed=f"{seed}.0",
-            observed=f"{mismatches} mismatches",
-            expected="0 mismatches", passed=mismatches == 0)
+    rep = Report("decomposition", M, Rbar, T)
+    rep.add(EXACT, f"{seed}.0", f"{mismatches} mismatches", "0 mismatches",
+            mismatches == 0)
     return rep
 
 
@@ -328,7 +315,7 @@ def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
     sum_i <v_i, v_{s(i)}> < sum_i ||v_i||^2, strictly."""
     if N > 6:
         raise InvalidInputError("N must be <= 6 (factorial enumeration)")
-    rep = Report("rearrangement")
+    rep = Report("rearrangement", Rbar, Rbar, 0)
     for trial in range(trials):
         rng = trial_rng(seed, N, Rbar, 0, 1, trial)
         while True:
@@ -344,9 +331,8 @@ def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
             s = sum(sum(a * b for a, b in zip(vecs[i], vecs[perm[i]]))
                     for i in range(N))
             violations += not s < total
-        rep.add(M=Rbar, R=Rbar, T=0, L=1, field=EXACT, seed=f"{seed}.{trial}",
-                observed=f"{violations} non-strict",
-                expected="0 non-strict", passed=violations == 0)
+        rep.add(EXACT, f"{seed}.{trial}", f"{violations} non-strict",
+                "0 non-strict", violations == 0)
     return rep
 
 
@@ -368,17 +354,14 @@ def check_bucket_lemma(Rbar, T) -> Report:
                        for c, state in zip(d, (p,) + traj))
                    for traj in bucket_trajectories(p))
 
-    rep = Report("bucket")
+    rep = Report("bucket", Rbar, Rbar, T)
     for d in itertools.combinations_with_replacement(range(1, Rbar + 1), k):
         phat = tuple(sum(1 for x in d if x == r) for r in range(1, Rbar + 1))
         vals = {p: reward(d, p) for p in bucket_states(Rbar, k)}
         top = max(vals.values())
         argmax = sorted(p for p, v in vals.items() if v == top)
-        ok = argmax == [phat]
-        rep.add(M=Rbar, R=Rbar, T=T, L=1, field=EXACT,
-                seed="d=" + "".join(map(str, d)),
-                observed=f"argmax={argmax}", expected=f"argmax=[{phat}]",
-                passed=ok)
+        rep.add(EXACT, "d=" + "".join(map(str, d)), f"argmax={argmax}",
+                f"argmax=[{phat}]", argmax == [phat])
     return rep
 
 
@@ -386,7 +369,7 @@ def check_hadamard_power_bound(trials, seed=0) -> Report:
     """Entrywise p-th powers obey rank(m^(op)) <= multiset(rank(m), p), on
     random 4 x 4 integer matrices and powers p in 1..3."""
     n = 4
-    rep = Report("hadamard")
+    rep = Report("hadamard", n, n, 0)
     for trial in range(trials):
         rng = trial_rng(seed, n, n, 0, 1, trial)
         m = DenseTensor(rng.integers(-4, 5, (n, n)), EXACT)
@@ -394,9 +377,8 @@ def check_hadamard_power_bound(trials, seed=0) -> Report:
         p = int(rng.integers(1, 4))
         powered = rank_exact(hadamard_power(m, p)).rank
         bound = multiset_coefficient(base, p)
-        rep.add(M=n, R=n, T=0, L=1, field=EXACT, seed=f"{seed}.{trial}",
-                observed=f"rank^{p}={powered}", expected=f"<={bound}",
-                passed=powered <= bound)
+        rep.add(EXACT, f"{seed}.{trial}", f"rank^{p}={powered}",
+                f"<={bound}", powered <= bound)
     return rep
 
 
@@ -405,35 +387,27 @@ def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
     multiplicative cut between start and end legs equals min{R, M^(T/2)}
     structurally, and equals the exact matricization rank for almost every
     draw."""
-    from .tn import build_mps, min_cut
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     structural = min(R, M ** (T // 2))
-    rep = Report("mincut", threshold=DEFAULT_THRESHOLD)
-    for trial in range(trials):
-        rng = trial_rng(seed, M, R, T, 1, trial)
-        p = draw_params(rng, M, R, L=1, field=EXACT)
+    rep = Report("mincut", M, R, T)
+    for label, p in draw_trials(seed, M, R, T, 1, trials, EXACT):
         cut, _ = min_cut(build_mps(p, T))
         if cut != structural:
-            rep.add(M=M, R=R, T=T, L=1, field=EXACT, seed=f"{seed}.{trial}",
-                    observed=f"cut={cut}", expected=f"cut={structural}",
-                    passed=False, required=True)
+            rep.add(EXACT, label, f"cut={cut}", f"cut={structural}", False)
             continue
         rank = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
-        rep.add(M=M, R=R, T=T, L=1, field=EXACT, seed=f"{seed}.{trial}",
-                observed=f"rank={rank}", expected=f"rank={cut}",
-                passed=rank == cut, required=False)
+        rep.add(EXACT, label, f"rank={rank}", f"rank={cut}", rank == cut,
+                required=False)
     return rep
 
 
 def check_no_cloning(P) -> Report:
     """Super-diagonal duplication works on basis vectors only (P >= 2)."""
-    from .tn import no_clone_counterexample
     r = no_clone_counterexample(P)
-    rep = Report("noclone")
+    rep = Report("noclone", P, P, 0)
     expect_ones = P == 1
-    rep.add(M=P, R=P, T=0, L=1, field=EXACT, seed="-",
-            observed=f"basis={r.basis_cloned} ones={r.ones_cloned}",
-            expected=f"basis=True ones={expect_ones}",
-            passed=r.basis_cloned and r.ones_cloned == expect_ones)
+    rep.add(EXACT, "-", f"basis={r.basis_cloned} ones={r.ones_cloned}",
+            f"basis=True ones={expect_ones}",
+            r.basis_cloned and r.ones_cloned == expect_ones)
     return rep

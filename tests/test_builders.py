@@ -13,8 +13,8 @@ from racsep import (EXACT, FLOAT, IndexPartition, ParameterError, RAC_PRODUCT,
                     RacParams, ResourceBudgetError, ShapeError,
                     TemplateEncoder, attach_inputs, build_grid_tensor,
                     build_mps, build_weights_tensor, contract, draw_params,
-                    exact_array, forward_deep, forward_shallow, matricize,
-                    rank_exact, score_from_tensor, step_deep, trial_rng)
+                    exact_array, forward_deep, matricize, rank_exact,
+                    score_from_tensor, step_deep, trial_rng)
 from racsep.builders import GRID_BUDGET_ENV
 
 
@@ -27,7 +27,7 @@ def test_weights_tensor_matches_forward_on_every_sequence():
         enc = TemplateEncoder.identity(2)
         for d in itertools.product([1, 2], repeat=4):
             idx = tuple(x - 1 for x in d)
-            assert w.tensor[idx] == forward_shallow(p, RAC_PRODUCT, enc, d)[0]
+            assert w.tensor[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
 
 
 def test_weights_tensor_r1_rank_one():
@@ -45,7 +45,7 @@ def test_weights_tensor_class_selection():
     w1 = build_weights_tensor(p, c=1, T=2)
     w2 = build_weights_tensor(p, c=2, T=2)
     enc = TemplateEncoder.identity(2)
-    out = forward_shallow(p, RAC_PRODUCT, enc, [2, 1])
+    out = forward_deep(p, RAC_PRODUCT, enc, [2, 1])
     assert w1.tensor[1, 0] == out[0]
     assert w2.tensor[1, 0] == out[1]
     with pytest.raises(ParameterError):
@@ -73,7 +73,7 @@ def test_score_from_tensor_general_encoder():
     w = build_weights_tensor(p, T=3)
     for seq in itertools.product([1, 2], repeat=3):
         assert (score_from_tensor(w, enc, seq)
-                == forward_shallow(p, RAC_PRODUCT, enc, seq)[0])
+                == forward_deep(p, RAC_PRODUCT, enc, seq)[0])
 
 
 @pytest.mark.parametrize("enc", [TemplateEncoder.identity(3),
@@ -108,7 +108,7 @@ def test_grid_tensor_custom_encoder():
     p = draw_params(trial_rng(8, 2, 2, 4, 1, 0), 2, 2, L=1)
     enc = TemplateEncoder(exact_array([[2, 1], [0, 1]]))
     g = build_grid_tensor(p, enc=enc, T=2)
-    assert g.tensor[1, 0] == forward_shallow(p, RAC_PRODUCT, enc, [2, 1])[0]
+    assert g.tensor[1, 0] == forward_deep(p, RAC_PRODUCT, enc, [2, 1])[0]
 
 
 @pytest.mark.parametrize("enc", [

@@ -73,6 +73,22 @@ def test_scan_refuses_verify_only_flags(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    "claim1 --field float",
+    "conjecture --field exact",
+    "mincut --field exact",
+    "deep --L 3",
+    "shallow --L 1",
+    "lemmas --L 2",
+])
+def test_verify_refuses_flags_its_suite_does_not_read(args, capsys):
+    # --field belongs to shallow and --L to conjecture; refused before a check
+    code, out, err = run_cli(["verify"] + args.split() + ["--trials", "1"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "applies only to verify" in err
+
+
 def test_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "bogus"])
@@ -126,6 +142,26 @@ def test_scan(capsys):
     assert len(lines) == 5  # header + 2x2 grid
     assert any("theorem=2" in l for l in lines)
     assert any("conjecture=" in l for l in lines)
+
+
+# exact L=1 rows only: L >= 2 rows are float SVD ranks, which may differ
+# across BLAS builds
+SCAN_GOLDEN = """\
+M,R,T,L,field,seed,observed_rank,reference,min_cut,basic_units
+2,1,4,1,exact,7.0,1,theorem=1,1,1
+2,1,6,1,exact,7.0,1,theorem=1,1,1
+2,2,4,1,exact,7.0,2,theorem=2,2,1
+2,2,6,1,exact,7.0,2,theorem=2,2,1
+3,1,4,1,exact,7.0,1,theorem=1,1,1
+3,1,6,1,exact,7.0,1,theorem=1,1,1
+3,2,4,1,exact,7.0,2,theorem=2,2,1
+3,2,6,1,exact,7.0,2,theorem=2,2,1
+"""
+
+
+def test_scan_golden_csv(capsys):
+    assert run_cli(["scan", "--M", "2,3", "--R", "1,2", "--T", "4,6",
+                    "--L", "1", "--seed", "7"], capsys)[:2] == (0, SCAN_GOLDEN)
 
 
 def test_export_roundtrip(tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Package modules and tests import only public names from racsep modules."""
+"""Package modules and tests import only public names from racsep modules,
+and package modules import only at module level."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "racsep").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "racsep").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _private(name):
@@ -37,6 +38,34 @@ def test_detector_flags_private_imports():
         (1, "verification._grid_matrix_rank"),
         (2, "racsep.network._check_compat"),
         (3, "racsep._impl")]
+
+
+def local_imports(source):
+    """Line of every import statement below module level."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in top]
+
+
+def test_detector_flags_local_imports():
+    source = ("import os\n"
+              "from .tn import min_cut\n"
+              "def f():\n"
+              "    from .tn import build_mps\n"
+              "    import math\n"
+              "class C:\n"
+              "    import json\n"
+              "if True:\n"
+              "    import sys\n")
+    assert local_imports(source) == [4, 5, 7, 9]
+
+
+def test_no_function_local_imports_in_package():
+    offenders = [(path.name, line) for path in PACKAGE
+                 for line in local_imports(path.read_text())]
+    assert offenders == []
 
 
 def test_no_private_cross_module_imports():

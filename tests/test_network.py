@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, InvalidInputError, Nonlinearity,
-                    ParameterError, RAC_PRODUCT, RacParams, TemplateEncoder,
-                    attach_inputs, build_mps, build_weights_tensor,
-                    exact_array, forward_deep, forward_shallow, neutral_h0,
-                    rnn_additive, score_from_tensor, step_deep)
+from racsep import (EXACT, FLOAT, InvalidInputError, ParameterError,
+                    RAC_PRODUCT, RacParams, TemplateEncoder, attach_inputs,
+                    build_mps, build_weights_tensor, exact_array,
+                    forward_deep, neutral_h0, score_from_tensor, step_deep)
 from racsep.network import dump_params, parse_params
 
 
@@ -31,7 +30,7 @@ def test_shallow_forward_by_hand():
                      w_out=[[1, 1]],
                      h0=[[1, 1]])
     # seq (1, 2): h1 = (1*1, 1*3) = (1, 3); h2 = (1*2, 3*4) = (2, 12)
-    out = forward_shallow(p, RAC_PRODUCT, TemplateEncoder.identity(2), [1, 2])
+    out = forward_deep(p, RAC_PRODUCT, TemplateEncoder.identity(2), [1, 2])
     assert out[0] == Fraction(14)
 
 
@@ -45,15 +44,6 @@ def test_deep_forward_by_hand():
     # layer1: h = prev * 2 each step -> 2, 4; layer2: h = prev * 3*h1
     # t1: h2 = 1 * 3*2 = 6; t2: h2 = 6 * 3*4 = 72
     assert forward_deep(p, RAC_PRODUCT, enc, [1, 1])[0] == Fraction(72)
-
-
-def test_rnn_additive_nonlinearity():
-    g = rnn_additive()
-    assert g.apply(np.array([1.0]), np.array([2.0]))[0] == 3.0
-    p = RacParams(w_in=[np.array([[1.0]])], w_hidden=[np.array([[1.0]])],
-                  w_out=np.array([[1.0]]), h0=[np.array([0.0])])
-    out = forward_shallow(p, g, TemplateEncoder.identity(1, FLOAT), [1, 1])
-    assert out[0] == pytest.approx(2.0)
 
 
 def _det(rows):
@@ -156,13 +146,6 @@ def test_params_reject_empty_sizes():
         exact_params(w_in=[[[1]]], w_hidden=[[[1]]], w_out=np.zeros((0, 1)))
 
 
-def test_forward_shallow_rejects_deep():
-    p = exact_params(w_in=[[[1]], [[1]]], w_hidden=[[[1]], [[1]]],
-                     w_out=[[1]])
-    with pytest.raises(ParameterError):
-        forward_shallow(p, RAC_PRODUCT, TemplateEncoder.identity(1), [1])
-
-
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10 ** 6))
 def test_step_deep_multiplicative_structure(seed):
@@ -204,8 +187,8 @@ def test_forward_invariant_under_serialization():
     q = parse_params(dump_params(p))
     enc = TemplateEncoder.identity(2)
     for seq in itertools.product([1, 2], repeat=3):
-        assert (forward_shallow(p, RAC_PRODUCT, enc, seq)[0]
-                == forward_shallow(q, RAC_PRODUCT, enc, seq)[0])
+        assert (forward_deep(p, RAC_PRODUCT, enc, seq)[0]
+                == forward_deep(q, RAC_PRODUCT, enc, seq)[0])
 
 
 def _dumped_params(field):
