@@ -8,13 +8,14 @@ rank oracle and an SVD-based numeric one.
 """
 
 from .builders import (GridTensor, WeightsTensor, build_grid_tensor,
-                       build_weights_tensor, grid_budget, score_from_tensor)
+                       build_weights_tensor, factored_start_end_rank,
+                       grid_budget, score_from_tensor)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
 from .network import (RAC_PRODUCT, RacParams, TemplateEncoder, forward_deep,
                       load_params, neutral_h0, save_params, step_deep)
-from .ranks import (RankReport, multiset_coefficient, rank_exact, rank_numeric,
-                    start_end_rank)
+from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,
+                    rank_numeric, start_end_rank)
 from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,
                      hadamard_power, load_tensor, matricize, save_tensor)
 from .tn import (BasicUnitCount, Edge, NoCloneReport, OpenLeg, TnGraph,

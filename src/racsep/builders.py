@@ -9,6 +9,15 @@ time-step; exact tensors are computed in Python integers over one common
 denominator.  Grid tensors hold raw network outputs on every length-T symbol
 sequence and exist for any depth; they are built the same way, one batched
 product per layer per time-step.
+
+The exact start/end rank of a single-layer network needs neither tensor
+(:func:`factored_start_end_rank`): the grid's frontier advances every start
+word's state T/2 steps, an exact column basis of those states picks r <= R
+start words, and only their states are advanced the other T/2 steps (the
+tensor-train view of Khrulkov, Novikov and Oseledets, ICLR 2018).
+Every array a builder makes counts against RACSEP_GRID_BUDGET: M^T entries
+for a weights or grid tensor, R M^(T/2) and R r M^(T/2) for the two halves
+of the factored rank.
 """
 
 from __future__ import annotations
@@ -19,10 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, ResourceBudgetError, ShapeError
+from .errors import (FieldMismatchError, ParameterError, ResourceBudgetError,
+                     ShapeError)
 from .network import RacParams, TemplateEncoder, as_symbols, check_encoder
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
+from .ranks import RankReport, column_basis, rank_exact
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -33,10 +44,9 @@ def grid_budget():
     return int(os.environ.get(GRID_BUDGET_ENV, DEFAULT_GRID_BUDGET))
 
 
-def _check_entries(what, M, T):
-    """Refuses an order-T tensor of M^T entries above the grid budget."""
+def _check_entries(what, required):
+    """Refuses an array of ``required`` entries above the grid budget."""
     budget = grid_budget()
-    required = M ** T
     if required > budget:
         raise ResourceBudgetError(
             f"{what} needs {required} entries, budget is {budget}",
@@ -78,9 +88,8 @@ def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> WeightsTensor:
         raise ParameterError("weights tensor is defined for single-layer networks")
     if T < 2:
         raise ShapeError(f"T must be >= 2, got {T}")
-    if not 1 <= c <= p.C:
-        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
-    _check_entries("weights tensor", p.M, T)
+    _check_class(p, c)
+    _check_entries("weights tensor", p.M ** T)
     wi, wh, out = p.w_in[0], p.w_hidden[0], p.w_out[c - 1]
     s = wh @ p.h0[0]
     if p.field == EXACT:
@@ -129,51 +138,99 @@ def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
 
 def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
                       T: int = 2) -> GridTensor:
-    """Order-T tensor of network outputs over all M^T template sequences.
+    """Order-T tensor of network outputs over all M^T template sequences,
+    advanced level by level from h0 (see :class:`_Frontier`).  The entry
+    budget is read from the RACSEP_GRID_BUDGET environment variable.
+    """
+    if enc is None:
+        enc = TemplateEncoder.identity(p.M, p.field)
+    check_encoder(enc, p.M, p.field)
+    _check_class(p, c)
+    if T < 1:
+        raise ShapeError(f"T must be >= 1, got {T}")
+    _check_entries("grid tensor", p.M ** T)
+    net = _Frontier(p, enc.F, c)
+    S, D = net.advance(net.h0, net.D0, T)
+    A = net.out @ S[-1]
+    if p.field == EXACT:
+        den = net.do * D[-1]
+        A = np.array([Fraction(x, den) for x in A], dtype=object)
+    return GridTensor(tensor=DenseTensor(A.reshape((p.M,) * T), p.field),
+                      depth=p.L, class_index=c)
 
-    The grid is built level by level.  After t steps layer l holds the
-    states of every length-t prefix, in row-major order, as one R x M^t
-    array S_l, and one step extends every prefix by every symbol with one
-    batched product per layer,
+
+def factored_start_end_rank(p: RacParams, T: int, c: int = 1) -> RankReport:
+    """Exact rank of the start/end matricization G of the single-layer
+    network p's order-T weights tensor for class c, without building it.
+
+    Row s of G holds the outputs, over every end word, of start word s's
+    hidden state after T/2 steps, and is linear in that state: G = A C with
+    row s of A that state.  So the start words of an exact column basis of
+    the R x M^(T/2) mid-sequence state array (A transposed) give r <= R rows
+    of G, G_S, that span G's rows, and rank G = rank G_S.  Only those r
+    states are advanced the other T/2 steps.
+    """
+    if p.L != 1:
+        raise ParameterError(
+            "factored start/end rank is defined for single-layer networks")
+    if p.field != EXACT:
+        raise FieldMismatchError(
+            "factored start/end rank requires the exact scalar field")
+    if T < 2 or T % 2:
+        raise ShapeError(f"T must be even and >= 2, got {T}")
+    _check_class(p, c)
+    half, width = T // 2, p.M ** (T // 2)
+    net = _Frontier(p, np.eye(p.M, dtype=object), c)
+    _check_entries("mid-sequence state array", p.R * width)
+    [mid], D = net.advance(net.h0, net.D0, half)
+    basis = column_basis(mid)
+    _check_entries("end-half state array", p.R * len(basis) * width)
+    [ends], _ = net.advance([mid[:, basis]], D, half)
+    return rank_exact((net.out @ ends).reshape(len(basis), width))
+
+
+def _check_class(p, c):
+    if not 1 <= c <= p.C:
+        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+
+
+class _Frontier:
+    """A network's weights for class c and encoder matrix F, and the
+    level-by-level step on states of many prefixes at once.
+
+    Layer l keeps the states of n prefixes, in row-major order, as one
+    R x n array S_l, and one step extends every prefix by every symbol with
+    one batched product per layer,
 
         S_l <- ((W_h S_l)[:, :, None] * (W_i S_(l-1)).reshape(R, -1, M))
                .reshape(R, -1),
 
     where S_(l-1) holds the new states of the layer below and S_(-1) = F^T.
-    Over the exact field the recursion runs on Python integers: the
-    denominators of every weight matrix, h0 and F are cleared once, layer
-    l's states carry the one denominator D_l <- dh_l * D_l * di_l * D_(l-1)
-    (D_(-1) = dF, D_l starts at den(h0_l)), and each output entry is
-    divided by the last layer's at the end.  The entry budget is read from
-    the RACSEP_GRID_BUDGET environment variable.
+    Over the exact field the step runs on Python integers: the denominators
+    of every weight matrix, h0 and F are cleared once, layer l's states
+    carry the one denominator D_l <- dh_l * D_l * di_l * D_(l-1)
+    (D_(-1) = dF, D_l starts at den(h0_l)).
     """
-    if enc is None:
-        enc = TemplateEncoder.identity(p.M, p.field)
-    check_encoder(enc, p.M, p.field)
-    if not 1 <= c <= p.C:
-        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
-    if T < 1:
-        raise ShapeError(f"T must be >= 1, got {T}")
-    M, R = p.M, p.R
-    _check_entries("grid tensor", M, T)
 
-    exact = p.field == EXACT
-    form = _integer_form if exact else _float_form
-    wi, di = zip(*map(form, p.w_in))
-    wh, dh = zip(*map(form, p.w_hidden))
-    h0, D = zip(*map(form, p.h0))
-    (out, do), (F, dF) = form(p.w_out[c - 1]), form(enc.F)
-    S, D = [h[:, None] for h in h0], list(D)
-    for _ in range(T):
-        below, d_below = F.T, dF
-        for l in range(p.L):
-            h = ((wh[l] @ S[l])[:, :, None]
-                 * (wi[l] @ below).reshape(R, -1, M))
-            S[l] = below = h.reshape(R, -1)
-            D[l] = d_below = dh[l] * D[l] * di[l] * d_below
-    A = out @ S[-1]
-    if exact:
-        den = do * D[-1]
-        A = np.array([Fraction(x, den) for x in A], dtype=object)
-    return GridTensor(tensor=DenseTensor(A.reshape((M,) * T), p.field),
-                      depth=p.L, class_index=c)
+    def __init__(self, p, F, c):
+        form = _integer_form if p.field == EXACT else _float_form
+        self.wi, self.di = zip(*map(form, p.w_in))
+        self.wh, self.dh = zip(*map(form, p.w_hidden))
+        (self.out, self.do), (F, self.dF) = form(p.w_out[c - 1]), form(F)
+        self.input = F.T
+        h0, D0 = zip(*map(form, p.h0))
+        self.h0, self.D0 = [h[:, None] for h in h0], list(D0)
+
+    def advance(self, S, D, t):
+        """The per-layer states ``S`` over denominators ``D`` after t more
+        steps: new lists, each R x n array now R x n M^t."""
+        S, D = list(S), list(D)
+        R, M = S[0].shape[0], self.input.shape[1]
+        for _ in range(t):
+            below, d_below = self.input, self.dF
+            for l in range(len(S)):
+                h = ((self.wh[l] @ S[l])[:, :, None]
+                     * (self.wi[l] @ below).reshape(R, -1, M))
+                S[l] = below = h.reshape(R, -1)
+                D[l] = d_below = self.dh[l] * D[l] * self.di[l] * d_below
+        return S, D

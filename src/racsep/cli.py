@@ -12,7 +12,8 @@ import io
 import itertools
 import sys
 
-from .builders import build_grid_tensor, build_weights_tensor
+from .builders import (build_grid_tensor, build_weights_tensor,
+                       factored_start_end_rank)
 from .errors import RacsepError, ResourceBudgetError
 from .ranks import DEFAULT_REL_TOL, start_end_rank
 from .tensor import EXACT, FLOAT, save_tensor
@@ -186,7 +187,7 @@ def cmd_scan(args):
         fld = EXACT if L == 1 else FLOAT
         [(label, p)] = draw_trials(args.seed, M, R, T, L, 1, fld)
         if L == 1:
-            rank = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
+            rank = factored_start_end_rank(p, T).rank
             ref = f"theorem={min(R, M ** (T // 2))}"
             cut = str(min_cut(build_mps(p, T))[0])
         else:

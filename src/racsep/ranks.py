@@ -11,8 +11,13 @@ attempt stops at the first vector that reduces to zero mod p, and then
 Bareiss (division-deferred) elimination with full pivoting over
 arbitrary-precision integers gives the rank, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
-handled without loss.  The same Bareiss elimination solves square exact
-systems (:func:`solve_exact`), such as the neutral initial state W_h h0 = 1.
+handled without loss.  Each Bareiss pivot is the trailing entry of fewest
+bits (the first in row-major order on a tie), which keeps the cross
+products small.  The same Bareiss elimination solves square exact systems
+(:func:`solve_exact`), such as the neutral initial state W_h h0 = 1, and
+picks a column basis (:func:`column_basis`, its pivot columns), from which
+the builders compute a single-layer start/end rank through the
+mid-sequence states.
 """
 
 from __future__ import annotations
@@ -67,6 +72,19 @@ def rank_exact(m) -> RankReport:
     return RankReport(rank=rank, method="exact")
 
 
+def column_basis(m) -> list:
+    """Indices, ascending, of r = rank(m) columns of the exact matrix ``m``
+    that span its column space: Bareiss's pivot columns.  Scaling, dropping
+    and reordering rows keeps every column dependency, so the primitive rows
+    give the same columns."""
+    arr, fld = _as_matrix(m)
+    if fld != EXACT:
+        raise FieldMismatchError("column_basis requires the exact scalar field")
+    ncols = arr.shape[1]
+    rank, order = _bareiss(_primitive_rows(arr.reshape(-1), ncols), ncols)
+    return sorted(order[:rank])
+
+
 def solve_exact(a, b):
     """The x with a x = b over the rationals, for square exact ``a``, as an
     object array of Fractions; raises ParameterError if ``a`` is singular.
@@ -86,22 +104,16 @@ def solve_exact(a, b):
 
 def _bareiss(rows, ncols):
     """Bareiss elimination of the integer ``rows`` in place, with full
-    pivoting over the first ``ncols`` columns and any trailing right-hand
-    side carried along.  Returns the rank r and the column order (column k
-    now holds original column order[k]); rows[:r] end upper triangular."""
+    pivoting over the first ``ncols`` columns (on the trailing entry of
+    fewest bits) and any trailing right-hand side carried along.  Returns
+    the rank r and the column order (column k now holds original column
+    order[k]); rows[:r] end upper triangular, so columns order[:r] are
+    independent."""
     n = len(rows)
     order = list(range(ncols))
     prev = 1
     for k in range(min(n, ncols)):
-        # full pivoting: any nonzero entry in the trailing block will do
-        piv = None
-        for i in range(k, n):
-            for j in range(k, ncols):
-                if rows[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+        piv = _smallest_entry(rows, k, ncols)
         if piv is None:
             return k, order
         pi, pj = piv
@@ -119,6 +131,23 @@ def _bareiss(rows, ncols):
             rows[i][k] = 0
         prev = pivot
     return min(n, ncols), order
+
+
+def _smallest_entry(rows, k, ncols):
+    """(i, j) of the nonzero entry of fewest bits in rows[k:], columns
+    k..ncols-1, the first in row-major order on a tie; None if all are zero.
+    A small pivot keeps Bareiss's cross products small."""
+    best, piv = None, None
+    for i in range(k, len(rows)):
+        row = rows[i]
+        for j in range(k, ncols):
+            if row[j]:
+                bits = row[j].bit_length()
+                if best is None or bits < best:
+                    best, piv = bits, (i, j)
+                    if bits == 1:  # a unit: nothing is smaller
+                        return piv
+    return piv
 
 
 def _full_rank_mod_p(rows, ncols):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, IndexPartition, ParameterError, RAC_PRODUCT,
-                    RacParams, ResourceBudgetError, ShapeError,
-                    TemplateEncoder, attach_inputs, build_grid_tensor,
-                    build_mps, build_weights_tensor, contract, draw_params,
-                    exact_array, forward_deep, matricize, rank_exact,
-                    score_from_tensor, step_deep, trial_rng)
+from racsep import (EXACT, FLOAT, FieldMismatchError, IndexPartition,
+                    ParameterError, RAC_PRODUCT, RacParams,
+                    ResourceBudgetError, ShapeError, TemplateEncoder,
+                    attach_inputs, build_grid_tensor, build_mps,
+                    build_weights_tensor, contract, draw_params, exact_array,
+                    factored_start_end_rank, forward_deep, matricize,
+                    rank_exact, score_from_tensor, step_deep, trial_rng)
 from racsep.builders import GRID_BUDGET_ENV
 
 
@@ -243,3 +244,81 @@ def test_grid_frontier_matches_forward_with_rational_weights(data):
         assert isinstance(grid[idx], Fraction)
         want = forward_deep(q, RAC_PRODUCT, fenc, d)[0]
         assert abs(fgrid[idx] - want) <= 1e-12 * float(_abs_forward(p, F, d))
+
+
+def _weights_rank(p, T, c=1):
+    """The start/end rank of the materialized weights tensor."""
+    w = build_weights_tensor(p, c=c, T=T).tensor
+    return rank_exact(matricize(w, IndexPartition.start_end(T))).rank
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_factored_rank_matches_weights_tensor(data):
+    # rational weights with many zero entries, an explicit h0 that may be
+    # all zero (rank 0), a possibly singular W_h and any class
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 4))
+    T = data.draw(st.sampled_from([2, 4, 6] if M <= 2 else [2, 4]))
+    C = data.draw(st.integers(1, 2))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(
+        min_value=-3, max_value=3, max_denominator=5))
+
+    def rationals(*shape):
+        n = math.prod(shape)
+        return exact_array(data.draw(st.lists(entry, min_size=n, max_size=n)),
+                           shape=shape)
+
+    h0 = exact_array([0] * R) if data.draw(st.booleans()) else rationals(R)
+    p = RacParams(w_in=[rationals(R, M)], w_hidden=[rationals(R, R)],
+                  w_out=rationals(C, R), h0=[h0])
+    c = data.draw(st.integers(1, C))
+    rank = factored_start_end_rank(p, T, c=c)
+    assert rank.method == "exact"
+    assert rank.rank == _weights_rank(p, T, c)
+    assert rank.rank <= R
+
+
+def test_factored_rank_of_zero_h0_is_zero():
+    p = draw_params(trial_rng(0, 2, 3, 4, 1, 0), 2, 3)
+    p.h0 = [exact_array([0, 0, 0])]
+    assert factored_start_end_rank(p, 4).rank == 0 == _weights_rank(p, 4)
+
+
+def test_factored_rank_refusals():
+    deep = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2)
+    with pytest.raises(ParameterError, match="single-layer"):
+        factored_start_end_rank(deep, 4)
+    floats = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, field=FLOAT)
+    with pytest.raises(FieldMismatchError):
+        factored_start_end_rank(floats, 4)
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2)
+    for T in (0, 3, -2):
+        with pytest.raises(ShapeError):
+            factored_start_end_rank(p, T)
+    with pytest.raises(ParameterError, match="class index"):
+        factored_start_end_rank(p, 4, c=2)
+
+
+def test_factored_rank_budget_counts_each_half(monkeypatch):
+    # at (M, R, T) = (2, 2, 4) the mid states are 2 x 4 and, with a column
+    # basis of r = 2 start words, the end states are 2 x 2*4
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2)
+    assert factored_start_end_rank(p, 4).rank == 2
+    for budget, stage, required in ((7, "mid-sequence state array", 8),
+                                    (15, "end-half state array", 16)):
+        monkeypatch.setenv(GRID_BUDGET_ENV, str(budget))
+        with pytest.raises(ResourceBudgetError, match=stage) as ei:
+            factored_start_end_rank(p, 4)
+        assert (ei.value.required, ei.value.budget) == (required, budget)
+    monkeypatch.setenv(GRID_BUDGET_ENV, "16")
+    assert factored_start_end_rank(p, 4).rank == 2
+
+
+def test_factored_rank_beyond_the_weights_budget():
+    # 3^16 = 43M weights-tensor entries, refused by build_weights_tensor;
+    # the factored path builds 4 x 4*3^8 entries at most
+    p = draw_params(trial_rng(0, 3, 4, 16, 1, 0), 3, 4)
+    with pytest.raises(ResourceBudgetError):
+        build_weights_tensor(p, T=16)
+    assert factored_start_end_rank(p, 16).rank == 4

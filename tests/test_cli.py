@@ -123,6 +123,41 @@ def test_mincut_weights_budget_exit_code(capsys):
     assert "weights tensor needs 16777216 entries" in err
 
 
+def test_shallow_budget_exit_code_names_the_stage(capsys, monkeypatch):
+    # seed 7's (2,2,4) draw has rank 2, so its end-half states are
+    # R * r * M^(T/2) = 2 * 2 * 4 = 16 entries; its mid states are 8
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", "15")
+    code, out, err = run_cli(["verify", "shallow", "--M", "2", "--R", "2",
+                              "--T", "4", "--trials", "1", "--seed", "7"],
+                             capsys)
+    assert code == 3 and out == ""
+    assert "end-half state array needs 16 entries, budget is 15" in err
+
+
+def test_shallow_reaches_beyond_the_weights_budget(capsys):
+    # 2^24 weights-tensor entries, above the default budget of 10^7: the
+    # exact rank is read off 3 x 3*2^12 end-half states instead
+    code, out, _ = run_cli(["verify", "shallow", "--M", "2", "--R", "3",
+                            "--T", "24", "--trials", "1"], capsys)
+    assert (code, out) == (0, HEADER + "shallow,2,3,24,1,exact,0.0,3,3,true\n")
+
+
+# sha256 of the stdout of the shallow-exact benchmark sweep at seed 7,
+# recorded from the weights-tensor build it replaced: 801 lines, 11 false
+SHALLOW_SWEEP_SHA256 = \
+    "d109738ac2c4763c4c50c073cb7f8c1c5b98f3b7f48b28944e8dee9acd493528"
+
+
+def test_shallow_sweep_golden_digest(capsys):
+    code, out, _ = run_cli(["verify", "shallow", "--M", "2,3", "--R",
+                            "1,2,3,4", "--T", "4,6", "--trials", "50",
+                            "--seed", "7"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 801 and sum(l.endswith(",false") for l in lines) == 11
+    assert hashlib.sha256(out.encode()).hexdigest() == SHALLOW_SWEEP_SHA256
+
+
 def test_csv_byte_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -1,8 +1,10 @@
 """The exact rank oracle's mod-p full-rank certificate against Bareiss.
 
 ``rank_exact`` reports min(rows, columns) when the primitive rows have full
-rank modulo a prime, and runs Bareiss otherwise.  Every test here compares
-that answer with Bareiss on the same primitive rows.
+rank modulo a prime, and runs Bareiss otherwise.  Every certificate test
+here compares that answer with Bareiss on the same primitive rows.  The
+Bareiss pivot rule, the column basis read off its pivots, and the factored
+single-layer start/end rank built on that basis are checked here too.
 """
 
 from fractions import Fraction
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (AppendixBAssignment, IndexPartition, ParameterError,
-                    build_grid_tensor, check_claim1_equality, exact_array,
-                    matricize, rank_exact, verify_min_cut,
-                    verify_shallow_rank_law)
+from racsep import (AppendixBAssignment, FieldMismatchError, IndexPartition,
+                    ParameterError, build_grid_tensor, build_weights_tensor,
+                    check_claim1_equality, column_basis, draw_trials,
+                    exact_array, factored_start_end_rank, matricize,
+                    rank_exact, verify_min_cut, verify_shallow_rank_law)
 from racsep import ranks
 from racsep.ranks import solve_exact
 
@@ -84,6 +87,14 @@ def test_certificate_agrees_with_bareiss_on_suite_draws(monkeypatch):
     assert True in verdicts and False in verdicts
 
 
+def test_factored_rank_agrees_with_weights_tensor_on_suite_draws():
+    for M, R, T in SUITE_CELLS:
+        for _, p in draw_trials(7, M, R, T, 1, 50, "exact"):
+            w = build_weights_tensor(p, T=T).tensor
+            want = rank_exact(matricize(w, IndexPartition.start_end(T))).rank
+            assert factored_start_end_rank(p, T).rank == want <= R
+
+
 def _matrices_with_redundant_rows():
     """Integer matrices of chosen rank (a product of two random factors),
     with entries near multiples of the prime, plus scaled, repeated and zero
@@ -136,9 +147,37 @@ def test_more_rows_than_columns_checks_columns():
     assert rank_exact(exact_array([[1], [2], [Fraction(1, 3)]])).rank == 1
 
 
+@settings(deadline=None, max_examples=100)
+@given(_matrices_with_redundant_rows())
+def test_column_basis_spans_the_columns(rows):
+    m = exact_array(rows)
+    basis = column_basis(m)
+    rank = rank_exact(m).rank
+    assert basis == sorted(set(basis)) and len(basis) == rank
+    assert rank_exact(m[:, basis]).rank == rank
+
+
+def test_column_basis_skips_dependent_columns():
+    m = exact_array([[0, 2, 4, 1], [0, 1, 2, 0], [0, 3, 6, 1]])
+    assert column_basis(m) in ([1, 3], [2, 3])
+    with pytest.raises(FieldMismatchError):
+        column_basis(np.ones((2, 2)))
+
+
+def test_bareiss_pivots_on_the_entry_of_fewest_bits():
+    rows = [[6, 4, 12], [3, -1, 5]]
+    rank, order = _bareiss(rows, 3)
+    # -1 first; the second pivot is then -18 of the eliminated [-18, -32]
+    assert rank == 2 and order == [1, 0, 2]
+    assert rows[0][0] == -1 and rows[1][1:] == [-18, -32]
+    # a tie goes to the first entry in row-major order
+    assert _bareiss([[5, 6], [7, 4]], 2)[1] == [0, 1]
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_empty_matrices_have_rank_zero(shape):
     assert rank_exact(np.empty(shape, dtype=object)).rank == 0
+    assert column_basis(np.empty(shape, dtype=object)) == []
 
 
 def test_solve_exact_on_int64_matrix():

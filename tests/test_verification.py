@@ -15,6 +15,7 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
                     rank_exact, rows_to_csv, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
+from racsep import builders, verification
 from racsep.verification import bucket_states, bucket_trajectories
 
 
@@ -96,6 +97,20 @@ def test_verify_shallow_rank_law():
 def test_verify_shallow_float_field():
     rep = verify_shallow_rank_law(2, 2, 4, trials=5, seed=2, field=FLOAT)
     assert rep.passed
+
+
+def test_verify_shallow_exact_never_builds_the_weights_tensor(monkeypatch):
+    # exact ranks come from the mid-sequence states; float ones still SVD
+    # the weights tensor
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_weights_tensor called")
+
+    monkeypatch.setattr(builders, "build_weights_tensor", refuse)
+    monkeypatch.setattr(verification, "build_weights_tensor", refuse)
+    rep = verify_shallow_rank_law(3, 2, 6, trials=5, seed=7, field=EXACT)
+    assert rep.passed and [r.observed for r in rep.rows] == ["2"] * 5
+    with pytest.raises(AssertionError, match="build_weights_tensor called"):
+        verify_shallow_rank_law(3, 2, 6, trials=1, seed=7, field=FLOAT)
 
 
 def test_verify_deep_lower_bound():
