@@ -1,15 +1,14 @@
 """Separation-rank toolkit for multiplicative recurrent networks.
 
-Builds the closed-form weights tensor (tensor-train), grid tensors, and
-tensor-network graphs of shallow and deep multiplicative recurrent
+Builds grid tensors, the weights tensor (the grid under identity
+templates), and tensor-network graphs of shallow and deep multiplicative recurrent
 networks, and checks the rank laws, lower bounds, and combinatorial lemmas
 that govern their start/end dependency structure — with an exact rational
 rank oracle and an SVD-based numeric one.
 """
 
-from .builders import (GridTensor, WeightsTensor, build_grid_tensor,
-                       build_weights_tensor, factored_start_end_rank,
-                       grid_budget, score_from_tensor)
+from .builders import (GridTensor, build_grid_tensor, build_weights_tensor,
+                       factored_start_end_rank, grid_budget, score_from_tensor)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
 from .network import (RAC_PRODUCT, RacParams, TemplateEncoder, forward_deep,

@@ -1,19 +1,19 @@
-"""Coefficient tensors and grid tensors of multiplicative recurrent networks.
+"""Grid tensors, weights tensors and start/end ranks of multiplicative
+recurrent networks, all advanced on one level-by-level frontier.
 
-A single-layer multiplicative network evaluated for T steps has a closed
-form: the score is a full contraction of an order-T coefficient tensor (the
-weights tensor) with the per-step input encodings.  The weights tensor is
-assembled by a tensor-train recursion of bond rank R, seeded with W_h h0 so
-that any initial state is honoured, one batched matrix product per
-time-step; exact tensors are computed in Python integers over one common
-denominator.  Grid tensors hold raw network outputs on every length-T symbol
-sequence and exist for any depth; they are built the same way, one batched
-product per layer per time-step.
+A grid tensor holds a network's outputs on every length-T sequence of
+template symbols, for any depth; the frontier (:class:`_Frontier`) builds it
+with one batched product per layer per time-step, exact tensors in Python
+integers over one common denominator.  A single-layer network's score is the
+full contraction of its order-T coefficient tensor (the weights tensor) with
+the per-step input encodings, and by the paper's Claim 1 the grid tensor is
+the weights tensor with every mode multiplied by the template matrix F; so
+the weights tensor is the grid tensor under identity templates.
 
 The exact start/end rank of a single-layer network needs neither tensor
-(:func:`factored_start_end_rank`): the grid's frontier advances every start
-word's state T/2 steps, an exact column basis of those states picks r <= R
-start words, and only their states are advanced the other T/2 steps (the
+(:func:`factored_start_end_rank`): the frontier advances every start word's
+state T/2 steps, an exact column basis of those states picks r <= R start
+words, and only their states are advanced the other T/2 steps (the
 tensor-train view of Khrulkov, Novikov and Oseledets, ICLR 2018).
 Every array a builder makes counts against RACSEP_GRID_BUDGET: M^T entries
 for a weights or grid tensor, R M^(T/2) and R r M^(T/2) for the two halves
@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import (FieldMismatchError, ParameterError, ResourceBudgetError,
                      ShapeError)
-from .network import RacParams, TemplateEncoder, as_symbols, check_encoder
+from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
+                      check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
 from .ranks import RankReport, column_basis, rank_exact
@@ -54,75 +55,31 @@ def _check_entries(what, required):
 
 
 @dataclass(frozen=True)
-class WeightsTensor:
-    tensor: DenseTensor
-    class_index: int
-    tt_rank: int
-
-
-@dataclass(frozen=True)
 class GridTensor:
+    """What both tensor builders return: the order-T tensor they built."""
+
     tensor: DenseTensor
-    depth: int
-    class_index: int
 
 
-def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> WeightsTensor:
-    """Tensor-train assembly of the order-T coefficient tensor for class c.
+def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> GridTensor:
+    """The order-T coefficient tensor A of the single-layer network p for
+    class c: the score of any template sequence is the contraction of A with
+    its encodings (:func:`score_from_tensor`).
 
-    With s = Wh h0 the hidden input of the first step and phi_t the R x M^t
-    matrix whose row b holds (Wh h_t)[b] for every input word d_1..d_t, the
-    recursion is
-
-        phi_1 = Wh (s[:, None] * Wi)
-        phi_t = Wh (phi_{t-1} x Wi)      (row-wise outer product, flattened)
-        A     = Wo[c] (phi_{T-1} x Wi)
-
-    which reproduces the step-by-step forward pass from the initial state
-    p.h0.  Over the exact field the recursion runs on Python integers: the
-    denominators of Wi, Wh, Wo[c] and s are cleared once, and every entry is
-    divided by the one common denominator at the end.  The entry budget is
-    the grid tensors' RACSEP_GRID_BUDGET.
+    By Claim 1 the grid tensor is A with every mode multiplied by the
+    template matrix F, so A is the grid tensor under identity templates,
+    advanced from the initial state p.h0 on the grid's frontier.  The entry
+    budget is the grid tensors' RACSEP_GRID_BUDGET.
     """
     if p.L != 1:
         raise ParameterError("weights tensor is defined for single-layer networks")
     if T < 2:
         raise ShapeError(f"T must be >= 2, got {T}")
-    _check_class(p, c)
-    _check_entries("weights tensor", p.M ** T)
-    wi, wh, out = p.w_in[0], p.w_hidden[0], p.w_out[c - 1]
-    s = wh @ p.h0[0]
-    if p.field == EXACT:
-        (wi, di), (wh, dh), (out, do), (s, ds) = map(
-            _integer_form, (wi, wh, out, s))
-    R = p.R
-
-    def extend(phi):
-        return (phi[:, :, None] * wi[:, None, :]).reshape(R, -1)
-
-    phi = wh @ (s[:, None] * wi)
-    for _ in range(2, T):
-        phi = wh @ extend(phi)
-    A = out @ extend(phi)
-    if p.field == EXACT:
-        den = ds * di ** T * dh ** (T - 1) * do
-        A = np.array([Fraction(x, den) for x in A], dtype=object)
-    A = A.reshape((p.M,) * T)
-    return WeightsTensor(tensor=DenseTensor(A, p.field), class_index=c, tt_rank=R)
+    identity = DenseTensor(np.eye(p.M, dtype=int), p.field).data
+    return _outputs(p, identity, c, T, "weights tensor")
 
 
-def _integer_form(a):
-    """(n, d): an object array n of Python ints and an int d with a == n / d."""
-    ints, den = clear_denominators(a.reshape(-1))
-    return np.array(ints, dtype=object).reshape(a.shape), den
-
-
-def _float_form(a):
-    """(a as float64, 1): the float counterpart of :func:`_integer_form`."""
-    return np.asarray(a, dtype=np.float64), 1
-
-
-def score_from_tensor(w: WeightsTensor, enc: TemplateEncoder, seq) -> object:
+def score_from_tensor(w: GridTensor, enc: TemplateEncoder, seq) -> object:
     """Full contraction sum_d A_d prod_i F[seq_i, d_i]; a single entry lookup
     when the encoder is the identity."""
     t = w.tensor
@@ -145,18 +102,24 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
     if enc is None:
         enc = TemplateEncoder.identity(p.M, p.field)
     check_encoder(enc, p.M, p.field)
-    _check_class(p, c)
     if T < 1:
         raise ShapeError(f"T must be >= 1, got {T}")
-    _check_entries("grid tensor", p.M ** T)
-    net = _Frontier(p, enc.F, c)
+    return _outputs(p, enc.F, c, T, "grid tensor")
+
+
+def _outputs(p, F, c, T, what):
+    """The tensor ``what`` of p's class-c outputs on all M^T sequences of
+    the templates F, advanced from h0 on one :class:`_Frontier` and divided
+    by its one denominator over the exact field."""
+    check_class(p, c)
+    _check_entries(what, p.M ** T)
+    net = _Frontier(p, F, c)
     S, D = net.advance(net.h0, net.D0, T)
     A = net.out @ S[-1]
     if p.field == EXACT:
         den = net.do * D[-1]
         A = np.array([Fraction(x, den) for x in A], dtype=object)
-    return GridTensor(tensor=DenseTensor(A.reshape((p.M,) * T), p.field),
-                      depth=p.L, class_index=c)
+    return GridTensor(DenseTensor(A.reshape((p.M,) * T), p.field))
 
 
 def factored_start_end_rank(p: RacParams, T: int, c: int = 1) -> RankReport:
@@ -178,7 +141,7 @@ def factored_start_end_rank(p: RacParams, T: int, c: int = 1) -> RankReport:
             "factored start/end rank requires the exact scalar field")
     if T < 2 or T % 2:
         raise ShapeError(f"T must be even and >= 2, got {T}")
-    _check_class(p, c)
+    check_class(p, c)
     half, width = T // 2, p.M ** (T // 2)
     net = _Frontier(p, np.eye(p.M, dtype=object), c)
     _check_entries("mid-sequence state array", p.R * width)
@@ -189,9 +152,15 @@ def factored_start_end_rank(p: RacParams, T: int, c: int = 1) -> RankReport:
     return rank_exact((net.out @ ends).reshape(len(basis), width))
 
 
-def _check_class(p, c):
-    if not 1 <= c <= p.C:
-        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+def _integer_form(a):
+    """(n, d): an object array n of Python ints and an int d with a == n / d."""
+    ints, den = clear_denominators(a.reshape(-1))
+    return np.array(ints, dtype=object).reshape(a.shape), den
+
+
+def _float_form(a):
+    """(a as float64, 1): the float counterpart of :func:`_integer_form`."""
+    return np.asarray(a, dtype=np.float64), 1
 
 
 class _Frontier:

@@ -60,7 +60,8 @@ def _add_grid_flags(p, trials):
         p.add_argument("--trials", type=_positive, default=30)
         p.add_argument("--field", choices=[EXACT, FLOAT], default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
+    p.add_argument("--rel-tol", type=float,
+                   default=None if trials else DEFAULT_REL_TOL)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
@@ -117,18 +118,21 @@ SUITES = {
                          for M, R, T in _cells(a)],
 }
 
-# verify flag -> (the one suite that reads it, its default there).  On verify
+# verify flag -> (the suites that read it, its default there).  On verify
 # these flags parse to None when not given, so other suites can refuse them.
-SUITE_FLAGS = {"field": ("shallow", EXACT), "L": ("conjecture", [1])}
+SUITE_FLAGS = {"field": ({"shallow"}, EXACT), "L": ({"conjecture"}, [1]),
+               "P": ({"noclone"}, [2, 3, 4]),
+               "rel_tol": ({"shallow", "deep", "conjecture"}, DEFAULT_REL_TOL)}
 
 
 def _suite_flags(args):
     """Fills in SUITE_FLAGS' defaults, refusing a flag its suite won't read."""
-    for flag, (suite, default) in SUITE_FLAGS.items():
+    for flag, (suites, default) in SUITE_FLAGS.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-        elif args.suite != suite:
-            raise RacsepError(f"--{flag} applies only to verify {suite}")
+        elif args.suite not in suites:
+            raise RacsepError(f"--{flag.replace('_', '-')} applies only to "
+                              f"verify {', '.join(sorted(suites))}")
 
 
 def build_parser():
@@ -141,7 +145,7 @@ def build_parser():
     vp = sub.add_parser("verify", help="run one verification suite")
     vp.add_argument("suite", choices=list(SUITES))
     _add_grid_flags(vp, trials=True)
-    vp.add_argument("--P", type=_int_list, default=[2, 3, 4],
+    vp.add_argument("--P", type=_int_list, default=None,
                     help="duplication dims for the noclone suite")
 
     sp = sub.add_parser("scan", help="rank/bound table over a parameter grid")

@@ -146,6 +146,12 @@ def check_encoder(enc: TemplateEncoder, M, field):
         raise ParameterError("encoder and parameters must share one scalar field")
 
 
+def check_class(p: RacParams, c):
+    """Raises ParameterError unless c indexes one of p's C output classes."""
+    if not 1 <= c <= p.C:
+        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+
+
 def step_deep(p: RacParams, g, states, encoded):
     """Advance every layer one time-step, merging the hidden-state and input
     terms with ``g``; returns the new per-layer states."""

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError)
-from .network import RacParams, TemplateEncoder, as_symbols, check_encoder
+from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
+                      check_encoder)
 from .ranks import multiset_coefficient
 from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
@@ -149,8 +150,7 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
         nodes["out"] = DenseTensor(p.w_out, p.field)
         open_legs.append(OpenLeg("out", 0, p.C, time_index=None, side=OUTPUT))
     else:
-        if not 1 <= c <= p.C:
-            raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+        check_class(p, c)
         nodes["out"] = DenseTensor(p.w_out[c - 1], p.field)
     edges.append(Edge(f"cell{T}", 2, "out", 1 if c is None else 0, R))
     return TnGraph(nodes, edges, open_legs)
@@ -171,8 +171,7 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
         raise ResourceBudgetError(
             f"deep graph budget is L<={DEEP_TN_MAX_L}, T<={DEEP_TN_MAX_T}; "
             f"requested L={p.L}, T={T}")
-    if not 1 <= c <= p.C:
-        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+    check_class(p, c)
     R, M = p.R, p.M
     delta = delta_tensor(R, p.field)
     nodes, edges, open_legs = {}, [], []

@@ -21,7 +21,7 @@ import numpy as np
 from .builders import (build_grid_tensor, build_weights_tensor,
                        factored_start_end_rank)
 from .errors import InvalidInputError, ParameterError
-from .network import RacParams, neutral_h0
+from .network import RacParams, TemplateEncoder, neutral_h0
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
                     start_end_rank)
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
@@ -215,11 +215,15 @@ def verify_deep_lower_bound(M, R, T, trials=30, seed=0,
 
 
 def check_claim1_equality(M, R, T, trials, seed=0) -> Report:
-    """With identity templates the grid tensor's matricization rank equals
-    the weights tensor's, draw for draw."""
+    """Claim 1: the grid tensor is the weights tensor with every mode
+    multiplied by the template matrix F, so for a non-singular F the two
+    matricizations have equal rank.  Checked draw for draw under fixed
+    templates: the lower-triangular all-ones F, of det 1 and not the
+    identity for M >= 2."""
+    enc = TemplateEncoder(exact_array(np.tril(np.ones((M, M), dtype=int))))
     rep = Report("claim1", M, R, T)
     for label, p in draw_trials(seed, M, R, T, 1, trials, EXACT):
-        rg = start_end_rank(build_grid_tensor(p, T=T).tensor).rank
+        rg = start_end_rank(build_grid_tensor(p, enc, T=T).tensor).rank
         rw = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
         rep.add(EXACT, label, rg, rw, rg == rw)
     return rep
@@ -391,8 +395,8 @@ def check_hadamard_power_bound(trials, seed=0) -> Report:
 def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
     """Min-cut certificate: on the single-layer chain the minimal
     multiplicative cut between start and end legs equals min{R, M^(T/2)}
-    structurally, and equals the exact matricization rank for almost every
-    draw."""
+    structurally, and equals the exact matricization rank
+    (:func:`factored_start_end_rank`) for almost every draw."""
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     structural = min(R, M ** (T // 2))
@@ -402,7 +406,7 @@ def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
         if cut != structural:
             rep.add(EXACT, label, f"cut={cut}", f"cut={structural}", False)
             continue
-        rank = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
+        rank = factored_start_end_rank(p, T).rank
         rep.add(EXACT, label, f"rank={rank}", f"rank={cut}", rank == cut,
                 required=False)
     return rep

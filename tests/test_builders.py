@@ -1,4 +1,4 @@
-"""Weights tensor (tensor-train assembly) and grid tensor builders."""
+"""Weights tensor and grid tensor builders, and the factored start/end rank."""
 
 import itertools
 import math
@@ -37,7 +37,6 @@ def test_weights_tensor_r1_rank_one():
     w = build_weights_tensor(p, T=4)
     m = matricize(w.tensor, IndexPartition.start_end(4))
     assert rank_exact(m).rank == 1
-    assert w.tt_rank == 1
 
 
 def test_weights_tensor_class_selection():
@@ -94,7 +93,6 @@ def test_grid_tensor_matches_forward_deep():
     for d in itertools.product([1, 2], repeat=3):
         idx = tuple(x - 1 for x in d)
         assert g.tensor[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
-    assert g.depth == 2
 
 
 def test_grid_tensor_float_field():
@@ -152,9 +150,11 @@ def test_grid_equals_weights_tensor_identity_encoder():
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_builders_agree_with_forward_for_explicit_h0(data):
-    # weights tensor (TT recursion), grid frontier, MPS contraction and forward
-    # pass are independent paths; with an explicit rational h0 and a hidden
-    # matrix that may be singular, all four must give the same exact output
+    # with an explicit rational h0, a hidden matrix that may be singular and
+    # a non-singular rational encoder F, the grid under F, the weights tensor
+    # contracted with F (Claim 1), the MPS contraction and the forward pass
+    # must give the same exact output; the builders share the frontier, the
+    # other two paths do not
     M = data.draw(st.integers(1, 3))
     R = data.draw(st.integers(1, 3))
     T = data.draw(st.integers(2, 4 if M <= 2 else 3))
@@ -170,19 +170,23 @@ def test_builders_agree_with_forward_for_explicit_h0(data):
     h0 = exact_array(data.draw(st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
         min_size=R, max_size=R)))
+    F = exact_array(data.draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        min_size=M * M, max_size=M * M)), shape=(M, M))
+    assume(rank_exact(F).rank == M)
     p = RacParams(w_in=[ints(R, M)], w_hidden=[wh], w_out=ints(1, R),
                   h0=[h0])
-    enc = TemplateEncoder.identity(M)
-    weights = build_weights_tensor(p, T=T).tensor
-    grid = build_grid_tensor(p, T=T).tensor
+    enc = TemplateEncoder(F)
+    weights = build_weights_tensor(p, T=T)
+    grid = build_grid_tensor(p, enc=enc, T=T).tensor
     mps = build_mps(p, T)
     for d in itertools.product(range(1, M + 1), repeat=T):
         idx = tuple(x - 1 for x in d)
         want = forward_deep(p, RAC_PRODUCT, enc, d)[0]
-        assert weights[idx] == want
+        assert score_from_tensor(weights, enc, d) == want
         assert grid[idx] == want
         assert contract(attach_inputs(mps, enc, d)).entries[0] == want
-        assert isinstance(weights[idx], Fraction)
+        assert isinstance(grid[idx], Fraction)
 
 
 def _abs_forward(p, F, seq):

@@ -80,13 +80,32 @@ def test_scan_refuses_verify_only_flags(flag, capsys):
     "deep --L 3",
     "shallow --L 1",
     "lemmas --L 2",
+    "shallow --P 9",
+    "mincut --P 2",
+    "claim1 --rel-tol 5",
+    "mincut --rel-tol 1e-3",
+    "lemmas --rel-tol 1e-3",
+    "noclone --rel-tol 1e-3",
 ])
 def test_verify_refuses_flags_its_suite_does_not_read(args, capsys):
-    # --field belongs to shallow and --L to conjecture; refused before a check
+    # --field belongs to shallow, --L to conjecture, --P to noclone and
+    # --rel-tol to shallow, deep and conjecture; refused before a check
     code, out, err = run_cli(["verify"] + args.split() + ["--trials", "1"],
                              capsys)
     assert code == 2 and out == ""
     assert "applies only to verify" in err
+
+
+@pytest.mark.parametrize("args", [
+    "shallow --field float --rel-tol 1e-9",
+    "deep --rel-tol 1e-9",
+    "conjecture --L 2 --rel-tol 1e-9",
+    "noclone --P 2",
+])
+def test_verify_accepts_flags_its_suite_reads(args, capsys):
+    code, out, err = run_cli(["verify"] + args.split() + ["--trials", "1"],
+                             capsys)
+    assert code in (0, 1) and out.startswith(HEADER) and err == ""
 
 
 def test_unknown_suite_usage_error():
@@ -114,13 +133,24 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert "budget" in err
 
 
-def test_mincut_weights_budget_exit_code(capsys):
+def test_mincut_reaches_beyond_the_weights_budget(capsys):
     # the 26-node chain is cut at once; its 2^24-entry weights tensor is
-    # above the default budget of 10^7
-    code, _, err = run_cli(["verify", "mincut", "--M", "2", "--R", "3",
+    # above the default budget of 10^7, so the rank is read off the
+    # 3 x 2^12 mid-sequence states instead
+    code, out, _ = run_cli(["verify", "mincut", "--M", "2", "--R", "3",
                             "--T", "24", "--trials", "1"], capsys)
-    assert code == 3
-    assert "weights tensor needs 16777216 entries" in err
+    assert (code, out) == (0, HEADER + "mincut,2,3,24,1,exact,0.0,rank=3,"
+                                       "rank=3,true\n")
+
+
+def test_mincut_budget_exit_code_names_the_stage(capsys, monkeypatch):
+    # the mid-sequence states are R * M^(T/2) = 3 * 2^12 = 12288 entries
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", "12287")
+    code, out, err = run_cli(["verify", "mincut", "--M", "2", "--R", "3",
+                              "--T", "24", "--trials", "1"], capsys)
+    assert code == 3 and out == ""
+    assert ("mid-sequence state array needs 12288 entries, budget is 12287"
+            in err)
 
 
 def test_shallow_budget_exit_code_names_the_stage(capsys, monkeypatch):

@@ -129,6 +129,29 @@ def test_claim1_equality():
         assert rep.passed and all(r.passed for r in rep.rows)
 
 
+@pytest.mark.parametrize("M", [2, 3])
+def test_claim1_builds_its_grid_under_unimodular_non_identity_templates(
+        M, monkeypatch):
+    # with identity templates the grid is the weights tensor itself, and the
+    # check would compare one construction with itself
+    seen = []
+
+    def spy(p, enc=None, *args, **kwargs):
+        seen.append(enc)
+        return build_grid_tensor(p, enc, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "build_grid_tensor", spy)
+    assert check_claim1_equality(M, 2, 4, trials=2, seed=3).passed
+    assert len(seen) == 2
+    for enc in seen:
+        F = enc.F
+        assert enc.field == EXACT and F.shape == (M, M)
+        assert not (F == np.eye(M, dtype=int)).all()
+        # integer and triangular with unit diagonal, so det F = 1
+        assert all(x.denominator == 1 for x in F.reshape(-1))
+        assert (np.triu(F, 1) == 0).all() and (np.diag(F) == 1).all()
+
+
 def test_conjectured_bound():
     assert conjectured_bound(2, 2, 4, 3) == 4  # capped at M^(T/2)
     assert conjectured_bound(3, 3, 6, 2) == 10  # multiset(3, 3)
