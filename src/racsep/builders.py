@@ -10,14 +10,16 @@ the per-step input encodings, and by the paper's Claim 1 the grid tensor is
 the weights tensor with every mode multiplied by the template matrix F; so
 the weights tensor is the grid tensor under identity templates.
 
-The exact start/end rank of a single-layer network needs neither tensor
-(:func:`factored_start_end_rank`): the frontier advances every start word's
-state T/2 steps, an exact column basis of those states picks r <= R start
-words, and only their states are advanced the other T/2 steps (the
-tensor-train view of Khrulkov, Novikov and Oseledets, ICLR 2018).
-Every array a builder makes counts against RACSEP_GRID_BUDGET: M^T entries
-for a weights or grid tensor, R M^(T/2) and R r M^(T/2) for the two halves
-of the factored rank.
+A network's start/end rank, the Start-End separation rank of its output,
+has one entry point (:func:`separation_rank`), which picks the oracle.  An
+exact single-layer network needs neither tensor: the frontier advances
+every start word's state T/2 steps, an exact column basis of those states
+picks r <= R start words, and only their states are advanced the other T/2
+steps (the tensor-train view of Khrulkov, Novikov and Oseledets, ICLR
+2018).  Every other network is ranked through its grid tensor under
+identity templates.  Every array a builder makes counts against
+RACSEP_GRID_BUDGET: M^T entries for a weights or grid tensor, R M^(T/2)
+and R r M^(T/2) for the two halves of the exact single-layer rank.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (FieldMismatchError, ParameterError, ResourceBudgetError,
-                     ShapeError)
+from .errors import ParameterError, ResourceBudgetError, ShapeError
 from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
                       check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
-from .ranks import RankReport, column_basis, rank_exact
+from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis, rank_exact,
+                    start_end_rank)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -75,8 +77,7 @@ def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> GridTensor:
         raise ParameterError("weights tensor is defined for single-layer networks")
     if T < 2:
         raise ShapeError(f"T must be >= 2, got {T}")
-    identity = DenseTensor(np.eye(p.M, dtype=int), p.field).data
-    return _outputs(p, identity, c, T, "weights tensor")
+    return _outputs(p, _identity(p), c, T, "weights tensor")
 
 
 def score_from_tensor(w: GridTensor, enc: TemplateEncoder, seq) -> object:
@@ -99,12 +100,18 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
     advanced level by level from h0 (see :class:`_Frontier`).  The entry
     budget is read from the RACSEP_GRID_BUDGET environment variable.
     """
-    if enc is None:
-        enc = TemplateEncoder.identity(p.M, p.field)
-    check_encoder(enc, p.M, p.field)
+    if enc is not None:
+        check_encoder(enc, p.M, p.field)
     if T < 1:
         raise ShapeError(f"T must be >= 1, got {T}")
-    return _outputs(p, enc.F, c, T, "grid tensor")
+    return _outputs(p, _identity(p) if enc is None else enc.F, c, T,
+                    "grid tensor")
+
+
+def _identity(p):
+    """The identity templates' M x M matrix in p's field (Python ints over
+    the exact field, which the frontier takes as they are)."""
+    return np.eye(p.M, dtype=object if p.field == EXACT else np.float64)
 
 
 def _outputs(p, F, c, T, what):
@@ -122,28 +129,29 @@ def _outputs(p, F, c, T, what):
     return GridTensor(DenseTensor(A.reshape((p.M,) * T), p.field))
 
 
-def factored_start_end_rank(p: RacParams, T: int, c: int = 1) -> RankReport:
-    """Exact rank of the start/end matricization G of the single-layer
-    network p's order-T weights tensor for class c, without building it.
+def separation_rank(p: RacParams, T: int, c: int = 1,
+                    rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
+    """The Start-End separation rank of network p's class-c output on
+    length-T sequences: the rank of the start/end matricization of its grid
+    tensor under identity templates (its weights tensor when L = 1), exact
+    for the exact field and by SVD with ``rel_tol`` for the float field.
 
-    Row s of G holds the outputs, over every end word, of start word s's
-    hidden state after T/2 steps, and is linear in that state: G = A C with
-    row s of A that state.  So the start words of an exact column basis of
-    the R x M^(T/2) mid-sequence state array (A transposed) give r <= R rows
-    of G, G_S, that span G's rows, and rank G = rank G_S.  Only those r
-    states are advanced the other T/2 steps.
+    An exact single-layer network is ranked without building either tensor.
+    Row s of the matricization G holds the outputs, over every end word, of
+    start word s's hidden state after T/2 steps, and is linear in that
+    state: G = A C with row s of A that state.  So the start words of an
+    exact column basis of the R x M^(T/2) mid-sequence state array (A
+    transposed) give r <= R rows of G, G_S, that span G's rows, and
+    rank G = rank G_S.  Only those r states are advanced the other T/2
+    steps.
     """
-    if p.L != 1:
-        raise ParameterError(
-            "factored start/end rank is defined for single-layer networks")
-    if p.field != EXACT:
-        raise FieldMismatchError(
-            "factored start/end rank requires the exact scalar field")
     if T < 2 or T % 2:
         raise ShapeError(f"T must be even and >= 2, got {T}")
+    if p.L != 1 or p.field != EXACT:
+        return start_end_rank(build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
     check_class(p, c)
     half, width = T // 2, p.M ** (T // 2)
-    net = _Frontier(p, np.eye(p.M, dtype=object), c)
+    net = _Frontier(p, _identity(p), c)
     _check_entries("mid-sequence state array", p.R * width)
     [mid], D = net.advance(net.h0, net.D0, half)
     basis = column_basis(mid)

@@ -13,9 +13,9 @@ import itertools
 import sys
 
 from .builders import (build_grid_tensor, build_weights_tensor,
-                       factored_start_end_rank)
+                       separation_rank)
 from .errors import RacsepError, ResourceBudgetError
-from .ranks import DEFAULT_REL_TOL, start_end_rank
+from .ranks import DEFAULT_REL_TOL
 from .tensor import EXACT, FLOAT, save_tensor
 from .tn import (build_deep_tn, build_mps, count_basic_units, min_cut,
                  save_graph)
@@ -54,14 +54,12 @@ def _add_grid_flags(p, trials):
     p.add_argument("--M", type=_int_list, default=[2], help="template counts")
     p.add_argument("--R", type=_int_list, default=[2], help="hidden widths")
     p.add_argument("--T", type=_int_list, default=[4], help="sequence lengths")
-    p.add_argument("--L", type=_int_list, default=None if trials else [1],
-                   help="depths")
+    p.add_argument("--L", type=_int_list, default=[1], help="depths")
     if trials:
         p.add_argument("--trials", type=_positive, default=30)
-        p.add_argument("--field", choices=[EXACT, FLOAT], default=None)
+        p.add_argument("--field", choices=[EXACT, FLOAT])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rel-tol", type=float,
-                   default=None if trials else DEFAULT_REL_TOL)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
@@ -120,7 +118,10 @@ SUITES = {
 
 # verify flag -> (the suites that read it, its default there).  On verify
 # these flags parse to None when not given, so other suites can refuse them.
-SUITE_FLAGS = {"field": ({"shallow"}, EXACT), "L": ({"conjecture"}, [1]),
+_GRID_SUITES = set(SUITES) - {"noclone"}
+SUITE_FLAGS = {"M": (_GRID_SUITES, [2]), "R": (_GRID_SUITES, [2]),
+               "T": (_GRID_SUITES, [4]),
+               "field": ({"shallow"}, EXACT), "L": ({"conjecture"}, [1]),
                "P": ({"noclone"}, [2, 3, 4]),
                "rel_tol": ({"shallow", "deep", "conjecture"}, DEFAULT_REL_TOL)}
 
@@ -145,8 +146,9 @@ def build_parser():
     vp = sub.add_parser("verify", help="run one verification suite")
     vp.add_argument("suite", choices=list(SUITES))
     _add_grid_flags(vp, trials=True)
-    vp.add_argument("--P", type=_int_list, default=None,
+    vp.add_argument("--P", type=_int_list,
                     help="duplication dims for the noclone suite")
+    vp.set_defaults(**dict.fromkeys(SUITE_FLAGS))
 
     sp = sub.add_parser("scan", help="rank/bound table over a parameter grid")
     _add_grid_flags(sp, trials=False)
@@ -190,13 +192,11 @@ def cmd_scan(args):
     for M, R, T, L in _depth_cells(args):
         fld = EXACT if L == 1 else FLOAT
         [(label, p)] = draw_trials(args.seed, M, R, T, L, 1, fld)
+        rank = separation_rank(p, T, rel_tol=args.rel_tol).rank
         if L == 1:
-            rank = factored_start_end_rank(p, T).rank
             ref = f"theorem={min(R, M ** (T // 2))}"
             cut = str(min_cut(build_mps(p, T))[0])
         else:
-            rank = start_end_rank(build_grid_tensor(p, T=T).tensor,
-                                  args.rel_tol).rank
             ref = f"conjecture={conjectured_bound(M, R, T, L)}"
             cut = ""
         units = count_basic_units(L, T).closed_form

@@ -230,13 +230,3 @@ def parse_params(text: str) -> RacParams:
         raise InvalidInputError(
             f"header R M C = {sizes} but the blocks have {[p.R, p.M, p.C]}")
     return p
-
-
-def save_params(p: RacParams, path):
-    with open(path, "w") as fh:
-        fh.write(dump_params(p))
-
-
-def load_params(path) -> RacParams:
-    with open(path) as fh:
-        return parse_params(fh.read())

@@ -5,6 +5,8 @@ Each check returns a :class:`Report` of :class:`ReportRow` rows for one
 constructions) must each pass, and at least a ``DEFAULT_THRESHOLD`` share of
 sampled rows (random draws) must pass, which tolerates the measure-zero
 parameter sets on which generic rank statements are allowed to fail.
+Every network's start/end rank comes from :func:`separation_rank`, which
+picks the oracle; only Claim 1 ranks the two tensors it builds itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .builders import (build_grid_tensor, build_weights_tensor,
-                       factored_start_end_rank)
+                       separation_rank)
 from .errors import InvalidInputError, ParameterError
 from .network import RacParams, TemplateEncoder, neutral_h0
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
@@ -176,20 +178,15 @@ class AppendixBAssignment:
 
 def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
                             rel_tol=DEFAULT_REL_TOL) -> Report:
-    """Single-layer law: rank of the matricized weights tensor equals
-    min{R, M^(T/2)} almost everywhere, and never exceeds it.  Exact ranks
-    come from the mid-sequence states (:func:`factored_start_end_rank`),
-    float ranks from the SVD of the weights tensor."""
+    """Single-layer law: rank of the matricized weights tensor
+    (:func:`separation_rank`) equals min{R, M^(T/2)} almost everywhere, and
+    never exceeds it."""
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     expected = min(R, M ** (T // 2))
     rep = Report("shallow", M, R, T)
     for label, p in draw_trials(seed, M, R, T, 1, trials, field):
-        if field == EXACT:
-            observed = factored_start_end_rank(p, T).rank
-        else:
-            observed = start_end_rank(build_weights_tensor(p, T=T).tensor,
-                                      rel_tol).rank
+        observed = separation_rank(p, T, rel_tol=rel_tol).rank
         if observed > expected:
             # unconditional upper bound: a violation is a hard failure
             rep.add(field, label, observed, f"<={expected}", False)
@@ -205,10 +202,10 @@ def verify_deep_lower_bound(M, R, T, trials=30, seed=0,
     explicit assignment, and met or exceeded by random float draws."""
     asg = AppendixBAssignment(M=M, R=R, T=T)
     rep = Report("deep", M, R, T, 2)
-    observed = start_end_rank(build_grid_tensor(asg.params(), T=T).tensor).rank
+    observed = separation_rank(asg.params(), T).rank
     rep.add(EXACT, "-", observed, asg.bound, observed == asg.bound)
     for label, p in draw_trials(seed, M, R, T, 2, trials, FLOAT):
-        r = start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol).rank
+        r = separation_rank(p, T, rel_tol=rel_tol).rank
         rep.add(FLOAT, label, r, f">={asg.bound}", r >= asg.bound,
                 required=False)
     return rep
@@ -247,7 +244,7 @@ def check_conjecture_bound(M, R, T, L, trials=10, seed=0,
     cap = M ** (T // 2)
     rep = Report("conjecture", M, R, T, L)
     for label, p in draw_trials(seed, M, R, T, L, trials, FLOAT):
-        r = start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol).rank
+        r = separation_rank(p, T, rel_tol=rel_tol).rank
         rep.add(FLOAT, label, r, f"conjectured>={bound}", r <= cap)
     return rep
 
@@ -396,7 +393,7 @@ def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
     """Min-cut certificate: on the single-layer chain the minimal
     multiplicative cut between start and end legs equals min{R, M^(T/2)}
     structurally, and equals the exact matricization rank
-    (:func:`factored_start_end_rank`) for almost every draw."""
+    (:func:`separation_rank`) for almost every draw."""
     if T % 2 != 0:
         raise InvalidInputError(f"T must be even, got {T}")
     structural = min(R, M ** (T // 2))
@@ -406,7 +403,7 @@ def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
         if cut != structural:
             rep.add(EXACT, label, f"cut={cut}", f"cut={structural}", False)
             continue
-        rank = factored_start_end_rank(p, T).rank
+        rank = separation_rank(p, T).rank
         rep.add(EXACT, label, f"rank={rank}", f"rank={cut}", rank == cut,
                 required=False)
     return rep

@@ -1,4 +1,5 @@
-"""Weights tensor and grid tensor builders, and the factored start/end rank."""
+"""Weights tensor and grid tensor builders, and the start/end rank of a
+network (:func:`separation_rank`)."""
 
 import itertools
 import math
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, FieldMismatchError, IndexPartition,
+from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
                     ParameterError, RAC_PRODUCT, RacParams,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
                     attach_inputs, build_grid_tensor, build_mps,
                     build_weights_tensor, contract, draw_params, exact_array,
-                    factored_start_end_rank, forward_deep, matricize,
-                    rank_exact, score_from_tensor, step_deep, trial_rng)
+                    forward_deep, matricize, rank_exact, score_from_tensor,
+                    separation_rank, start_end_rank, step_deep, trial_rng)
+from racsep import builders, network
 from racsep.builders import GRID_BUDGET_ENV
 
 
@@ -277,7 +279,7 @@ def test_factored_rank_matches_weights_tensor(data):
     p = RacParams(w_in=[rationals(R, M)], w_hidden=[rationals(R, R)],
                   w_out=rationals(C, R), h0=[h0])
     c = data.draw(st.integers(1, C))
-    rank = factored_start_end_rank(p, T, c=c)
+    rank = separation_rank(p, T, c=c)
     assert rank.method == "exact"
     assert rank.rank == _weights_rank(p, T, c)
     assert rank.rank <= R
@@ -286,37 +288,31 @@ def test_factored_rank_matches_weights_tensor(data):
 def test_factored_rank_of_zero_h0_is_zero():
     p = draw_params(trial_rng(0, 2, 3, 4, 1, 0), 2, 3)
     p.h0 = [exact_array([0, 0, 0])]
-    assert factored_start_end_rank(p, 4).rank == 0 == _weights_rank(p, 4)
+    assert separation_rank(p, 4).rank == 0 == _weights_rank(p, 4)
 
 
 def test_factored_rank_refusals():
-    deep = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2)
-    with pytest.raises(ParameterError, match="single-layer"):
-        factored_start_end_rank(deep, 4)
-    floats = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, field=FLOAT)
-    with pytest.raises(FieldMismatchError):
-        factored_start_end_rank(floats, 4)
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2)
     for T in (0, 3, -2):
         with pytest.raises(ShapeError):
-            factored_start_end_rank(p, T)
+            separation_rank(p, T)
     with pytest.raises(ParameterError, match="class index"):
-        factored_start_end_rank(p, 4, c=2)
+        separation_rank(p, 4, c=2)
 
 
 def test_factored_rank_budget_counts_each_half(monkeypatch):
     # at (M, R, T) = (2, 2, 4) the mid states are 2 x 4 and, with a column
     # basis of r = 2 start words, the end states are 2 x 2*4
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2)
-    assert factored_start_end_rank(p, 4).rank == 2
+    assert separation_rank(p, 4).rank == 2
     for budget, stage, required in ((7, "mid-sequence state array", 8),
                                     (15, "end-half state array", 16)):
         monkeypatch.setenv(GRID_BUDGET_ENV, str(budget))
         with pytest.raises(ResourceBudgetError, match=stage) as ei:
-            factored_start_end_rank(p, 4)
+            separation_rank(p, 4)
         assert (ei.value.required, ei.value.budget) == (required, budget)
     monkeypatch.setenv(GRID_BUDGET_ENV, "16")
-    assert factored_start_end_rank(p, 4).rank == 2
+    assert separation_rank(p, 4).rank == 2
 
 
 def test_factored_rank_beyond_the_weights_budget():
@@ -325,4 +321,58 @@ def test_factored_rank_beyond_the_weights_budget():
     p = draw_params(trial_rng(0, 3, 4, 16, 1, 0), 3, 4)
     with pytest.raises(ResourceBudgetError):
         build_weights_tensor(p, T=16)
-    assert factored_start_end_rank(p, 16).rank == 4
+    assert separation_rank(p, 16).rank == 4
+
+
+def _grid_rank(p, T, rel_tol=1e-12):
+    """The start/end rank of the materialized identity-template grid."""
+    return start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol)
+
+
+@pytest.mark.parametrize("L,field", [(2, EXACT), (1, FLOAT), (2, FLOAT)])
+def test_separation_rank_is_the_grid_rank_unless_exact_single_layer(L,
+                                                                    field):
+    for seed in range(3):
+        p = draw_params(trial_rng(seed, 2, 2, 6, L, 0), 2, 2, L=L,
+                        field=field)
+        for rel_tol in (1e-12, 1e-3):
+            assert separation_rank(p, 6, rel_tol=rel_tol) == \
+                _grid_rank(p, 6, rel_tol)
+
+
+def test_separation_rank_of_the_appendix_b_network():
+    asg = AppendixBAssignment(3, 2, 8)
+    rank = separation_rank(asg.params(), 8)
+    assert rank == _grid_rank(asg.params(), 8)
+    assert rank.rank == asg.bound == 5
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_separation_rank_of_exact_single_layer_builds_no_tensor(monkeypatch):
+    monkeypatch.setattr(builders, "build_grid_tensor", _refuse)
+    monkeypatch.setattr(builders, "build_weights_tensor", _refuse)
+    p = draw_params(trial_rng(0, 2, 3, 6, 1, 0), 2, 3)
+    assert separation_rank(p, 6).rank == 3
+
+
+@pytest.mark.parametrize("L,field", [(1, EXACT), (2, EXACT), (2, FLOAT)])
+def test_separation_rank_refuses_odd_T_before_any_build(L, field,
+                                                        monkeypatch):
+    monkeypatch.setattr(builders, "build_grid_tensor", _refuse)
+    monkeypatch.setattr(builders, "_Frontier", _refuse)
+    p = draw_params(trial_rng(0, 2, 2, 4, L, 0), 2, 2, L=L, field=field)
+    for T in (1, 3, 0, -2):
+        with pytest.raises(ShapeError, match="even"):
+            separation_rank(p, T)
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_identity_grid_ranks_no_template_matrix(field, monkeypatch):
+    # without an encoder the identity templates need no rank check
+    monkeypatch.setattr(network, "rank_numeric", _refuse)
+    monkeypatch.setattr(network, "rank_exact", _refuse)
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, field=field)
+    assert build_grid_tensor(p, T=4).tensor.dims == (2,) * 4

@@ -86,10 +86,13 @@ def test_scan_refuses_verify_only_flags(flag, capsys):
     "mincut --rel-tol 1e-3",
     "lemmas --rel-tol 1e-3",
     "noclone --rel-tol 1e-3",
+    "noclone --T 3",
+    "noclone --M 2",
 ])
 def test_verify_refuses_flags_its_suite_does_not_read(args, capsys):
-    # --field belongs to shallow, --L to conjecture, --P to noclone and
-    # --rel-tol to shallow, deep and conjecture; refused before a check
+    # --field belongs to shallow, --L to conjecture, --P to noclone,
+    # --rel-tol to shallow, deep and conjecture, and --M, --R and --T to
+    # every suite but noclone; refused before a check
     code, out, err = run_cli(["verify"] + args.split() + ["--trials", "1"],
                              capsys)
     assert code == 2 and out == ""
@@ -317,7 +320,7 @@ rearrangement,3,3,0,1,exact,7.1,0 non-strict,0 non-strict,true
 hadamard,4,4,0,1,exact,7.0,rank^3=4,<=20,true
 hadamard,4,4,0,1,exact,7.1,rank^3=4,<=20,true
 """),
-    ("noclone --P 1,2 --T 3", 0, """\
+    ("noclone --P 1,2", 0, """\
 noclone,1,1,0,1,exact,-,basis=True ones=True,basis=True ones=True,true
 noclone,2,2,0,1,exact,-,basis=True ones=False,basis=True ones=False,true
 """),

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from racsep import (AppendixBAssignment, FieldMismatchError, IndexPartition,
                     ParameterError, build_grid_tensor, build_weights_tensor,
                     check_claim1_equality, column_basis, draw_trials,
-                    exact_array, factored_start_end_rank, matricize,
-                    rank_exact, verify_min_cut, verify_shallow_rank_law)
+                    exact_array, matricize, rank_exact, separation_rank,
+                    verify_min_cut, verify_shallow_rank_law)
 from racsep import ranks
 from racsep.ranks import solve_exact
 
@@ -92,7 +92,7 @@ def test_factored_rank_agrees_with_weights_tensor_on_suite_draws():
         for _, p in draw_trials(7, M, R, T, 1, 50, "exact"):
             w = build_weights_tensor(p, T=T).tensor
             want = rank_exact(matricize(w, IndexPartition.start_end(T))).rank
-            assert factored_start_end_rank(p, T).rank == want <= R
+            assert separation_rank(p, T).rank == want <= R
 
 
 def _matrices_with_redundant_rows():

@@ -100,17 +100,25 @@ def test_verify_shallow_float_field():
 
 
 def test_verify_shallow_exact_never_builds_the_weights_tensor(monkeypatch):
-    # exact ranks come from the mid-sequence states; float ones still SVD
-    # the weights tensor
+    # exact ranks come from the mid-sequence states; float ones SVD the
+    # identity-template grid, which equals the weights tensor
     def refuse(*args, **kwargs):
         raise AssertionError("build_weights_tensor called")
 
+    grids = []
+
+    def spy(*args, **kwargs):
+        grids.append(args)
+        return build_grid_tensor(*args, **kwargs)
+
     monkeypatch.setattr(builders, "build_weights_tensor", refuse)
     monkeypatch.setattr(verification, "build_weights_tensor", refuse)
+    monkeypatch.setattr(builders, "build_grid_tensor", spy)
     rep = verify_shallow_rank_law(3, 2, 6, trials=5, seed=7, field=EXACT)
     assert rep.passed and [r.observed for r in rep.rows] == ["2"] * 5
-    with pytest.raises(AssertionError, match="build_weights_tensor called"):
-        verify_shallow_rank_law(3, 2, 6, trials=1, seed=7, field=FLOAT)
+    assert grids == []
+    rep = verify_shallow_rank_law(3, 2, 6, trials=2, seed=7, field=FLOAT)
+    assert rep.passed and len(grids) == 2
 
 
 def test_verify_deep_lower_bound():
