@@ -60,6 +60,9 @@ class RacParams:
         mats = list(self.w_in) + list(self.w_hidden) + [self.w_out]
         if any(field_of(m) != self.field for m in mats):
             raise ParameterError("all weight matrices must share one scalar field")
+        for name, m in (("w_in[0]", self.w_in[0]), ("w_out", self.w_out)):
+            if m.ndim != 2:
+                raise ParameterError(f"{name} must be a matrix, got shape {m.shape}")
         R = self.w_in[0].shape[0]
         for l, m in enumerate(self.w_in):
             expected = (R, self.M) if l == 0 else (R, R)

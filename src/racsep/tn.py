@@ -11,6 +11,7 @@ These graphs are analysis tools, not an execution scheme.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -234,10 +235,13 @@ def contract(g: TnGraph) -> DenseTensor:
 
     Greedy pairwise contraction along bonds: each step merges the two
     tensors sharing a bond whose result is smallest, the first such pair in
-    pool order on a tie.  Open legs are ordered by time index (inputs) with
-    output legs last; a fully closed network yields a single-entry tensor.
-    The entry budget is read from the RACSEP_CONTRACT_BUDGET environment
-    variable.
+    pool order on a tie.  Candidate pairs sit in a heap and each merge
+    pushes only the new tensor's pairs with its neighbours, so on a graph of
+    N nodes and E bonds whose tensors keep a bounded number of neighbours
+    scheduling costs O(E log E), not the O(N E) of rescanning every bond per
+    merge.  Open legs are ordered by time index (inputs) with output legs
+    last; a fully closed network yields a single-entry tensor.  The entry
+    budget is read from the RACSEP_CONTRACT_BUDGET environment variable.
     """
     budget = int(os.environ.get(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET))
     total_open = math.prod(o.dim for o in g.open_legs)
@@ -253,8 +257,7 @@ def contract(g: TnGraph) -> DenseTensor:
     for i, o in enumerate(g.open_legs):
         label[o.node, o.leg] = (1, 0, i) if o.side == OUTPUT \
             else (0, o.time_index, i)
-    # the pool: key -> (array, axis labels); keys count up in pool order, so
-    # on a size tie min() takes the first pair in pool order
+    # the pool: key -> (array, axis labels); keys count up in pool order
     keys = itertools.count()
     node_key = {nid: next(keys) for nid in g.nodes}
     pool = {node_key[nid]: (t.data, [label[nid, ax] for ax in range(t.order)])
@@ -263,12 +266,23 @@ def contract(g: TnGraph) -> DenseTensor:
     holders = {b: tuple(sorted((node_key[e.node_a], node_key[e.node_b])))
                for b, e in enumerate(g.edges)}
 
-    while holders:
-        shared = {}  # holder pair -> product of the dims of its bonds
-        for b, pair in holders.items():
-            shared[pair] = shared.get(pair, 1) * g.edges[b].dim
-        size, x, y = min((pool[x][0].size * pool[y][0].size // d ** 2, x, y)
-                         for (x, y), d in shared.items())
+    def candidate(x, y, d):
+        return pool[x][0].size * pool[y][0].size // d ** 2, x, y
+
+    # one (size, x, y) entry per holder pair, d the product of the dims of
+    # all its bonds; a pair's size is fixed while both its keys are live, so
+    # the first live entry popped is the min over all live pairs, the first
+    # pair in pool order on a size tie
+    shared = {}
+    for b, pair in holders.items():
+        shared[pair] = shared.get(pair, 1) * g.edges[b].dim
+    heap = [candidate(x, y, d) for (x, y), d in shared.items()]
+    heapq.heapify(heap)
+
+    while heap:
+        size, x, y = heapq.heappop(heap)
+        if x not in pool or y not in pool:
+            continue  # an entry of a pair one of whose keys is merged away
         if size > budget:
             raise ResourceBudgetError(
                 f"intermediate tensor needs {size} entries, budget {budget}",
@@ -282,10 +296,14 @@ def contract(g: TnGraph) -> DenseTensor:
         pool[z] = (arr, legs)
         for l in common:
             del holders[l]
+        neighbours = {}  # key -> product of the dims of its bonds with z
         for l in legs:
             if l in holders:
                 other, = (h for h in holders[l] if h not in (x, y))
                 holders[l] = (other, z)
+                neighbours[other] = neighbours.get(other, 1) * g.edges[l].dim
+        for other, d in neighbours.items():
+            heapq.heappush(heap, candidate(other, z, d))
 
     (arr, legs), = pool.values()
     if not g.open_legs:

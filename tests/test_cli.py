@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, CSV determinism, exports."""
 
 import hashlib
+import importlib
 import itertools
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +275,18 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "noclone" in proc.stdout
+
+
+def test_console_script_entry_point(capsys):
+    # the [project.scripts] target, resolved the way an installed racsep
+    # script resolves it, so a renamed or moved entry point fails here
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["racsep"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["verify", "noclone", "--P", "2"]) == 0
+    assert "noclone" in capsys.readouterr().out
 
 
 HEADER = "check,M,R,T,L,field,seed,observed,expected,pass\n"

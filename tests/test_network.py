@@ -113,6 +113,27 @@ def test_params_shape_validation():
         RacParams(**dict(good, w_hidden=[np.eye(2)]))  # field mix
 
 
+@pytest.mark.parametrize("key", ["w_in", "w_out"])
+def test_params_refuse_a_weight_that_is_not_a_matrix(key):
+    # a 1-D w_out or w_in[0] used to raise IndexError reading shape[1]
+    good = dict(w_in=[exact_array([[1, 2], [3, 4]])],
+                w_hidden=[exact_array([[1, 0], [0, 1]])],
+                w_out=exact_array([[1, 1]]))
+    flat = exact_array([1, 1])
+    with pytest.raises(ParameterError):
+        RacParams(**dict(good, **{key: [flat] if key == "w_in" else flat}))
+
+
+@pytest.mark.parametrize("block, flat", [("w_out 1 2", "w_out 2"),
+                                         ("w_in 0 2 3", "w_in 0 6")])
+def test_parse_params_refuses_a_weight_block_that_is_not_a_matrix(block,
+                                                                  flat):
+    text = _dumped_params(EXACT)
+    assert block in text.splitlines()
+    with pytest.raises(ParameterError):
+        parse_params(text.replace(block, flat))
+
+
 def test_encoder_validation():
     with pytest.raises(ParameterError):
         TemplateEncoder(exact_array([[1, 1], [1, 1]]))

@@ -120,6 +120,72 @@ def test_contract_budget_is_the_greedy_peak(monkeypatch):
     assert (ei.value.required, ei.value.budget) == (9, 8)
 
 
+def test_contract_merge_order_is_pinned():
+    # the float draw of the graph above, as contracted by the rescanning
+    # scheduler; another merge order rounds differently (a reversed
+    # tie-break gives -0x1.63e3297d9cc9ap-97)
+    p = draw_params(trial_rng(5, 2, 3, 6, 3, 0), 2, 3, L=3, field=FLOAT)
+    enc, seq = TemplateEncoder.identity(2, FLOAT), (1, 2, 1, 2, 1, 2)
+    g = attach_inputs(build_deep_tn(p, 6), enc, seq)
+    assert len(g.nodes) == 334
+    assert contract(g).entries[0].hex() == "-0x1.63e3297d9cc8bp-97"
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_contract_matches_einsum_on_cycles_and_parallel_bonds(field, data):
+    # connected graphs of 1-7 nodes whose extra edges close cycles or run
+    # parallel to a bond, so one merge can leave a node sharing several
+    # bonds with the merged tensor
+    n = data.draw(st.integers(1, 7))
+    dim = st.integers(1, 3)
+    pairs = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        for _ in range(data.draw(st.integers(0, 4))):
+            a = data.draw(st.integers(0, n - 1))
+            b = data.draw(st.integers(0, n - 2))
+            pairs.append((a, b + (b >= a)))
+    legs = [[] for _ in range(n)]  # per node: (dim, einsum letter)
+    letters = iter("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+    def leg(v, d, letter):
+        legs[v].append((d, letter))
+        return len(legs[v]) - 1
+
+    edges = []
+    for a, b in pairs:
+        d, letter = data.draw(dim), next(letters)
+        edges.append(Edge(f"v{a}", leg(a, d, letter), f"v{b}",
+                          leg(b, d, letter), d))
+    sides = data.draw(st.lists(st.sampled_from([START, END, OUTPUT]),
+                               min_size=int(n == 1), max_size=3))
+    open_legs, order = [], []
+    for i, side in enumerate(sides):
+        v, d, letter = data.draw(st.integers(0, n - 1)), data.draw(dim), \
+            next(letters)
+        t = None if side == OUTPUT else data.draw(st.integers(1, 3))
+        open_legs.append(OpenLeg(f"v{v}", leg(v, d, letter), d, t, side))
+        order.append(((1, 0, i) if side == OUTPUT else (0, t, i), letter))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    arrays = []
+    for v in range(n):
+        shape = tuple(d for d, _ in legs[v])
+        arrays.append(exact_array(rng.integers(-3, 4, shape))
+                      if field == EXACT else rng.uniform(-1, 1, shape))
+    g = TnGraph({f"v{v}": DenseTensor(a, field) for v, a in enumerate(arrays)},
+                edges, open_legs)
+    spec = ",".join("".join(l for _, l in legs[v]) for v in range(n)) + \
+        "->" + "".join(l for _, l in sorted(order))
+    got = contract(g).entries
+    want = np.asarray(np.einsum(spec, *arrays)).reshape(-1)
+    if field == EXACT:
+        assert list(got) == list(want)
+    else:
+        scale = np.asarray(np.einsum(spec, *map(np.abs, arrays))).reshape(-1)
+        assert np.all(np.abs(got - want) <= 1e-9 * scale)
+
+
 def test_mps_contracts_to_weights_tensor():
     for seed in range(5):
         p = draw_params(trial_rng(seed, 2, 3, 4, 1, 0), 2, 3, L=1)
