@@ -11,8 +11,8 @@ from .builders import (GridTensor, build_grid_tensor, build_weights_tensor,
                        grid_budget, score_from_tensor, separation_rank)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
-from .network import (RAC_PRODUCT, RacParams, TemplateEncoder, forward_deep,
-                      neutral_h0, step_deep)
+from .network import (RAC_PRODUCT, Cell, RacParams, TemplateEncoder,
+                      forward_deep, neutral_h0, step_deep)
 from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,
                     rank_numeric, start_end_rank)
 from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,

@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError, ResourceBudgetError, ShapeError
-from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
-                      check_encoder)
+from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
+                      check_class, check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
 from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis, rank_exact,
@@ -143,21 +143,19 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     exact column basis of the R x M^(T/2) mid-sequence state array (A
     transposed) give r <= R rows of G, G_S, that span G's rows, and
     rank G = rank G_S.  Only those r states are advanced the other T/2
-    steps.
+    steps.  A T that is odd or below 2 is refused by :class:`Cell`.
     """
-    if T < 2 or T % 2:
-        raise ShapeError(f"T must be even and >= 2, got {T}")
+    cell = Cell(p.M, p.R, T, p.L)
     if p.L != 1 or p.field != EXACT:
         return start_end_rank(build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
     check_class(p, c)
-    half, width = T // 2, p.M ** (T // 2)
     net = _Frontier(p, _identity(p), c)
-    _check_entries("mid-sequence state array", p.R * width)
-    [mid], D = net.advance(net.h0, net.D0, half)
+    _check_entries("mid-sequence state array", p.R * cell.width)
+    [mid], D = net.advance(net.h0, net.D0, cell.half)
     basis = column_basis(mid)
-    _check_entries("end-half state array", p.R * len(basis) * width)
-    [ends], _ = net.advance([mid[:, basis]], D, half)
-    return rank_exact((net.out @ ends).reshape(len(basis), width))
+    _check_entries("end-half state array", p.R * len(basis) * cell.width)
+    [ends], _ = net.advance([mid[:, basis]], D, cell.half)
+    return rank_exact((net.out @ ends).reshape(len(basis), cell.width))
 
 
 def _integer_form(a):

@@ -15,6 +15,7 @@ import sys
 from .builders import (build_grid_tensor, build_weights_tensor,
                        separation_rank)
 from .errors import RacsepError, ResourceBudgetError
+from .network import Cell
 from .ranks import DEFAULT_REL_TOL
 from .tensor import EXACT, FLOAT, save_tensor
 from .tn import (build_deep_tn, build_mps, count_basic_units, min_cut,
@@ -63,35 +64,22 @@ def _add_grid_flags(p, trials):
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
-def _even(values):
-    odd = [t for t in values if t % 2]
-    if odd:
-        raise RacsepError(f"T must be even, got {odd[0]}")
-    return values
-
-
-def _cells(a):
-    return itertools.product(a.M, a.R, _even(a.T))
-
-
-def _depth_cells(a):
-    return itertools.product(a.M, a.R, _even(a.T), a.L)
-
-
-def _lemma_cells(a):
-    """The lemma cells, refused before any check runs if one is too large
-    for the exhaustive bucket sweep (R is capped at 3 there, T/2 is not)."""
-    cells = list(_cells(a))
-    if any(T // 2 > 4 for _, _, T in cells):
-        raise RacsepError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
-    return cells
+def _grid(a, depths=None):
+    """Every Cell of the grid (``depths`` in place of --L for a suite stated
+    at one depth), all built, so validated, before any check runs."""
+    return [Cell(*c) for c in itertools.product(a.M, a.R, a.T, depths or a.L)]
 
 
 def _lemmas(a):
-    """Decomposition and bucket checks per cell, then the other two once."""
-    return [rep for M, R, T in _lemma_cells(a) for rep in (
-        check_decomposition_identity(M, min(R, 3), T, seed=a.seed),
-        check_bucket_lemma(min(R, 3), T))] + [
+    """Decomposition and bucket checks per cell, then the other two once; a
+    cell too large for the exhaustive bucket sweep (R is capped at 3 there,
+    T/2 is not) is refused before any check runs."""
+    cells = _grid(a)
+    if any(c.half > 4 for c in cells):
+        raise RacsepError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
+    return [rep for c in cells for rep in (
+        check_decomposition_identity(Cell(c.M, min(c.R, 3), c.T), seed=a.seed),
+        check_bucket_lemma(min(c.R, 3), c.T))] + [
         check_rearrangement_lemma(3, max(a.R), a.trials, seed=a.seed),
         check_hadamard_power_bound(a.trials, seed=a.seed)]
 
@@ -100,20 +88,19 @@ def _lemmas(a):
 # name at call time, so patched module attributes (tracing, mocks) see them.
 SUITES = {
     "shallow": lambda a: [verify_shallow_rank_law(
-        M, R, T, a.trials, field=a.field, seed=a.seed, rel_tol=a.rel_tol)
-        for M, R, T in _cells(a)],
+        c, a.trials, field=a.field, seed=a.seed, rel_tol=a.rel_tol)
+        for c in _grid(a)],
     "deep": lambda a: [verify_deep_lower_bound(
-        M, R, T, a.trials, seed=a.seed, rel_tol=a.rel_tol)
-        for M, R, T in _cells(a)],
-    "claim1": lambda a: [check_claim1_equality(M, R, T, a.trials, seed=a.seed)
-                         for M, R, T in _cells(a)],
+        c, a.trials, seed=a.seed, rel_tol=a.rel_tol) for c in _grid(a, [2])],
+    "claim1": lambda a: [check_claim1_equality(c, a.trials, seed=a.seed)
+                         for c in _grid(a)],
     "conjecture": lambda a: [check_conjecture_bound(
-        M, R, T, L, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)
-        for M, R, T, L in _depth_cells(a)],
+        c, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)
+        for c in _grid(a)],
     "lemmas": _lemmas,
     "noclone": lambda a: [check_no_cloning(P) for P in a.P],
-    "mincut": lambda a: [verify_min_cut(M, R, T, a.trials, seed=a.seed)
-                         for M, R, T in _cells(a)],
+    "mincut": lambda a: [verify_min_cut(c, a.trials, seed=a.seed)
+                         for c in _grid(a)],
 }
 
 # verify flag -> (the suites that read it, its default there).  On verify
@@ -189,26 +176,25 @@ def cmd_scan(args):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SCAN_COLUMNS)
-    for M, R, T, L in _depth_cells(args):
-        fld = EXACT if L == 1 else FLOAT
-        [(label, p)] = draw_trials(args.seed, M, R, T, L, 1, fld)
-        rank = separation_rank(p, T, rel_tol=args.rel_tol).rank
-        if L == 1:
-            ref = f"theorem={min(R, M ** (T // 2))}"
-            cut = str(min_cut(build_mps(p, T))[0])
+    for cell in _grid(args):
+        fld = EXACT if cell.L == 1 else FLOAT
+        [(label, p)] = draw_trials(args.seed, cell, 1, fld)
+        rank = separation_rank(p, cell.T, rel_tol=args.rel_tol).rank
+        if cell.L == 1:
+            ref = f"theorem={min(cell.R, cell.width)}"
+            cut = str(min_cut(build_mps(p, cell.T))[0])
         else:
-            ref = f"conjecture={conjectured_bound(M, R, T, L)}"
+            ref = f"conjecture={conjectured_bound(cell)}"
             cut = ""
-        units = count_basic_units(L, T).closed_form
-        w.writerow([M, R, T, L, fld, label, rank, ref, cut, units])
+        units = count_basic_units(cell).closed_form
+        w.writerow([*cell, fld, label, rank, ref, cut, units])
     _emit(args, buf.getvalue())
     return EXIT_PASS
 
 
 def cmd_export(args):
-    _even([args.T])
-    [(_, p)] = draw_trials(args.seed, args.M, args.R, args.T, args.L, 1,
-                           args.field)
+    cell = Cell(args.M, args.R, args.T, args.L)
+    [(_, p)] = draw_trials(args.seed, cell, 1, args.field)
     if args.what == "weights":
         save_tensor(build_weights_tensor(p, T=args.T).tensor, args.out)
     elif args.what == "grid":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError, ShapeError
 from .ranks import rank_exact, rank_numeric, solve_exact
 from .tensor import (EXACT, DenseTensor, field_of, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
@@ -34,6 +34,35 @@ def neutral_h0(w_hidden):
         return np.linalg.solve(w_hidden, np.ones(n))
     except np.linalg.LinAlgError:
         raise ParameterError("singular hidden weights matrix") from None
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A grid point: M templates, width R, depth L and an even T, split into
+    the start and end halves; it iterates as its (M, R, T, L) tuple."""
+
+    M: int
+    R: int
+    T: int
+    L: int = 1
+
+    def __post_init__(self):
+        bad = [f"{k} = {v}" for k, v in zip("MRTL", self) if not
+               isinstance(v, numbers.Integral) or v < 1 or k == "T" and v % 2]
+        if bad:
+            raise ShapeError("a cell needs integers M, R, L >= 1 and an even "
+                             f"T >= 2, got {', '.join(bad)}")
+
+    def __iter__(self):
+        return iter((self.M, self.R, self.T, self.L))
+
+    @property
+    def half(self):
+        return self.T // 2
+
+    @property
+    def width(self):  # M^(T/2), the side of the start/end matricization
+        return self.M ** self.half
 
 
 @dataclass
@@ -56,10 +85,12 @@ class RacParams:
             raise ParameterError("w_in and w_hidden must have one matrix per layer")
         if not self.w_in:
             raise ParameterError("at least one layer required")
-        self.field = field_of(self.w_in[0])
-        mats = list(self.w_in) + list(self.w_hidden) + [self.w_out]
-        if any(field_of(m) != self.field for m in mats):
-            raise ParameterError("all weight matrices must share one scalar field")
+        mats = [*self.w_in, *self.w_hidden, self.w_out,
+                *(() if self.h0 is None else self.h0)]
+        fields = {field_of(m) if isinstance(m, np.ndarray) else None for m in mats}
+        if len(fields) != 1 or None in fields:
+            raise ParameterError("weights and h0 must be arrays of one scalar field")
+        (self.field,) = fields
         for name, m in (("w_in[0]", self.w_in[0]), ("w_out", self.w_out)):
             if m.ndim != 2:
                 raise ParameterError(f"{name} must be a matrix, got shape {m.shape}")

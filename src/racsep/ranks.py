@@ -203,6 +203,8 @@ def _primitive_rows(values, width):
 
 def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
     """Numeric rank: count singular values above rel_tol * max(dims) * sigma_max."""
+    if not 0 < rel_tol < math.inf:
+        raise InvalidInputError(f"rel_tol must be finite and > 0, got {rel_tol}")
     arr, fld = _as_matrix(m)
     if fld == EXACT:
         arr = arr.astype(np.float64)

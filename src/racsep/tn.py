@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError)
-from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
-                      check_encoder)
+from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
+                      check_class, check_encoder)
 from .ranks import multiset_coefficient
 from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
@@ -404,21 +404,17 @@ class BasicUnitCount:
         return self.enumerated == self.closed_form
 
 
-def count_basic_units(L: int, T: int) -> BasicUnitCount:
-    """Number of start/end-bridging unit repetitions in the depth-L graph.
+def count_basic_units(cell: Cell) -> BasicUnitCount:
+    """Number of start/end-bridging unit repetitions in a cell's graph.
 
     Counts non-decreasing tuples (t_2 <= ... <= t_L) drawn from the second
     half {T/2+1, ..., T}; the closed form is the multiset coefficient
     (T/2 choose-with-repetition L-1).
     """
-    if L < 1:
-        raise InvalidInputError("L must be >= 1")
-    if T % 2 != 0:
-        raise ShapeError(f"T must be even, got {T}")
-    half = range(T // 2 + 1, T + 1)
-    count = sum(1 for _ in itertools.combinations_with_replacement(half, L - 1))
-    return BasicUnitCount(enumerated=count,
-                          closed_form=multiset_coefficient(T // 2, L - 1))
+    count = sum(1 for _ in itertools.combinations_with_replacement(
+        range(cell.half + 1, cell.T + 1), cell.L - 1))
+    return BasicUnitCount(enumerated=count, closed_form=multiset_coefficient(
+        cell.half, cell.L - 1))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .builders import (build_grid_tensor, build_weights_tensor,
                        separation_rank)
 from .errors import InvalidInputError, ParameterError
-from .network import RacParams, TemplateEncoder, neutral_h0
+from .network import Cell, RacParams, TemplateEncoder, neutral_h0
 from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
                     start_end_rank)
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
@@ -50,15 +50,12 @@ class ReportRow:
 @dataclass
 class Report:
     check: str
-    M: int
-    R: int
-    T: int
-    L: int = 1
+    cell: tuple  # a Cell, or the (M, R, T, L) labels of a check without T
     rows: list = dc_field(default_factory=list)
 
     def add(self, field, seed, observed, expected, passed, required=True):
         self.rows.append(ReportRow(
-            self.check, self.M, self.R, self.T, self.L, field, seed,
+            self.check, *self.cell, field, seed,
             str(observed), str(expected), passed, required))
 
     @property
@@ -95,6 +92,8 @@ def rows_to_csv(rows) -> str:
 # a per-(cell, trial) spawn key, so trials are reproducible independently.
 
 def trial_rng(seed: int, M: int, R: int, T: int, L: int, trial: int):
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     cell = ((M * 100 + R) * 100 + T) * 10 + L
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(cell, trial)))
@@ -118,12 +117,20 @@ def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
     raise ParameterError("could not draw a non-singular hidden matrix")
 
 
-def draw_trials(seed, M, R, T, L, trials, field):
+def draw_trials(seed, cell: Cell, trials, field):
     """``(seed label, params)`` of each trial of one cell, each drawn by
     :func:`draw_params` from the trial's own :func:`trial_rng` stream."""
     for trial in range(trials):
         yield f"{seed}.{trial}", draw_params(
-            trial_rng(seed, M, R, T, L, trial), M, R, L=L, field=field)
+            trial_rng(seed, *cell, trial), cell.M, cell.R, L=cell.L,
+            field=field)
+
+
+def _report(check, cell: Cell, L):
+    """An empty Report of ``check``, which is stated at depth L, for cell."""
+    if cell.L != L:
+        raise ParameterError(f"{check} is stated at depth {L}, got L = {cell.L}")
+    return Report(check, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +154,7 @@ class AppendixBAssignment:
     z: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.T % 2 != 0 or self.T < 2:
-            raise InvalidInputError(f"T must be even and >= 2, got {self.T}")
+        Cell(self.M, self.R, self.T, 2)
 
     @property
     def omega(self):
@@ -176,17 +182,15 @@ class AppendixBAssignment:
 # ---------------------------------------------------------------------------
 # Theorem checks.
 
-def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
+def verify_shallow_rank_law(cell: Cell, trials, field=EXACT, seed=0,
                             rel_tol=DEFAULT_REL_TOL) -> Report:
     """Single-layer law: rank of the matricized weights tensor
     (:func:`separation_rank`) equals min{R, M^(T/2)} almost everywhere, and
     never exceeds it."""
-    if T % 2 != 0:
-        raise InvalidInputError(f"T must be even, got {T}")
-    expected = min(R, M ** (T // 2))
-    rep = Report("shallow", M, R, T)
-    for label, p in draw_trials(seed, M, R, T, 1, trials, field):
-        observed = separation_rank(p, T, rel_tol=rel_tol).rank
+    rep = _report("shallow", cell, 1)
+    expected = min(cell.R, cell.width)
+    for label, p in draw_trials(seed, cell, trials, field):
+        observed = separation_rank(p, cell.T, rel_tol=rel_tol).rank
         if observed > expected:
             # unconditional upper bound: a violation is a hard failure
             rep.add(field, label, observed, f"<={expected}", False)
@@ -196,56 +200,55 @@ def verify_shallow_rank_law(M, R, T, trials, field=EXACT, seed=0,
     return rep
 
 
-def verify_deep_lower_bound(M, R, T, trials=30, seed=0,
+def verify_deep_lower_bound(cell: Cell, trials=30, seed=0,
                             rel_tol=DEFAULT_REL_TOL) -> Report:
     """Depth-2 lower bound multiset(min{M,R}, T/2): attained exactly by the
     explicit assignment, and met or exceeded by random float draws."""
-    asg = AppendixBAssignment(M=M, R=R, T=T)
-    rep = Report("deep", M, R, T, 2)
-    observed = separation_rank(asg.params(), T).rank
+    rep = _report("deep", cell, 2)
+    asg = AppendixBAssignment(M=cell.M, R=cell.R, T=cell.T)
+    observed = separation_rank(asg.params(), cell.T).rank
     rep.add(EXACT, "-", observed, asg.bound, observed == asg.bound)
-    for label, p in draw_trials(seed, M, R, T, 2, trials, FLOAT):
-        r = separation_rank(p, T, rel_tol=rel_tol).rank
+    for label, p in draw_trials(seed, cell, trials, FLOAT):
+        r = separation_rank(p, cell.T, rel_tol=rel_tol).rank
         rep.add(FLOAT, label, r, f">={asg.bound}", r >= asg.bound,
                 required=False)
     return rep
 
 
-def check_claim1_equality(M, R, T, trials, seed=0) -> Report:
+def check_claim1_equality(cell: Cell, trials, seed=0) -> Report:
     """Claim 1: the grid tensor is the weights tensor with every mode
     multiplied by the template matrix F, so for a non-singular F the two
     matricizations have equal rank.  Checked draw for draw under fixed
     templates: the lower-triangular all-ones F, of det 1 and not the
     identity for M >= 2."""
-    enc = TemplateEncoder(exact_array(np.tril(np.ones((M, M), dtype=int))))
-    rep = Report("claim1", M, R, T)
-    for label, p in draw_trials(seed, M, R, T, 1, trials, EXACT):
-        rg = start_end_rank(build_grid_tensor(p, enc, T=T).tensor).rank
-        rw = start_end_rank(build_weights_tensor(p, T=T).tensor).rank
+    rep = _report("claim1", cell, 1)
+    enc = TemplateEncoder(exact_array(np.tri(cell.M, dtype=int)))
+    for label, p in draw_trials(seed, cell, trials, EXACT):
+        rg = start_end_rank(build_grid_tensor(p, enc, T=cell.T).tensor).rank
+        rw = start_end_rank(build_weights_tensor(p, T=cell.T).tensor).rank
         rep.add(EXACT, label, rg, rw, rg == rw)
     return rep
 
 
-def conjectured_bound(M, R, T, L):
+def conjectured_bound(cell: Cell):
     """The conjectured depth-L start/end rank bound
     min{multiset(min{M,R}, multiset(T/2, L-1)), M^(T/2)}."""
-    inner = multiset_coefficient(T // 2, L - 1)
-    return min(multiset_coefficient(min(M, R), inner), M ** (T // 2))
+    inner = multiset_coefficient(cell.half, cell.L - 1)
+    return min(multiset_coefficient(min(cell.M, cell.R), inner), cell.width)
 
 
-def check_conjecture_bound(M, R, T, L, trials=10, seed=0,
+def check_conjecture_bound(cell: Cell, trials=10, seed=0,
                            rel_tol=DEFAULT_REL_TOL) -> Report:
     """Reports observed grid rank against :func:`conjectured_bound`.
 
     The bound is CONJECTURE: rows assert only the dimension cap M^(T/2);
     the comparison is recorded in the expected column for inspection.
     """
-    bound = conjectured_bound(M, R, T, L)
-    cap = M ** (T // 2)
-    rep = Report("conjecture", M, R, T, L)
-    for label, p in draw_trials(seed, M, R, T, L, trials, FLOAT):
-        r = separation_rank(p, T, rel_tol=rel_tol).rank
-        rep.add(FLOAT, label, r, f"conjectured>={bound}", r <= cap)
+    bound = conjectured_bound(cell)
+    rep = Report("conjecture", cell)
+    for label, p in draw_trials(seed, cell, trials, FLOAT):
+        r = separation_rank(p, cell.T, rel_tol=rel_tol).rank
+        rep.add(FLOAT, label, r, f"conjectured>={bound}", r <= cell.width)
     return rep
 
 
@@ -277,20 +280,18 @@ def bucket_trajectories(p):
                 yield (q,) + tail
 
 
-def check_decomposition_identity(M, Rbar, T, seed=0) -> Report:
-    """Product-of-partial-sums identity: for any Rbar x M matrix Z and every
-    index word d of length T,
+def check_decomposition_identity(cell: Cell, seed=0) -> Report:
+    """Product-of-partial-sums identity: for any Rbar x M matrix Z (Rbar is
+    the cell's R) and every index word d of length T,
 
         prod_{t=T/2+1..T} sum_r prod_{j<=t} Z[r, d_j]
 
     equals the double sum over bucket states p (level T/2) and trajectories
     of prod_r prod_{j<=T/2} Z[r,d_j]^p_r * prod_{j>T/2} Z[r,d_j]^chain_j[r],
     where chain_j is the trajectory state in force at step j."""
-    if T < 2 or T % 2 != 0:
-        raise InvalidInputError(f"T must be even and >= 2, got {T}")
-    rng = trial_rng(seed, M, Rbar, T, 1, 0)
-    Z = rng.integers(-3, 4, (Rbar, M)).tolist()
-    half = T // 2
+    rep = _report("decomposition", cell, 1)
+    M, Rbar, T, half = cell.M, cell.R, cell.T, cell.half
+    Z = trial_rng(seed, *cell, 0).integers(-3, 4, (Rbar, M)).tolist()
     # chain[i] is the state at step half+1+i
     chains = [(p,) + traj for p in bucket_states(Rbar, half)
               for traj in bucket_trajectories(p)]
@@ -310,7 +311,6 @@ def check_decomposition_identity(M, Rbar, T, seed=0) -> Report:
                     term *= row[m] ** state[r]
             rhs += term
         mismatches += lhs != rhs
-    rep = Report("decomposition", M, Rbar, T)
     rep.add(EXACT, f"{seed}.0", f"{mismatches} mismatches", "0 mismatches",
             mismatches == 0)
     return rep
@@ -322,7 +322,7 @@ def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
     sum_i <v_i, v_{s(i)}> < sum_i ||v_i||^2, strictly."""
     if N > 6:
         raise InvalidInputError("N must be <= 6 (factorial enumeration)")
-    rep = Report("rearrangement", Rbar, Rbar, 0)
+    rep = Report("rearrangement", (Rbar, Rbar, 0, 1))
     for trial in range(trials):
         rng = trial_rng(seed, N, Rbar, 0, 1, trial)
         while True:
@@ -349,9 +349,7 @@ def check_bucket_lemma(Rbar, T) -> Report:
     sum_j omega^(d_j) * state_j[d_j], with omega = (T/2)^2 + 1, is maximized
     over starting states p, strictly and uniquely, at p-hat with
     p-hat_r = multiplicity of r in d."""
-    if T < 2 or T % 2 != 0:
-        raise InvalidInputError(f"T must be even and >= 2, got {T}")
-    k = T // 2
+    k = Cell(Rbar, Rbar, T).half
     if Rbar > 3 or k > 4:
         raise InvalidInputError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
     omega = k ** 2 + 1
@@ -361,7 +359,7 @@ def check_bucket_lemma(Rbar, T) -> Report:
                        for c, state in zip(d, (p,) + traj))
                    for traj in bucket_trajectories(p))
 
-    rep = Report("bucket", Rbar, Rbar, T)
+    rep = Report("bucket", (Rbar, Rbar, T, 1))
     for d in itertools.combinations_with_replacement(range(1, Rbar + 1), k):
         phat = tuple(sum(1 for x in d if x == r) for r in range(1, Rbar + 1))
         vals = {p: reward(d, p) for p in bucket_states(Rbar, k)}
@@ -376,7 +374,7 @@ def check_hadamard_power_bound(trials, seed=0) -> Report:
     """Entrywise p-th powers obey rank(m^(op)) <= multiset(rank(m), p), on
     random 4 x 4 integer matrices and powers p in 1..3."""
     n = 4
-    rep = Report("hadamard", n, n, 0)
+    rep = Report("hadamard", (n, n, 0, 1))
     for trial in range(trials):
         rng = trial_rng(seed, n, n, 0, 1, trial)
         m = DenseTensor(rng.integers(-4, 5, (n, n)), EXACT)
@@ -389,21 +387,19 @@ def check_hadamard_power_bound(trials, seed=0) -> Report:
     return rep
 
 
-def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
+def verify_min_cut(cell: Cell, trials=30, seed=0) -> Report:
     """Min-cut certificate: on the single-layer chain the minimal
     multiplicative cut between start and end legs equals min{R, M^(T/2)}
     structurally, and equals the exact matricization rank
     (:func:`separation_rank`) for almost every draw."""
-    if T % 2 != 0:
-        raise InvalidInputError(f"T must be even, got {T}")
-    structural = min(R, M ** (T // 2))
-    rep = Report("mincut", M, R, T)
-    for label, p in draw_trials(seed, M, R, T, 1, trials, EXACT):
-        cut, _ = min_cut(build_mps(p, T))
+    rep = _report("mincut", cell, 1)
+    structural = min(cell.R, cell.width)
+    for label, p in draw_trials(seed, cell, trials, EXACT):
+        cut, _ = min_cut(build_mps(p, cell.T))
         if cut != structural:
             rep.add(EXACT, label, f"cut={cut}", f"cut={structural}", False)
             continue
-        rank = separation_rank(p, T).rank
+        rank = separation_rank(p, cell.T).rank
         rep.add(EXACT, label, f"rank={rank}", f"rank={cut}", rank == cut,
                 required=False)
     return rep
@@ -412,7 +408,7 @@ def verify_min_cut(M, R, T, trials=30, seed=0) -> Report:
 def check_no_cloning(P) -> Report:
     """Super-diagonal duplication works on basis vectors only (P >= 2)."""
     r = no_clone_counterexample(P)
-    rep = Report("noclone", P, P, 0)
+    rep = Report("noclone", (P, P, 0, 1))
     expect_ones = P == 1
     rep.add(EXACT, "-", f"basis={r.basis_cloned} ones={r.ones_cloned}",
             f"basis=True ones={expect_ones}",

@@ -4,7 +4,7 @@ The sampled criteria (1, 2, 4) use a fixed recorded seed; every draw is
 reproducible from it, so the gate is deterministic.
 """
 
-from racsep import (FLOAT, RAC_PRODUCT, TemplateEncoder,
+from racsep import (FLOAT, RAC_PRODUCT, Cell, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_mps,
                     build_weights_tensor, contract, count_basic_units,
                     check_bucket_lemma, check_decomposition_identity,
@@ -30,7 +30,8 @@ def test_criterion_1_shallow_rank_law(capsys):
     for M in (2, 3):
         for R in (1, 2, 3, 4):
             for T in (4, 6):
-                rep = verify_shallow_rank_law(M, R, T, trials=50, seed=SEED)
+                rep = verify_shallow_rank_law(Cell(M, R, T), trials=50,
+                                              seed=SEED)
                 ok &= rep.passed
                 # the cap is unconditional: no draw may exceed it
                 cap = min(R, M ** (T // 2))
@@ -42,7 +43,7 @@ def test_criterion_1_shallow_rank_law(capsys):
 def test_criterion_2_deep_lower_bound(capsys):
     ok = True
     for (M, R, T) in [(2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 3, 4)]:
-        rep = verify_deep_lower_bound(M, R, T, trials=30, seed=SEED)
+        rep = verify_deep_lower_bound(Cell(M, R, T, 2), trials=30, seed=SEED)
         ok &= rep.passed
         exact_row = next(r for r in rep.rows if r.required)
         ok &= exact_row.observed == str(multiset_coefficient(min(M, R), T // 2))
@@ -53,7 +54,7 @@ def test_criterion_2_deep_lower_bound(capsys):
 def test_criterion_3_claim1_equality(capsys):
     ok = True
     for (M, R) in [(2, 2), (3, 2)]:
-        rep = check_claim1_equality(M, R, 4, trials=20, seed=SEED)
+        rep = check_claim1_equality(Cell(M, R, 4), trials=20, seed=SEED)
         ok &= rep.passed and all(r.passed for r in rep.rows)
     report(capsys, ok, "criterion 3: grid rank == weights rank "
                        "(identity templates), 20/20 draws at (2,2,4),(3,2,4)")
@@ -64,7 +65,7 @@ def test_criterion_4_min_cut_certificate(capsys):
     for M in (2, 3):
         for R in (2, 3):
             for T in (4, 6):
-                rep = verify_min_cut(M, R, T, trials=30, seed=SEED)
+                rep = verify_min_cut(Cell(M, R, T), trials=30, seed=SEED)
                 ok &= rep.passed
                 # structural value on every draw (it is weight-independent)
                 structural = min(R, M ** (T // 2))
@@ -99,10 +100,10 @@ def test_criterion_5_forward_contraction_equivalence(capsys):
 
 
 def test_criterion_6_basic_unit_count(capsys):
-    ok = count_basic_units(3, 6).enumerated == 6
+    ok = count_basic_units(Cell(2, 2, 6, 3)).enumerated == 6
     for L in (1, 2, 3, 4):
         for T in (2, 4, 6, 8):
-            r = count_basic_units(L, T)
+            r = count_basic_units(Cell(2, 2, T, L))
             ok &= r.match and r.closed_form == multiset_coefficient(T // 2, L - 1)
     report(capsys, ok, "criterion 6: basic-unit enumeration == multiset(T/2,L-1)"
                        " for L<=4, T in {2,4,6,8}; worked value (3,6)->6")
@@ -114,7 +115,7 @@ def test_criterion_7_lemma_suites(capsys):
         for T in (2, 4, 6, 8):
             ok &= check_bucket_lemma(Rbar, T).passed
     for (M, Rb, T) in [(2, 2, 4), (2, 3, 4), (3, 2, 4)]:
-        ok &= check_decomposition_identity(M, Rb, T, seed=SEED).passed
+        ok &= check_decomposition_identity(Cell(M, Rb, T), seed=SEED).passed
     ok &= check_hadamard_power_bound(trials=50, seed=SEED).passed
     report(capsys, ok, "criterion 7: rearrangement strict (100 sets), bucket "
                        "maximizer unique, decomposition exact, Hadamard bound")

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from racsep import (check_conjecture_bound, load_graph, load_tensor,
+from racsep import (Cell, check_conjecture_bound, load_graph, load_tensor,
                     rows_to_csv, verify_deep_lower_bound)
+from racsep import verification
 from racsep.cli import main
 
 
@@ -42,6 +43,57 @@ def test_odd_T_usage_error(capsys):
     code, _, err = run_cli(["verify", "shallow", "--T", "3"], capsys)
     assert code == 2
     assert "even" in err
+
+
+SUITE_NAMES = ["shallow", "deep", "claim1", "conjecture", "mincut", "lemmas"]
+ODD_T_COMMANDS = ([["verify", s] for s in SUITE_NAMES] + [["scan"]]
+                  + [["export", w, "--out", "unused.txt"]
+                     for w in ("weights", "grid", "mps", "deep-tn")])
+
+
+def test_odd_T_gets_one_error_from_every_command(tmp_path, monkeypatch,
+                                                 capsys):
+    # every command refuses T = 3 through Cell, with one message
+    monkeypatch.chdir(tmp_path)
+    errs = set()
+    for argv in ODD_T_COMMANDS:
+        code, out, err = run_cli(argv + ["--T", "3"], capsys)
+        assert (code, out) == (2, ""), argv
+        errs.add(err)
+    assert errs == {"racsep: a cell needs integers M, R, L >= 1 and an even "
+                    "T >= 2, got T = 3\n"}
+    assert not (tmp_path / "unused.txt").exists()
+
+
+def test_odd_T_is_refused_before_any_rank(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("separation_rank called")
+
+    monkeypatch.setattr(verification, "separation_rank", refuse)
+    code, out, err = run_cli(["verify", "shallow", "--T", "4,3"], capsys)
+    assert (code, out) == (2, "") and "T = 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "shallow"], ["verify", "lemmas"], ["scan"],
+    ["export", "mps", "--out", "unused.txt"],
+])
+def test_negative_seed_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # used to end in numpy's ValueError traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "racsep: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "unused.txt").exists()
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1", "0"])
+def test_bad_rel_tol_usage_error(rel_tol, capsys):
+    # nan printed rank 0 rows and -1 printed rank 4 against the cap <=2
+    code, out, err = run_cli(["verify", "shallow", "--field", "float",
+                              "--rel-tol", rel_tol, "--trials", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "rel_tol must be finite and > 0" in err
 
 
 def test_bad_range_usage_error():
@@ -191,6 +243,22 @@ def test_shallow_sweep_golden_digest(capsys):
     lines = out.splitlines()
     assert len(lines) == 801 and sum(l.endswith(",false") for l in lines) == 11
     assert hashlib.sha256(out.encode()).hexdigest() == SHALLOW_SWEEP_SHA256
+
+
+# sha256 of the stdout of the exact min-cut acceptance sweep at seed 7:
+# 321 lines, 3 false
+MINCUT_SWEEP_SHA256 = \
+    "0ddcc7bec153cbeceda8f925b277b1b326bf0a5a013058a40b222a4f022d09be"
+
+
+def test_mincut_sweep_golden_digest(capsys):
+    code, out, _ = run_cli(["verify", "mincut", "--M", "2,3", "--R",
+                            "1,2,3,4", "--T", "4,6", "--trials", "20",
+                            "--seed", "7"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 321 and sum(l.endswith(",false") for l in lines) == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == MINCUT_SWEEP_SHA256
 
 
 def test_csv_byte_determinism(tmp_path, capsys):
@@ -367,9 +435,10 @@ def test_verify_golden_csv(args, code, rows, capsys):
 # against the direct report calls in grid order instead
 @pytest.mark.parametrize("args,reports", [
     ("deep --M 2 --R 2,3 --T 4 --trials 2 --seed 3",
-     lambda: [verify_deep_lower_bound(2, R, 4, 2, seed=3) for R in (2, 3)]),
+     lambda: [verify_deep_lower_bound(Cell(2, R, 4, 2), 2, seed=3)
+              for R in (2, 3)]),
     ("conjecture --M 2 --R 2 --T 4,6 --L 1,2 --trials 2 --seed 3",
-     lambda: [check_conjecture_bound(2, 2, T, L, trials=2, seed=3)
+     lambda: [check_conjecture_bound(Cell(2, 2, T, L), trials=2, seed=3)
               for T, L in itertools.product((4, 6), (1, 2))]),
 ], ids=["deep", "conjecture"])
 def test_verify_matches_direct_reports(args, reports, capsys):

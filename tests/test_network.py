@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, InvalidInputError, ParameterError,
-                    RAC_PRODUCT, RacParams, TemplateEncoder, attach_inputs,
-                    build_mps, build_weights_tensor, exact_array,
-                    forward_deep, neutral_h0, score_from_tensor, step_deep)
+from racsep import (EXACT, FLOAT, AppendixBAssignment, Cell,
+                    InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
+                    ShapeError, TemplateEncoder, attach_inputs, build_mps,
+                    build_weights_tensor, check_bucket_lemma,
+                    count_basic_units, draw_params, exact_array, forward_deep,
+                    neutral_h0, score_from_tensor, separation_rank,
+                    step_deep, trial_rng)
 from racsep.network import dump_params, parse_params
 
 
@@ -111,6 +114,52 @@ def test_params_shape_validation():
         RacParams(**dict(good, w_hidden=[exact_array([[1, 2, 3], [4, 5, 6]])]))
     with pytest.raises(ParameterError):
         RacParams(**dict(good, w_hidden=[np.eye(2)]))  # field mix
+
+
+@pytest.mark.parametrize("h0", [[np.array([0.5, 0.5])], [[1, 1]]])
+def test_params_refuse_an_h0_of_another_field_or_not_an_array(h0):
+    # a float h0 in an exact network used to fail later with AttributeError
+    # in separation_rank, and a list h0 with AttributeError reading .shape
+    with pytest.raises(ParameterError):
+        RacParams(w_in=[exact_array([[1, 2], [3, 4]])],
+                  w_hidden=[exact_array([[1, 0], [0, 1]])],
+                  w_out=exact_array([[1, 1]]), h0=h0)
+
+
+def test_cell_sizes_and_iteration():
+    cell = Cell(3, 2, 6)
+    assert (cell.L, cell.half, cell.width) == (1, 3, 27)
+    assert tuple(cell) == (3, 2, 6, 1)
+    assert tuple(Cell(2, 2, 4, 3)) == (2, 2, 4, 3)
+
+
+@pytest.mark.parametrize("args,got", [
+    ((2, 2, 3), "T = 3"), ((2, 2, 0), "T = 0"), ((2, 2, -2), "T = -2"),
+    ((0, 2, 4), "M = 0"), ((2, 0, 4), "R = 0"), ((2, 2, 4, 0), "L = 0"),
+    ((0, 2, 5), "M = 0, T = 5"), ((2, 2, 4.0), "T = 4.0"),
+])
+def test_cell_refuses_a_bad_size_with_one_message(args, got):
+    with pytest.raises(ShapeError) as ei:
+        Cell(*args)
+    assert str(ei.value) == ("a cell needs integers M, R, L >= 1 and an even "
+                             f"T >= 2, got {got}")
+
+
+@pytest.mark.parametrize("T", [3, 0])
+def test_every_site_refuses_a_bad_T_with_the_cell_message(T):
+    with pytest.raises(ShapeError) as ei:
+        Cell(2, 2, T)
+    message = str(ei.value)
+    shallow = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2)
+    deep = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2, field=FLOAT)
+    for call in (lambda: separation_rank(shallow, T),
+                 lambda: separation_rank(deep, T),
+                 lambda: AppendixBAssignment(2, 2, T),
+                 lambda: check_bucket_lemma(2, T),
+                 lambda: count_basic_units(Cell(2, 2, T, 3))):
+        with pytest.raises(ShapeError) as ei:
+            call()
+        assert str(ei.value) == message
 
 
 @pytest.mark.parametrize("key", ["w_in", "w_out"])

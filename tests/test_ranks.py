@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (AppendixBAssignment, FieldMismatchError, IndexPartition,
+from racsep import (AppendixBAssignment, Cell, FieldMismatchError,
+                    IndexPartition,
                     ParameterError, build_grid_tensor, build_weights_tensor,
                     check_claim1_equality, column_basis, draw_trials,
                     exact_array, matricize, rank_exact, separation_rank,
@@ -80,16 +81,16 @@ def test_certificate_agrees_with_bareiss_on_suite_draws(monkeypatch):
 
     monkeypatch.setattr(ranks, "_full_rank_mod_p", checked)
     for M, R, T in SUITE_CELLS:
-        verify_shallow_rank_law(M, R, T, 50, seed=7)
-        check_claim1_equality(M, R, T, 50, seed=7)
-        verify_min_cut(M, R, T, 50, seed=7)
+        verify_shallow_rank_law(Cell(M, R, T), 50, seed=7)
+        check_claim1_equality(Cell(M, R, T), 50, seed=7)
+        verify_min_cut(Cell(M, R, T), 50, seed=7)
     # both branches ran: certified full rank, and the Bareiss fallback
     assert True in verdicts and False in verdicts
 
 
 def test_factored_rank_agrees_with_weights_tensor_on_suite_draws():
     for M, R, T in SUITE_CELLS:
-        for _, p in draw_trials(7, M, R, T, 1, 50, "exact"):
+        for _, p in draw_trials(7, Cell(M, R, T), 50, "exact"):
             w = build_weights_tensor(p, T=T).tensor
             want = rank_exact(matricize(w, IndexPartition.start_end(T))).rank
             assert separation_rank(p, T).rank == want <= R

@@ -231,6 +231,16 @@ def test_rank_numeric_rejects_nan():
         rank_numeric(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -1.0, 0.0])
+def test_rank_numeric_refuses_a_tolerance_that_is_not_finite_and_positive(
+        rel_tol):
+    # nan and inf used to give rank 0 and a negative value counted zero
+    # singular values, for the zero matrix too
+    for a in (np.eye(3), np.zeros((2, 2))):
+        with pytest.raises(InvalidInputError, match="rel_tol"):
+            rank_numeric(a, rel_tol=rel_tol)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_multiset_coefficient_recurrence(n, k):

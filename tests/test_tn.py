@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
+from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
                     ParameterError, RAC_PRODUCT, ResourceBudgetError, ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
                     build_mps, build_weights_tensor, contract,
                     count_basic_units, delta_tensor, draw_params, exact_array,
@@ -362,12 +362,12 @@ def test_min_cut_past_the_enumeration_limit():
 
 
 def test_count_basic_units():
-    assert count_basic_units(3, 6).enumerated == 6
-    assert count_basic_units(1, 4).enumerated == 1
-    assert count_basic_units(2, 8).enumerated == 4
+    assert count_basic_units(Cell(2, 2, 6, 3)).enumerated == 6
+    assert count_basic_units(Cell(2, 2, 4, 1)).enumerated == 1
+    assert count_basic_units(Cell(2, 2, 8, 2)).enumerated == 4
     for L in range(1, 5):
         for T in (2, 4, 6, 8):
-            r = count_basic_units(L, T)
+            r = count_basic_units(Cell(2, 2, T, L))
             assert r.match
             assert r.closed_form == multiset_coefficient(T // 2, L - 1)
 

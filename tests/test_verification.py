@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
-                    InvalidInputError, ParameterError, build_grid_tensor,
+from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, IndexPartition,
+                    InvalidInputError, ParameterError, ShapeError,
+                    build_grid_tensor,
                     check_bucket_lemma, check_claim1_equality,
                     check_conjecture_bound, check_decomposition_identity,
                     check_hadamard_power_bound, check_no_cloning,
@@ -25,6 +26,25 @@ def test_trial_rng_deterministic_and_independent():
     c = trial_rng(7, 2, 3, 4, 1, 6).integers(0, 1000, 8)
     assert np.all(a == b)
     assert not np.all(a == c)
+
+
+def test_trial_rng_refuses_a_negative_seed():
+    # numpy's SeedSequence used to raise a bare ValueError
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        trial_rng(-1, 2, 2, 4, 1, 0)
+
+
+@pytest.mark.parametrize("suite,L", [
+    (lambda c: verify_shallow_rank_law(c, 1), 2),
+    (lambda c: check_claim1_equality(c, 1), 2),
+    (lambda c: verify_min_cut(c, 1), 3),
+    (lambda c: check_decomposition_identity(c), 2),
+    (lambda c: verify_deep_lower_bound(c, 1), 1),
+    (lambda c: verify_deep_lower_bound(c, 1), 3),
+], ids=["shallow", "claim1", "mincut", "decomposition", "deep-1", "deep-3"])
+def test_depth_fixed_suites_refuse_a_cell_of_another_depth(suite, L):
+    with pytest.raises(ParameterError, match="stated at depth"):
+        suite(Cell(2, 2, 4, L))
 
 
 def test_draw_params_ranges():
@@ -62,7 +82,7 @@ def test_appendix_b_assignment_structure():
 
 
 def test_appendix_b_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ShapeError):
         AppendixBAssignment(M=2, R=2, T=3)
 
 
@@ -81,21 +101,21 @@ def test_appendix_b_grid_rank(M, R, T, expected):
 
 
 def test_verify_shallow_rank_law():
-    rep = verify_shallow_rank_law(2, 2, 4, trials=10, seed=1)
+    rep = verify_shallow_rank_law(Cell(2, 2, 4), trials=10, seed=1)
     assert rep.passed and rep.fraction == 1.0
     # R beyond the M^(T/2) cap
-    rep = verify_shallow_rank_law(2, 16, 4, trials=3, seed=1)
+    rep = verify_shallow_rank_law(Cell(2, 16, 4), trials=3, seed=1)
     assert rep.passed
     assert all(r.observed == "4" for r in rep.rows)
     # R=1 always rank 1
-    rep = verify_shallow_rank_law(2, 1, 4, trials=5, seed=1)
+    rep = verify_shallow_rank_law(Cell(2, 1, 4), trials=5, seed=1)
     assert rep.passed and all(r.observed == "1" for r in rep.rows)
-    with pytest.raises(InvalidInputError):
-        verify_shallow_rank_law(2, 2, 3, trials=1)
+    with pytest.raises(ShapeError):
+        verify_shallow_rank_law(Cell(2, 2, 3), trials=1)
 
 
 def test_verify_shallow_float_field():
-    rep = verify_shallow_rank_law(2, 2, 4, trials=5, seed=2, field=FLOAT)
+    rep = verify_shallow_rank_law(Cell(2, 2, 4), trials=5, seed=2, field=FLOAT)
     assert rep.passed
 
 
@@ -114,26 +134,28 @@ def test_verify_shallow_exact_never_builds_the_weights_tensor(monkeypatch):
     monkeypatch.setattr(builders, "build_weights_tensor", refuse)
     monkeypatch.setattr(verification, "build_weights_tensor", refuse)
     monkeypatch.setattr(builders, "build_grid_tensor", spy)
-    rep = verify_shallow_rank_law(3, 2, 6, trials=5, seed=7, field=EXACT)
+    rep = verify_shallow_rank_law(Cell(3, 2, 6), trials=5, seed=7,
+                                  field=EXACT)
     assert rep.passed and [r.observed for r in rep.rows] == ["2"] * 5
     assert grids == []
-    rep = verify_shallow_rank_law(3, 2, 6, trials=2, seed=7, field=FLOAT)
+    rep = verify_shallow_rank_law(Cell(3, 2, 6), trials=2, seed=7,
+                                  field=FLOAT)
     assert rep.passed and len(grids) == 2
 
 
 def test_verify_deep_lower_bound():
-    rep = verify_deep_lower_bound(2, 2, 4, trials=5, seed=0)
+    rep = verify_deep_lower_bound(Cell(2, 2, 4, 2), trials=5, seed=0)
     assert rep.passed
     exact_rows = [r for r in rep.rows if r.required]
     assert len(exact_rows) == 1 and exact_rows[0].observed == "3"
     # R=1: bound multiset(1, 2) = 1
-    rep = verify_deep_lower_bound(2, 1, 4, trials=3, seed=0)
+    rep = verify_deep_lower_bound(Cell(2, 1, 4, 2), trials=3, seed=0)
     assert rep.passed and rep.rows[0].expected == "1"
 
 
 def test_claim1_equality():
     for (M, R) in [(2, 2), (3, 2)]:
-        rep = check_claim1_equality(M, R, 4, trials=5, seed=3)
+        rep = check_claim1_equality(Cell(M, R, 4), trials=5, seed=3)
         assert rep.passed and all(r.passed for r in rep.rows)
 
 
@@ -149,7 +171,7 @@ def test_claim1_builds_its_grid_under_unimodular_non_identity_templates(
         return build_grid_tensor(p, enc, *args, **kwargs)
 
     monkeypatch.setattr(verification, "build_grid_tensor", spy)
-    assert check_claim1_equality(M, 2, 4, trials=2, seed=3).passed
+    assert check_claim1_equality(Cell(M, 2, 4), trials=2, seed=3).passed
     assert len(seen) == 2
     for enc in seen:
         F = enc.F
@@ -161,13 +183,14 @@ def test_claim1_builds_its_grid_under_unimodular_non_identity_templates(
 
 
 def test_conjectured_bound():
-    assert conjectured_bound(2, 2, 4, 3) == 4  # capped at M^(T/2)
-    assert conjectured_bound(3, 3, 6, 2) == 10  # multiset(3, 3)
-    assert conjectured_bound(3, 2, 6, 1) == 2  # the shallow min{R, M^(T/2)}
+    assert conjectured_bound(Cell(2, 2, 4, 3)) == 4  # capped at M^(T/2)
+    assert conjectured_bound(Cell(3, 3, 6, 2)) == 10  # multiset(3, 3)
+    # the shallow min{R, M^(T/2)}
+    assert conjectured_bound(Cell(3, 2, 6, 1)) == 2
 
 
 def test_conjecture_report_only():
-    rep = check_conjecture_bound(2, 2, 4, L=3, trials=3, seed=0)
+    rep = check_conjecture_bound(Cell(2, 2, 4, 3), trials=3, seed=0)
     # the cap M^(T/2) is asserted; the conjectured bound is only reported
     assert rep.passed
     assert all("conjectured>=4" == r.expected for r in rep.rows)
@@ -176,11 +199,11 @@ def test_conjecture_report_only():
 
 def test_decomposition_identity():
     for (M, Rb, T) in [(2, 2, 4), (2, 3, 4), (3, 2, 4)]:
-        rep = check_decomposition_identity(M, Rb, T, seed=0)
+        rep = check_decomposition_identity(Cell(M, Rb, T), seed=0)
         assert rep.passed, (M, Rb, T)
     for T in (0, 3):  # a false mismatch and an IndexError before
-        with pytest.raises(InvalidInputError):
-            check_decomposition_identity(2, 2, T)
+        with pytest.raises(ShapeError):
+            check_decomposition_identity(Cell(2, 2, T))
 
 
 def test_bucket_states_and_trajectories():
@@ -198,7 +221,7 @@ def test_bucket_lemma():
     assert rep.passed
     rep = check_bucket_lemma(3, 6)
     assert rep.passed
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ShapeError):
         check_bucket_lemma(2, 0)  # an IndexError before
 
 
@@ -236,17 +259,17 @@ def test_no_cloning_reports():
 
 
 def test_min_cut_verification():
-    rep = verify_min_cut(2, 2, 4, trials=5, seed=0)
+    rep = verify_min_cut(Cell(2, 2, 4), trials=5, seed=0)
     assert rep.passed
 
 
 def test_csv_format():
-    rep = verify_shallow_rank_law(2, 2, 4, trials=2, seed=0)
+    rep = verify_shallow_rank_law(Cell(2, 2, 4), trials=2, seed=0)
     text = rows_to_csv(rep.rows)
     lines = text.splitlines()
     assert lines[0] == "check,M,R,T,L,field,seed,observed,expected,pass"
     assert len(lines) == 3
     assert lines[1].startswith("shallow,2,2,4,1,exact,0.0,")
     # byte-determinism across repeated runs
-    rep2 = verify_shallow_rank_law(2, 2, 4, trials=2, seed=0)
+    rep2 = verify_shallow_rank_law(Cell(2, 2, 4), trials=2, seed=0)
     assert rows_to_csv(rep2.rows) == text
