@@ -24,13 +24,12 @@ and R r M^(T/2) for the two halves of the exact single-layer rank.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, ResourceBudgetError, ShapeError
+from .errors import ParameterError, ShapeError, check_budget, env_budget
 from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
@@ -44,16 +43,7 @@ DEFAULT_GRID_BUDGET = 10 ** 7
 
 
 def grid_budget():
-    return int(os.environ.get(GRID_BUDGET_ENV, DEFAULT_GRID_BUDGET))
-
-
-def _check_entries(what, required):
-    """Refuses an array of ``required`` entries above the grid budget."""
-    budget = grid_budget()
-    if required > budget:
-        raise ResourceBudgetError(
-            f"{what} needs {required} entries, budget is {budget}",
-            required=required, budget=budget)
+    return env_budget(GRID_BUDGET_ENV, DEFAULT_GRID_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -117,14 +107,14 @@ def _identity(p):
 def _outputs(p, F, c, T, what):
     """The tensor ``what`` of p's class-c outputs on all M^T sequences of
     the templates F, advanced from h0 on one :class:`_Frontier` and divided
-    by its one denominator over the exact field."""
+    by its one denominator, if that is not 1 (it is 1 over the float field
+    and for integer weights, h0 and templates)."""
     check_class(p, c)
-    _check_entries(what, p.M ** T)
+    check_budget(what, p.M ** T, grid_budget())
     net = _Frontier(p, F, c)
     S, D = net.advance(net.h0, net.D0, T)
-    A = net.out @ S[-1]
-    if p.field == EXACT:
-        den = net.do * D[-1]
+    A, den = net.out @ S[-1], net.do * D[-1]
+    if den != 1:
         A = np.array([Fraction(x, den) for x in A], dtype=object)
     return GridTensor(DenseTensor(A.reshape((p.M,) * T), p.field))
 
@@ -150,10 +140,11 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
         return start_end_rank(build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
     check_class(p, c)
     net = _Frontier(p, _identity(p), c)
-    _check_entries("mid-sequence state array", p.R * cell.width)
+    check_budget("mid-sequence state array", p.R * cell.width, grid_budget())
     [mid], D = net.advance(net.h0, net.D0, cell.half)
     basis = column_basis(mid)
-    _check_entries("end-half state array", p.R * len(basis) * cell.width)
+    check_budget("end-half state array", p.R * len(basis) * cell.width,
+                 grid_budget())
     [ends], _ = net.advance([mid[:, basis]], D, cell.half)
     return rank_exact((net.out @ ends).reshape(len(basis), cell.width))
 

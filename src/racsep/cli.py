@@ -16,7 +16,7 @@ from .builders import (build_grid_tensor, build_weights_tensor,
                        separation_rank)
 from .errors import RacsepError, ResourceBudgetError
 from .network import Cell
-from .ranks import DEFAULT_REL_TOL
+from .ranks import DEFAULT_REL_TOL, check_rel_tol
 from .tensor import EXACT, FLOAT, save_tensor
 from .tn import (build_deep_tn, build_mps, count_basic_units, min_cut,
                  save_graph)
@@ -163,6 +163,7 @@ def _emit(args, text):
 
 def cmd_verify(args):
     _suite_flags(args)
+    check_rel_tol(args.rel_tol)
     reports = SUITES[args.suite](args)
     _emit(args, rows_to_csv([r for rep in reports for r in rep.rows]))
     return EXIT_PASS if all(rep.passed for rep in reports) else EXIT_FAIL
@@ -173,6 +174,7 @@ SCAN_COLUMNS = ("M", "R", "T", "L", "field", "seed", "observed_rank",
 
 
 def cmd_scan(args):
+    check_rel_tol(args.rel_tol)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SCAN_COLUMNS)

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the size budgets."""
+
+import os
 
 
 class RacsepError(Exception):
@@ -28,3 +30,22 @@ class ResourceBudgetError(RacsepError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+def env_budget(name, default):
+    """The entry budget in environment variable ``name``, ``default`` if it
+    is unset; InvalidInputError unless it is a non-negative integer."""
+    text = os.environ.get(name, str(default))
+    if not text.strip().isdecimal():
+        raise InvalidInputError(
+            f"{name} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def check_budget(what, required, budget):
+    """Raises ResourceBudgetError if ``what`` needs more than ``budget``
+    entries."""
+    if required > budget:
+        raise ResourceBudgetError(
+            f"{what} needs {required} entries, budget is {budget}",
+            required=required, budget=budget)

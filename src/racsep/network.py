@@ -138,11 +138,8 @@ class TemplateEncoder:
     def __post_init__(self):
         if self.F.ndim != 2 or self.F.shape[0] != self.F.shape[1]:
             raise ParameterError("encoder matrix must be square")
-        if field_of(self.F) == EXACT:
-            full = rank_exact(self.F).rank == self.M
-        else:
-            full = rank_numeric(self.F).rank == self.M
-        if not full:
+        rank = rank_exact if field_of(self.F) == EXACT else rank_numeric
+        if rank(self.F).rank != self.M:
             raise ParameterError("encoder matrix must be non-singular")
 
     @classmethod

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      ShapeError)
-from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition,
-                     clear_denominators, matricize)
+from .tensor import (EXACT, DenseTensor, IndexPartition, clear_denominators,
+                     exact_array, field_of, matricize)
 
 DEFAULT_REL_TOL = 1e-12
 # the word-size prime of the full-rank certificate, just under 2^31
@@ -47,14 +47,11 @@ class RankReport:
 
 
 def _as_matrix(m):
-    if isinstance(m, DenseTensor):
-        if m.order != 2:
-            raise ShapeError(f"rank expects an order-2 tensor, got order {m.order}")
-        return m.data, m.field
-    arr = np.asarray(m)
+    """A DenseTensor's or array's entries as a matrix, and their field."""
+    arr = m.data if isinstance(m, DenseTensor) else np.asarray(m)
     if arr.ndim != 2:
-        raise ShapeError("rank expects a matrix")
-    return arr, (EXACT if arr.dtype == object else FLOAT)
+        raise ShapeError(f"rank expects a matrix, got order {arr.ndim}")
+    return arr, field_of(arr)
 
 
 def rank_exact(m) -> RankReport:
@@ -87,7 +84,7 @@ def column_basis(m) -> list:
 
 def solve_exact(a, b):
     """The x with a x = b over the rationals, for square exact ``a``, as an
-    object array of Fractions; raises ParameterError if ``a`` is singular.
+    :func:`exact_array`; raises ParameterError if ``a`` is singular.
     A zero or repeated row of [a | b] makes ``a`` singular, so dropping it
     only shortens the elimination."""
     n = a.shape[0]
@@ -99,7 +96,7 @@ def solve_exact(a, b):
     for k in reversed(range(n)):
         rest = sum(rows[k][j] * x[order[j]] for j in range(k + 1, n))
         x[order[k]] = Fraction(rows[k][n] - rest, rows[k][k])
-    return x
+    return exact_array(x)
 
 
 def _bareiss(rows, ncols):
@@ -201,10 +198,15 @@ def _primitive_rows(values, width):
     return [list(row) for row in distinct]
 
 
-def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
-    """Numeric rank: count singular values above rel_tol * max(dims) * sigma_max."""
+def check_rel_tol(rel_tol):
+    """Raises InvalidInputError unless ``rel_tol`` is finite and > 0."""
     if not 0 < rel_tol < math.inf:
         raise InvalidInputError(f"rel_tol must be finite and > 0, got {rel_tol}")
+
+
+def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
+    """Numeric rank: count singular values above rel_tol * max(dims) * sigma_max."""
+    check_rel_tol(rel_tol)
     arr, fld = _as_matrix(m)
     if fld == EXACT:
         arr = arr.astype(np.float64)

@@ -1,15 +1,18 @@
 """Dense tensors over a switchable scalar field, with matricization.
 
 Two scalar fields are supported: IEEE double ("float") and exact rationals
-("exact", ``fractions.Fraction`` over Python ints in object arrays, built by
-:func:`exact_array`).  A tensor never mixes fields.  Entries are kept in row-major order (last index fastest), so
-matricization w.r.t. an index partition reduces to an axis permutation
-followed by a reshape.
+("exact", in object arrays).  An exact scalar has one form, which
+:func:`exact_array` gives it: a Python int when the value is an integer,
+else a ``fractions.Fraction`` over Python ints with a denominator > 1.  A
+tensor never mixes fields.  Entries are kept in row-major order (last index
+fastest), so matricization w.r.t. an index partition reduces to an axis
+permutation followed by a reshape.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,24 +25,23 @@ FLOAT = "float"
 
 
 def exact_array(values, shape=None):
-    """An object ndarray of Fractions over Python ints from nested
-    ints/Fractions/strings; the one way integer arrays enter the exact field.
+    """A new object ndarray of the exact scalars in nested ints, Fractions or
+    "num/den" strings, each in its one form: a Python int if it is an
+    integer, else a Fraction of Python ints; every array enters the exact
+    field here.
 
-    Numpy integers are converted too: a Fraction of numpy integers would
-    compute in wrapping int64.
+    Numpy integers become Python ints, which do not wrap.
     """
     arr = np.array(values, dtype=object)
     flat = arr.reshape(-1)
     for i, v in enumerate(flat):
-        f = Fraction(v)
-        if type(v) is not int and (type(f.numerator) is not int
-                                   or type(f.denominator) is not int):
-            f = Fraction(int(f.numerator), int(f.denominator))
-        flat[i] = f
-    arr = flat.reshape(arr.shape)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
+        if type(v) is not int:
+            f = v if type(v) is Fraction else Fraction(v)
+            n, d = f.numerator, f.denominator
+            if d == 1 or type(n) is not int or type(d) is not int:
+                f = int(n) if d == 1 else Fraction(int(n), int(d))
+            flat[i] = f
+    return flat.reshape(arr.shape if shape is None else shape)
 
 
 def clear_denominators(values):
@@ -74,23 +76,18 @@ class DenseTensor:
     """An order-T multi-dimensional array over a single scalar field.
 
     ``data`` is a numpy array shaped ``dims``; dtype float64 for the float
-    field, object (holding Fractions) for the exact field.  An integer array
-    enters either field here: ``DenseTensor(ints, field)``.
+    field, object for the exact field, whose entries :func:`exact_array`
+    puts in their one form.  An integer array enters either field here:
+    ``DenseTensor(ints, field)``.
     """
 
     __slots__ = ("data", "field")
 
     def __init__(self, data, field=None):
-        data = np.asarray(data)
-        if data.ndim < 1:
-            data = data.reshape(1)
-        field = field_of(data) if field is None else check_field(field)
-        if field == EXACT and data.dtype != object:
-            data = exact_array(data)
-        elif field == FLOAT:
-            data = data.astype(np.float64, copy=False)
-        self.data = data
-        self.field = field
+        data = np.atleast_1d(data)
+        self.field = field_of(data) if field is None else check_field(field)
+        self.data = (exact_array(data) if self.field == EXACT
+                     else data.astype(np.float64, copy=False))
 
     @property
     def dims(self):
@@ -165,9 +162,9 @@ def matricize(t: DenseTensor, p: IndexPartition) -> DenseTensor:
 
 def hadamard_power(m: DenseTensor, p: int) -> DenseTensor:
     """Raise every entry to the integer power p, shape preserved."""
-    if p < 1:
+    if not isinstance(p, numbers.Integral) or p < 1:
         raise InvalidInputError(f"power must be a positive integer, got {p}")
-    return DenseTensor(m.data ** p, m.field)
+    return DenseTensor(m.data ** int(p), m.field)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ FORMAT_TAG = "racsep-tensor v1"
 def format_scalars(values, field):
     """The text form of every scalar in ``values``, in order."""
     if field == EXACT:
-        return [f"{f.numerator}/{f.denominator}" for f in map(Fraction, values)]
+        return [f"{v.numerator}/{v.denominator}" for v in values]
     return [np.format_float_scientific(v, unique=True) for v in values]
 
 
@@ -218,7 +215,8 @@ def header_field(lines, pos):
 
 def parse_scalars(raw, field, shape):
     """One block of text entries as an array of the field shaped ``shape``:
-    Fractions (``num/den``) in an object array, or finite float64 values."""
+    ``num/den`` entries through :func:`exact_array`, or finite float64
+    values."""
     if not all(shape):
         raise InvalidInputError(f"all dims must be >= 1, got {shape}")
     if len(raw) != math.prod(shape):
@@ -226,8 +224,7 @@ def parse_scalars(raw, field, shape):
                                 f"{math.prod(shape)} entries, got {len(raw)}")
     try:
         if field == EXACT:
-            return np.array([Fraction(s) for s in raw],
-                            dtype=object).reshape(shape)
+            return exact_array(raw, shape)
         arr = np.array([float(s) for s in raw], dtype=np.float64)
     except (ValueError, ZeroDivisionError) as e:
         raise InvalidInputError(f"bad {field} entry: {e}") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
-                     ShapeError)
+                     ShapeError, check_budget, env_budget)
 from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder)
 from .ranks import multiset_coefficient
@@ -98,21 +97,18 @@ class TnGraph:
         for nid, legs in used.items():
             if len(legs) != self.nodes[nid].order:
                 raise ShapeError(f"node {nid!r} has unused legs")
-        if len(self.nodes) > 1:
-            seen = set()
-            stack = [next(iter(self.nodes))]
-            adj = {nid: [] for nid in self.nodes}
-            for e in self.edges:
-                adj[e.node_a].append(e.node_b)
-                adj[e.node_b].append(e.node_a)
-            while stack:
-                n = stack.pop()
-                if n in seen:
-                    continue
+        adj = {nid: [] for nid in self.nodes}
+        for e in self.edges:
+            adj[e.node_a].append(e.node_b)
+            adj[e.node_b].append(e.node_a)
+        seen, stack = set(), list(self.nodes)[:1]
+        while stack:
+            n = stack.pop()
+            if n not in seen:
                 seen.add(n)
                 stack.extend(adj[n])
-            if seen != set(self.nodes):
-                raise ShapeError("tensor-network graph must be connected")
+        if seen != set(self.nodes):
+            raise ShapeError("tensor-network graph must be connected")
 
     @property
     def field(self):
@@ -243,12 +239,9 @@ def contract(g: TnGraph) -> DenseTensor:
     last; a fully closed network yields a single-entry tensor.  The entry
     budget is read from the RACSEP_CONTRACT_BUDGET environment variable.
     """
-    budget = int(os.environ.get(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET))
+    budget = env_budget(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET)
     total_open = math.prod(o.dim for o in g.open_legs)
-    if total_open > budget:
-        raise ResourceBudgetError(
-            f"contraction result needs {total_open} entries, budget {budget}",
-            required=total_open, budget=budget)
+    check_budget("contraction result", total_open, budget)
 
     # every axis is labelled once: a bond number, or its open leg's sort key
     label = {}
@@ -283,10 +276,7 @@ def contract(g: TnGraph) -> DenseTensor:
         size, x, y = heapq.heappop(heap)
         if x not in pool or y not in pool:
             continue  # an entry of a pair one of whose keys is merged away
-        if size > budget:
-            raise ResourceBudgetError(
-                f"intermediate tensor needs {size} entries, budget {budget}",
-                required=size, budget=budget)
+        check_budget("intermediate tensor", size, budget)
         (ax, lx), (ay, ly) = pool.pop(x), pool.pop(y)
         common = [l for l in lx if l in ly]
         arr = np.tensordot(ax, ay, axes=([lx.index(l) for l in common],

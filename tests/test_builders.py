@@ -11,14 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
-                    ParameterError, RAC_PRODUCT, RacParams,
+                    InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
                     attach_inputs, build_grid_tensor, build_mps,
                     build_weights_tensor, contract, draw_params, exact_array,
-                    forward_deep, matricize, rank_exact, score_from_tensor,
-                    separation_rank, start_end_rank, step_deep, trial_rng)
+                    forward_deep, grid_budget, matricize, rank_exact,
+                    score_from_tensor, separation_rank, start_end_rank,
+                    step_deep, trial_rng)
 from racsep import builders, network
 from racsep.builders import GRID_BUDGET_ENV
+from scalars import canonical
 
 
 def test_weights_tensor_matches_forward_on_every_sequence():
@@ -131,6 +133,18 @@ def test_grid_budget_enforced(monkeypatch):
     build_grid_tensor(p, T=3)  # 8 entries fits
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-8", "8.0", ""])
+def test_grid_budget_refuses_a_malformed_value(value, monkeypatch):
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
+    monkeypatch.setenv(GRID_BUDGET_ENV, value)
+    with pytest.raises(InvalidInputError, match=GRID_BUDGET_ENV):
+        build_grid_tensor(p, T=2)
+    with pytest.raises(InvalidInputError, match=GRID_BUDGET_ENV):
+        separation_rank(p, 2)
+    monkeypatch.delenv(GRID_BUDGET_ENV)
+    assert grid_budget() == 10 ** 7
+
+
 def test_weights_budget_enforced(monkeypatch):
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
     monkeypatch.setenv(GRID_BUDGET_ENV, "15")
@@ -188,7 +202,7 @@ def test_builders_agree_with_forward_for_explicit_h0(data):
         assert score_from_tensor(weights, enc, d) == want
         assert grid[idx] == want
         assert contract(attach_inputs(mps, enc, d)).entries[0] == want
-        assert isinstance(grid[idx], Fraction)
+        assert canonical(grid[idx])
 
 
 def _abs_forward(p, F, seq):
@@ -247,7 +261,7 @@ def test_grid_frontier_matches_forward_with_rational_weights(data):
     for d in itertools.product(range(1, M + 1), repeat=T):
         idx = tuple(x - 1 for x in d)
         assert grid[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
-        assert isinstance(grid[idx], Fraction)
+        assert canonical(grid[idx])
         want = forward_deep(q, RAC_PRODUCT, fenc, d)[0]
         assert abs(fgrid[idx] - want) <= 1e-12 * float(_abs_forward(p, F, d))
 

@@ -96,6 +96,29 @@ def test_bad_rel_tol_usage_error(rel_tol, capsys):
     assert "rel_tol must be finite and > 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "shallow", "--field", "exact", "--rel-tol", "nan"],
+    ["scan", "--rel-tol", "-1"], ["scan", "--rel-tol", "inf"]])
+def test_bad_rel_tol_is_refused_where_no_float_rank_is_taken(argv, capsys):
+    # exact shallow rows and L = 1 scan rows never reach rank_numeric, so
+    # these printed normal CSV with exit 0
+    code, out, err = run_cli(argv + ["--trials", "1"] * (argv[0] == "verify"),
+                             capsys)
+    assert (code, out) == (2, "")
+    assert "rel_tol must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", ""])
+def test_malformed_grid_budget_usage_error(value, capsys, monkeypatch):
+    # "abc" used to end in int()'s ValueError traceback with exit 1, the
+    # code of a failed check
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", value)
+    code, out, err = run_cli(["verify", "shallow", "--trials", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("racsep: RACSEP_GRID_BUDGET must be a non-negative "
+                   f"integer, got {value!r}\n")
+
+
 def test_bad_range_usage_error():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "shallow", "--M", ""])

@@ -17,6 +17,7 @@ from racsep import (EXACT, FLOAT, AppendixBAssignment, Cell,
                     neutral_h0, score_from_tensor, separation_rank,
                     step_deep, trial_rng)
 from racsep.network import dump_params, parse_params
+from scalars import canonical
 
 
 def exact_params(w_in, w_hidden, w_out, h0=None):
@@ -86,14 +87,13 @@ def hidden_matrices(draw):
 def test_neutral_h0_makes_first_update_all_ones(w):
     # numpy int64 entries used to wrap inside the elimination: h0 came back
     # wrong with only a RuntimeWarning
-    exact = exact_array(w)  # Fractions over Python ints
+    exact = exact_array(w)  # Python ints and Fractions of them
     if _det(exact.tolist()) == 0:
         with pytest.raises(ParameterError):
             neutral_h0(w)
         return
     h0 = neutral_h0(w)
-    assert all(type(x) is Fraction and type(x.numerator) is int
-               and type(x.denominator) is int for x in h0)
+    assert all(map(canonical, h0))
     assert list(exact @ h0) == [1] * len(w)
 
 

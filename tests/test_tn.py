@@ -105,6 +105,17 @@ def test_contract_budget(monkeypatch):
         contract(build_mps(p, 4))
 
 
+@pytest.mark.parametrize("value", ["1e3", "abc", "-1", " "])
+def test_contract_refuses_a_malformed_budget(value, monkeypatch):
+    # "1e3" used to raise int()'s ValueError
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
+    monkeypatch.setenv(CONTRACT_BUDGET_ENV, value)
+    with pytest.raises(InvalidInputError, match=CONTRACT_BUDGET_ENV):
+        contract(build_mps(p, 4))
+    monkeypatch.setenv(CONTRACT_BUDGET_ENV, " 1000 ")
+    contract(build_mps(p, 4))
+
+
 def test_contract_budget_is_the_greedy_peak(monkeypatch):
     # merging the pair with the smallest result keeps every intermediate of
     # this 334-node graph at R^2 = 9 entries; any budget below that fails
