@@ -11,15 +11,14 @@ the weights tensor with every mode multiplied by the template matrix F; so
 the weights tensor is the grid tensor under identity templates.
 
 A network's start/end rank, the Start-End separation rank of its output,
-has one entry point (:func:`separation_rank`), which picks the oracle.  An
-exact single-layer network needs neither tensor: the frontier advances
-every start word's state T/2 steps, an exact column basis of those states
-picks r <= R start words, and only their states are advanced the other T/2
-steps (the tensor-train view of Khrulkov, Novikov and Oseledets, ICLR
-2018).  Every other network is ranked through its grid tensor under
-identity templates.  Every array a builder makes counts against
-RACSEP_GRID_BUDGET: M^T entries for a weights or grid tensor, R M^(T/2)
-and R r M^(T/2) for the two halves of the exact single-layer rank.
+has one entry point (:func:`separation_rank`), which builds neither tensor.
+It walks the frontier under identity templates in two halves: every start
+word's state is advanced T/2 steps, the start words whose rows span the
+start/end matricization are kept (for an exact single-layer network, an
+exact column basis of r <= R of them; else all), and only their states are
+advanced the other T/2 steps (the tensor-train view of Khrulkov, Novikov
+and Oseledets, ICLR 2018).  Every state array a walk builds counts against
+RACSEP_GRID_BUDGET: R entries per prefix it holds.
 """
 
 from __future__ import annotations
@@ -29,13 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, check_budget, env_budget
+from .errors import (InvalidInputError, ParameterError, ShapeError,
+                     check_budget, env_budget)
 from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
 from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis, rank_exact,
-                    start_end_rank)
+                    rank_numeric)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -60,8 +60,8 @@ def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> GridTensor:
 
     By Claim 1 the grid tensor is A with every mode multiplied by the
     template matrix F, so A is the grid tensor under identity templates,
-    advanced from the initial state p.h0 on the grid's frontier.  The entry
-    budget is the grid tensors' RACSEP_GRID_BUDGET.
+    advanced from the initial state p.h0 on the grid's frontier, under the
+    grid tensors' budget.
     """
     if p.L != 1:
         raise ParameterError("weights tensor is defined for single-layer networks")
@@ -77,7 +77,8 @@ def score_from_tensor(w: GridTensor, enc: TemplateEncoder, seq) -> object:
     check_encoder(enc, t.dims[0], t.field)
     symbols = as_symbols(seq, enc.M)
     if len(symbols) != t.order:
-        raise ShapeError(f"sequence length {len(symbols)} != tensor order {t.order}")
+        raise InvalidInputError(
+            f"sequence has {len(symbols)} symbols, tensor order is {t.order}")
     acc = t.data
     for s in symbols:
         acc = np.tensordot(enc.row(s), acc, axes=([0], [0]))
@@ -87,8 +88,8 @@ def score_from_tensor(w: GridTensor, enc: TemplateEncoder, seq) -> object:
 def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
                       T: int = 2) -> GridTensor:
     """Order-T tensor of network outputs over all M^T template sequences,
-    advanced level by level from h0 (see :class:`_Frontier`).  The entry
-    budget is read from the RACSEP_GRID_BUDGET environment variable.
+    advanced level by level from h0 (see :class:`_Frontier`, which checks
+    its R x M^T state arrays against RACSEP_GRID_BUDGET).
     """
     if enc is not None:
         check_encoder(enc, p.M, p.field)
@@ -99,8 +100,7 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
 
 
 def _identity(p):
-    """The identity templates' M x M matrix in p's field (Python ints over
-    the exact field, which the frontier takes as they are)."""
+    """The identity templates' M x M matrix in p's field (exact: ints)."""
     return np.eye(p.M, dtype=object if p.field == EXACT else np.float64)
 
 
@@ -109,10 +109,8 @@ def _outputs(p, F, c, T, what):
     the templates F, advanced from h0 on one :class:`_Frontier` and divided
     by its one denominator, if that is not 1 (it is 1 over the float field
     and for integer weights, h0 and templates)."""
-    check_class(p, c)
-    check_budget(what, p.M ** T, grid_budget())
     net = _Frontier(p, F, c)
-    S, D = net.advance(net.h0, net.D0, T)
+    S, D = net.advance(net.h0, net.D0, T, f"{what} state array")
     A, den = net.out @ S[-1], net.do * D[-1]
     if den != 1:
         A = np.array([Fraction(x, den) for x in A], dtype=object)
@@ -122,31 +120,27 @@ def _outputs(p, F, c, T, what):
 def separation_rank(p: RacParams, T: int, c: int = 1,
                     rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
     """The Start-End separation rank of network p's class-c output on
-    length-T sequences: the rank of the start/end matricization of its grid
-    tensor under identity templates (its weights tensor when L = 1), exact
-    for the exact field and by SVD with ``rel_tol`` for the float field.
+    length-T sequences: the rank of the start/end matricization G of its
+    grid tensor under identity templates (its weights tensor when L = 1),
+    exact for the exact field and by SVD with ``rel_tol`` for the float
+    field.  A T that is odd or below 2 is refused by :class:`Cell`.
 
-    An exact single-layer network is ranked without building either tensor.
-    Row s of the matricization G holds the outputs, over every end word, of
-    start word s's hidden state after T/2 steps, and is linear in that
-    state: G = A C with row s of A that state.  So the start words of an
-    exact column basis of the R x M^(T/2) mid-sequence state array (A
-    transposed) give r <= R rows of G, G_S, that span G's rows, and
-    rank G = rank G_S.  Only those r states are advanced the other T/2
-    steps.  A T that is odd or below 2 is refused by :class:`Cell`.
-    """
+    Neither tensor is built.  Row s of G holds the outputs, over every end
+    word, of start word s's states after T/2 steps.  The walk advances all
+    start words T/2 steps, keeps start words S whose rows G_S span G's rows
+    (so rank G = rank G_S) and advances only theirs T/2 more.  An exact
+    single-layer network has G = A C with row s of A its one hidden state,
+    so S is an exact column basis, r <= R, of the R x M^(T/2) mid-sequence
+    state array; every other network keeps all start words.  Exact G_S is
+    the frontier's integers: a common denominator does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
-    if p.L != 1 or p.field != EXACT:
-        return start_end_rank(build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
-    check_class(p, c)
     net = _Frontier(p, _identity(p), c)
-    check_budget("mid-sequence state array", p.R * cell.width, grid_budget())
-    [mid], D = net.advance(net.h0, net.D0, cell.half)
-    basis = column_basis(mid)
-    check_budget("end-half state array", p.R * len(basis) * cell.width,
-                 grid_budget())
-    [ends], _ = net.advance([mid[:, basis]], D, cell.half)
-    return rank_exact((net.out @ ends).reshape(len(basis), cell.width))
+    S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
+    if p.L == 1 and p.field == EXACT:
+        S = [S[0][:, column_basis(S[0])]]
+    S, _ = net.advance(S, D, cell.half, "end-half state array")
+    G = (net.out @ S[-1]).reshape(-1, cell.width)
+    return rank_exact(G) if p.field == EXACT else rank_numeric(G, rel_tol)
 
 
 def _integer_form(a):
@@ -179,6 +173,7 @@ class _Frontier:
     """
 
     def __init__(self, p, F, c):
+        check_class(p, c)
         form = _integer_form if p.field == EXACT else _float_form
         self.wi, self.di = zip(*map(form, p.w_in))
         self.wh, self.dh = zip(*map(form, p.w_hidden))
@@ -187,11 +182,13 @@ class _Frontier:
         h0, D0 = zip(*map(form, p.h0))
         self.h0, self.D0 = [h[:, None] for h in h0], list(D0)
 
-    def advance(self, S, D, t):
+    def advance(self, S, D, t, what):
         """The per-layer states ``S`` over denominators ``D`` after t more
-        steps: new lists, each R x n array now R x n M^t."""
-        S, D = list(S), list(D)
+        steps: new lists, each R x n array now R x n M^t, which counts as
+        ``what`` against RACSEP_GRID_BUDGET before it is built."""
         R, M = S[0].shape[0], self.input.shape[1]
+        check_budget(what, S[0].size * M ** t, grid_budget())
+        S, D = list(S), list(D)
         for _ in range(t):
             below, d_below = self.input, self.dF
             for l in range(len(S)):

@@ -12,13 +12,15 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidInputError, ParameterError, ShapeError
 from .ranks import rank_exact, rank_numeric, solve_exact
-from .tensor import (EXACT, DenseTensor, field_of, format_scalars,
-                     header_field, header_ints, header_words, parse_scalars)
+from .tensor import (EXACT, DenseTensor, exact_array, field_of,
+                     format_scalars, header_field, header_ints, header_words,
+                     parse_scalars)
 
 
 # the merge of hidden-state and input terms: the element-wise product
@@ -91,6 +93,13 @@ class RacParams:
         if len(fields) != 1 or None in fields:
             raise ParameterError("weights and h0 must be arrays of one scalar field")
         (self.field,) = fields
+        if self.field == EXACT and not (
+                {type(x) for m in mats for x in m.flat} <= {int, Fraction}):
+            self.w_in = _exact_forms(self.w_in)
+            self.w_hidden = _exact_forms(self.w_hidden)
+            [self.w_out] = _exact_forms([self.w_out])
+            if self.h0 is not None:
+                self.h0 = _exact_forms(self.h0)
         for name, m in (("w_in[0]", self.w_in[0]), ("w_out", self.w_out)):
             if m.ndim != 2:
                 raise ParameterError(f"{name} must be a matrix, got shape {m.shape}")
@@ -127,6 +136,16 @@ class RacParams:
     @property
     def C(self):
         return self.w_out.shape[0]
+
+
+def _exact_forms(arrays):
+    """The exact ``arrays`` with every entry in its one form, through
+    :func:`exact_array` (a float 0.5 becomes Fraction(1, 2)); an entry that
+    is not rational raises ParameterError."""
+    try:
+        return [exact_array(m) for m in arrays]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParameterError(f"exact weights must be rational: {e}") from None
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,14 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
 
 
 def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
-    """Contract every input leg with its time-step's encoded template vector."""
+    """Contract every input leg with its time-step's encoded template vector;
+    ``seq`` holds one symbol per time-step of g, no fewer and no more."""
     symbols = as_symbols(seq, enc.M)
+    steps = max((o.time_index for o in g.open_legs if o.side != OUTPUT),
+                default=0)
+    if len(symbols) != steps:
+        raise InvalidInputError(
+            f"sequence has {len(symbols)} symbols, graph has {steps} steps")
     nodes = dict(g.nodes)
     edges = list(g.edges)
     remaining = []
@@ -215,9 +221,6 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
         if o.side == OUTPUT:
             remaining.append(o)
             continue
-        if o.time_index > len(symbols):
-            raise InvalidInputError(
-                f"sequence too short: leg needs time-step {o.time_index}")
         check_encoder(enc, o.dim, g.field)
         nid = f"in{k}"
         k += 1
@@ -475,6 +478,8 @@ def parse_graph(text: str) -> TnGraph:
     nodes = {}
     for _ in items("nodes"):
         words = take("node")
+        if words[0] in nodes:
+            raise InvalidInputError(f"node id {words[0]!r} repeats")
         dims = header_ints(words[2:])
         if header_ints(words[1:2]) != (len(dims),):
             raise InvalidInputError(

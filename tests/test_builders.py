@@ -3,6 +3,7 @@ network (:func:`separation_rank`)."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -129,8 +130,10 @@ def test_grid_budget_enforced(monkeypatch):
     monkeypatch.setenv(GRID_BUDGET_ENV, "8")
     with pytest.raises(ResourceBudgetError) as ei:
         build_grid_tensor(p, T=4)
-    assert ei.value.required == 16 and ei.value.budget == 8
-    build_grid_tensor(p, T=3)  # 8 entries fits
+    # the frontier's last state array is R x M^T = 2 x 16
+    assert ei.value.required == 32 and ei.value.budget == 8
+    assert "grid tensor state array" in str(ei.value)
+    build_grid_tensor(p, T=2)  # 2 x 4 entries fits
 
 
 @pytest.mark.parametrize("value", ["abc", "1e3", "-8", "8.0", ""])
@@ -150,8 +153,9 @@ def test_weights_budget_enforced(monkeypatch):
     monkeypatch.setenv(GRID_BUDGET_ENV, "15")
     with pytest.raises(ResourceBudgetError) as ei:
         build_weights_tensor(p, T=4)
-    assert ei.value.required == 16 and ei.value.budget == 15
-    build_weights_tensor(p, T=3)  # 8 entries fits
+    assert ei.value.required == 32 and ei.value.budget == 15
+    assert "weights tensor state array" in str(ei.value)
+    build_weights_tensor(p, T=2)  # 2 x 4 entries fits
 
 
 def test_grid_equals_weights_tensor_identity_encoder():
@@ -354,6 +358,48 @@ def test_separation_rank_is_the_grid_rank_unless_exact_single_layer(L,
                 _grid_rank(p, 6, rel_tol)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_separation_rank_is_the_rank_of_the_materialized_grid(data):
+    # one frontier walk for every network: rational weights, an explicit h0
+    # over a possibly singular W_h or the neutral one, L 1-3, both fields
+    # and either class give the whole RankReport of the materialized grid
+    L = data.draw(st.integers(1, 3))
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 3))
+    T = data.draw(st.sampled_from([2, 4, 6] if M <= 2 else [2, 4]))
+    c = data.draw(st.integers(1, 2))
+
+    def rationals(*shape):
+        n = math.prod(shape)
+        return exact_array(data.draw(st.lists(st.fractions(
+            min_value=-3, max_value=3, max_denominator=5),
+            min_size=n, max_size=n)), shape=shape)
+
+    w_in = [rationals(R, M if l == 0 else R) for l in range(L)]
+    w_hidden = [rationals(R, R) for _ in range(L)]
+    h0 = None
+    if data.draw(st.booleans()):
+        h0 = [rationals(R) for _ in range(L)]
+        if data.draw(st.booleans()):
+            w_hidden[-1][-1] = 0  # singular: no neutral h0 exists
+    try:
+        p = RacParams(w_in=w_in, w_hidden=w_hidden, w_out=rationals(2, R),
+                      h0=h0)
+    except ParameterError:  # a singular hidden matrix has no neutral h0
+        assume(False)
+    if data.draw(st.booleans()):
+        def to_float(a):
+            return a.astype(np.float64)
+
+        p = RacParams(w_in=list(map(to_float, p.w_in)),
+                      w_hidden=list(map(to_float, p.w_hidden)),
+                      w_out=to_float(p.w_out), h0=list(map(to_float, p.h0)))
+    rel_tol = data.draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
+    assert separation_rank(p, T, c, rel_tol) == start_end_rank(
+        build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
+
+
 def test_separation_rank_of_the_appendix_b_network():
     asg = AppendixBAssignment(3, 2, 8)
     rank = separation_rank(asg.params(), 8)
@@ -366,10 +412,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_separation_rank_of_exact_single_layer_builds_no_tensor(monkeypatch):
-    monkeypatch.setattr(builders, "build_grid_tensor", _refuse)
-    monkeypatch.setattr(builders, "build_weights_tensor", _refuse)
-    p = draw_params(trial_rng(0, 2, 3, 6, 1, 0), 2, 3)
-    assert separation_rank(p, 6).rank == 3
+    # nor of any other network: exact and float, L = 1 and 2, all walk the
+    # frontier, and no racsep module's tensor builder or matricization runs
+    nets = [draw_params(trial_rng(0, 2, 3, 6, L, 0), 2, 3, L=L, field=field)
+            for field in (EXACT, FLOAT) for L in (1, 2)]
+    want = [_grid_rank(p, 6) for p in nets]
+    for module in [m for name, m in sys.modules.items()
+                   if name == "racsep" or name.startswith("racsep.")]:
+        for name in ("build_grid_tensor", "build_weights_tensor",
+                     "matricize", "start_end_rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    assert [separation_rank(p, 6) for p in nets] == want
+    assert want[0].rank == 3
 
 
 @pytest.mark.parametrize("L,field", [(1, EXACT), (2, EXACT), (2, FLOAT)])

@@ -353,11 +353,13 @@ def test_export_graphs(tmp_path, capsys):
     assert load_graph(deep).open_legs
 
 
-def test_export_weights_rejects_deep(capsys):
+def test_export_weights_rejects_deep(capsys, tmp_path):
+    out = tmp_path / "weights.txt"
     code, _, err = run_cli(["export", "weights", "--M", "2", "--R", "2",
-                            "--T", "4", "--L", "2", "--out", "/tmp/x.txt"],
+                            "--T", "4", "--L", "2", "--out", str(out)],
                            capsys)
     assert code == 2
+    assert not out.exists()
 
 
 def test_console_script_installed():

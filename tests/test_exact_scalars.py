@@ -17,7 +17,8 @@ from racsep import (EXACT, AppendixBAssignment, DenseTensor, InvalidInputError,
                     ParameterError, RAC_PRODUCT, RacParams, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_grid_tensor,
                     build_weights_tensor, contract, draw_params, exact_array,
-                    forward_deep, hadamard_power, neutral_h0, trial_rng)
+                    forward_deep, hadamard_power, neutral_h0,
+                    separation_rank, trial_rng)
 from racsep.network import dump_params, parse_params
 from racsep.ranks import solve_exact
 from racsep.tensor import dump_tensor, parse_tensor
@@ -121,6 +122,32 @@ def test_appendix_b_grid_holds_only_ints():
     grid = build_grid_tensor(AppendixBAssignment(3, 2, 8).params(), T=8)
     assert grid.tensor.dims == (3,) * 8
     assert all(type(x) is int for x in grid.tensor.entries)
+
+
+def test_exact_params_give_a_float_entry_its_one_form():
+    # an exact (object) weight array holding a float used to keep it: the
+    # forward pass returned 0.5, and the codec and the grid raised a bare
+    # AttributeError on its missing numerator
+    p = RacParams(w_in=[np.array([[0.5, 1]], dtype=object)],
+                  w_hidden=[exact_array([[1]])], w_out=exact_array([[1]]),
+                  h0=[exact_array([1])])
+    assert all_canonical(*p.w_in, *p.w_hidden, p.w_out, *p.h0)
+    enc = TemplateEncoder.identity(2)
+    [score] = forward_deep(p, RAC_PRODUCT, enc, [1])
+    assert type(score) is Fraction and score == Fraction(1, 2)
+    q = parse_params(dump_params(p))
+    assert all(np.array_equal(a, b) for a, b in zip(q.w_in, p.w_in))
+    grid = build_grid_tensor(p, T=2).tensor
+    assert grid.data.tolist() == [[Fraction(1, 4), Fraction(1, 2)],
+                                  [Fraction(1, 2), 1]]
+    assert separation_rank(p, 2).rank == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "x"])
+def test_exact_params_refuse_an_entry_that_is_not_rational(bad):
+    with pytest.raises(ParameterError, match="rational"):
+        RacParams(w_in=[np.array([[bad, 1]], dtype=object)],
+                  w_hidden=[exact_array([[1]])], w_out=exact_array([[1]]))
 
 
 @pytest.mark.parametrize("power", [2.5, 2.0, "2", 0, -1])

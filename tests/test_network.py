@@ -192,20 +192,30 @@ def test_encoder_validation():
     assert np.all(enc.row(2) == exact_array([0, 1, 0]))
 
 
-@pytest.mark.parametrize("seq", [(0, 1), (1, 3), (1, 1.5)],
-                         ids=["zero", "above-M", "non-integer"])
-@pytest.mark.parametrize("evaluate", [
-    lambda p, enc, seq: forward_deep(p, RAC_PRODUCT, enc, seq),
-    lambda p, enc, seq: attach_inputs(build_mps(p, 2), enc, seq),
-    lambda p, enc, seq: score_from_tensor(build_weights_tensor(p, T=2), enc,
-                                          seq),
-], ids=["forward_deep", "attach_inputs", "score_from_tensor"])
-def test_sequence_validation(evaluate, seq):
-    # M=2: symbols must be integers in [1..2]; 0 used to wrap to symbol M
+_EVALUATE = {
+    "forward_deep": lambda p, enc, seq: forward_deep(p, RAC_PRODUCT, enc, seq),
+    "attach_inputs": lambda p, enc, seq: attach_inputs(build_mps(p, 2), enc,
+                                                       seq),
+    "score_from_tensor": lambda p, enc, seq: score_from_tensor(
+        build_weights_tensor(p, T=2), enc, seq),
+}
+_BAD_SEQUENCES = {"zero": (0, 1), "above-M": (1, 3), "non-integer": (1, 1.5),
+                  "too-long": (1, 2, 1)}
+
+
+@pytest.mark.parametrize("name,seq", [
+    pytest.param(name, seq, id=f"{name}-{kind}")
+    for name in _EVALUATE for kind, seq in _BAD_SEQUENCES.items()
+    # forward_deep scores a sequence of any length
+    if (name, kind) != ("forward_deep", "too-long")])
+def test_sequence_validation(name, seq):
+    # M=2: symbols must be integers in [1..2]; 0 used to wrap to symbol M.
+    # The MPS and the weights tensor take exactly T=2 symbols: a longer
+    # sequence used to be scored on its first two by attach_inputs
     p = exact_params(w_in=[[[1, 2], [3, 4]]], w_hidden=[[[1, 0], [0, 1]]],
                      w_out=[[1, 1]])
     with pytest.raises(InvalidInputError):
-        evaluate(p, TemplateEncoder.identity(2), seq)
+        _EVALUATE[name](p, TemplateEncoder.identity(2), seq)
 
 
 def test_params_reject_empty_sizes():

@@ -407,8 +407,8 @@ def _edit(pos, new):
 
 
 # edits of a dumped float MPS chain, T=4: line 3 heads node cell1 and line 4
-# holds its 8 entries, line 12 holds the h0 entries, 16 is the first edge
-# and 22 the first open leg
+# holds its 8 entries, line 5 heads node cell2, line 12 holds the h0
+# entries, 16 is the first edge and 22 the first open leg
 @pytest.mark.parametrize("edit", [
     lambda lines: lines[:2],
     _edit(1, "field bogus"),
@@ -418,8 +418,10 @@ def _edit(pos, new):
     _edit(16, "edge h0 0 cell1 0"),
     _edit(22, "leg cell1 1 2 1"),
     _edit(22, "leg cell1 1 2 1 middle"),
+    _edit(5, "node cell1 3 2 2 2"),
 ], ids=["truncated", "unknown-field", "nan-entry", "dims-vs-order",
-        "missing-entries", "short-edge", "short-leg", "bad-side"])
+        "missing-entries", "short-edge", "short-leg", "bad-side",
+        "repeated-node"])
 def test_parse_graph_rejects_malformed(edit):
     p = draw_params(trial_rng(2, 2, 2, 4, 1, 0), 2, 2, L=1, field=FLOAT)
     lines = dump_graph(build_mps(p, 4)).splitlines()

@@ -13,7 +13,7 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, IndexPartition,
                     check_hadamard_power_bound, check_no_cloning,
                     check_rearrangement_lemma, conjectured_bound,
                     draw_params, matricize,
-                    rank_exact, rows_to_csv, trial_rng,
+                    rank_exact, rows_to_csv, separation_rank, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
 from racsep import builders, verification
@@ -91,13 +91,16 @@ def test_appendix_b_validation():
     (3, 3, 4, 6),   # multiset(3, 2)
     (2, 3, 4, 3),   # multiset(min{2,3}, 2)
     (3, 2, 8, 5),   # multiset(2, 4)
+    (2, 2, 8, 5),   # multiset(2, 4)
     (3, 3, 6, 10),  # multiset(3, 3)
 ])
 def test_appendix_b_grid_rank(M, R, T, expected):
+    # the materialized grid and the frontier walk of separation_rank agree
     p = AppendixBAssignment(M=M, R=R, T=T).params()
     grid = build_grid_tensor(p, T=T).tensor
     m = matricize(grid, IndexPartition.start_end(T))
     assert rank_exact(m).rank == expected
+    assert separation_rank(p, T).rank == expected
 
 
 def test_verify_shallow_rank_law():
@@ -120,8 +123,8 @@ def test_verify_shallow_float_field():
 
 
 def test_verify_shallow_exact_never_builds_the_weights_tensor(monkeypatch):
-    # exact ranks come from the mid-sequence states; float ones SVD the
-    # identity-template grid, which equals the weights tensor
+    # exact and float ranks alike walk the frontier from the mid-sequence
+    # states and build neither the weights tensor nor the grid
     def refuse(*args, **kwargs):
         raise AssertionError("build_weights_tensor called")
 
@@ -140,7 +143,7 @@ def test_verify_shallow_exact_never_builds_the_weights_tensor(monkeypatch):
     assert grids == []
     rep = verify_shallow_rank_law(Cell(3, 2, 6), trials=2, seed=7,
                                   field=FLOAT)
-    assert rep.passed and len(grids) == 2
+    assert rep.passed and grids == []
 
 
 def test_verify_deep_lower_bound():
