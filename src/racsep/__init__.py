@@ -15,8 +15,8 @@ from .network import (RAC_PRODUCT, Cell, RacParams, TemplateEncoder,
                       forward_deep, neutral_h0, step_deep)
 from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,
                     rank_numeric, start_end_rank)
-from .tensor import (EXACT, FLOAT, DenseTensor, IndexPartition, exact_array,
-                     hadamard_power, load_tensor, matricize, save_tensor)
+from .tensor import (EXACT, FLOAT, DenseTensor, exact_array, hadamard_power,
+                     load_tensor, matricize, save_tensor)
 from .tn import (BasicUnitCount, Edge, NoCloneReport, OpenLeg, TnGraph,
                  attach_inputs, build_deep_tn, build_mps, contract,
                  count_basic_units, delta_tensor, load_graph, min_cut,

@@ -95,7 +95,7 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
         check_encoder(enc, p.M, p.field)
     if T < 1:
         raise ShapeError(f"T must be >= 1, got {T}")
-    return _outputs(p, _identity(p) if enc is None else enc.F, c, T,
+    return _outputs(p, enc.F if enc is not None else _identity(p), c, T,
                     "grid tensor")
 
 

@@ -93,8 +93,10 @@ class RacParams:
         if len(fields) != 1 or None in fields:
             raise ParameterError("weights and h0 must be arrays of one scalar field")
         (self.field,) = fields
-        if self.field == EXACT and not (
-                {type(x) for m in mats for x in m.flat} <= {int, Fraction}):
+        if self.field == EXACT and not all(
+                type(x) is int or type(x) is Fraction and x.denominator != 1
+                and type(x.numerator) is type(x.denominator) is int
+                for m in mats for x in m.flat):
             self.w_in = _exact_forms(self.w_in)
             self.w_hidden = _exact_forms(self.w_hidden)
             [self.w_out] = _exact_forms([self.w_out])

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      ShapeError)
-from .tensor import (EXACT, DenseTensor, IndexPartition, clear_denominators,
-                     exact_array, field_of, matricize)
+from .tensor import (EXACT, DenseTensor, clear_denominators, exact_array,
+                     field_of, matricize)
 
 DEFAULT_REL_TOL = 1e-12
 # the word-size prime of the full-rank certificate, just under 2^31
@@ -226,7 +226,7 @@ def start_end_rank(t: DenseTensor, rel_tol: float = DEFAULT_REL_TOL) -> RankRepo
     """Rank of the start/end matricization of an order-T tensor (T even):
     the Start-End separation rank.  Exact for the exact field, SVD-based
     with ``rel_tol`` for the float field."""
-    mat = matricize(t, IndexPartition.start_end(t.order))
+    mat = matricize(t)
     if t.field == EXACT:
         return rank_exact(mat)
     return rank_numeric(mat, rel_tol=rel_tol)

@@ -1,19 +1,18 @@
-"""Dense tensors over a switchable scalar field, with matricization.
+"""Dense tensors over a switchable scalar field, with start/end matricization.
 
 Two scalar fields are supported: IEEE double ("float") and exact rationals
 ("exact", in object arrays).  An exact scalar has one form, which
 :func:`exact_array` gives it: a Python int when the value is an integer,
 else a ``fractions.Fraction`` over Python ints with a denominator > 1.  A
 tensor never mixes fields.  Entries are kept in row-major order (last index
-fastest), so matricization w.r.t. an index partition reduces to an axis
-permutation followed by a reshape.
+fastest), so the start/end matricization, which splits the T modes into the
+first and the last T/2, is a reshape.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -114,50 +113,19 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims}, field={self.field!r})"
 
 
-@dataclass(frozen=True)
-class IndexPartition:
-    """A split of the modes {1..T} into disjoint sorted groups S and E."""
-
-    S: tuple
-    E: tuple
-
-    def __post_init__(self):
-        s, e = tuple(sorted(self.S)), tuple(sorted(self.E))
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "E", e)
-        if set(s) & set(e):
-            raise ShapeError("S and E must be disjoint")
-        T = len(s) + len(e)
-        if set(s) | set(e) != set(range(1, T + 1)):
-            raise ShapeError("S and E must cover {1..T} exactly")
-
-    @classmethod
-    def start_end(cls, T):
-        """The canonical first-half/second-half split; T must be even."""
-        if T % 2 != 0:
-            raise ShapeError(f"start-end partition needs even T, got {T}")
-        return cls(tuple(range(1, T // 2 + 1)), tuple(range(T // 2 + 1, T + 1)))
-
-    @property
-    def order(self):
-        return len(self.S) + len(self.E)
-
-
-def matricize(t: DenseTensor, p: IndexPartition) -> DenseTensor:
-    """Rearrange an order-T tensor as an M^|S| x M^|E| matrix.
-
-    Entry (d_1..d_T) lands in row 1 + sum_t (d_{i_t}-1) M^(|S|-t) and the
-    analogous column over E.  All modes must share one dimension M.
+def matricize(t: DenseTensor) -> DenseTensor:
+    """The M^(T/2) x M^(T/2) start/end matricization of an order-T tensor
+    (T even, every mode of dimension M): entry (d_1..d_T) lands in row
+    1 + sum_{t<=T/2} (d_t-1) M^(T/2-t) and the analogous column over the end
+    modes.  Row-major order already puts the start modes in the row.
     """
-    if p.order != t.order:
-        raise ShapeError(f"partition covers {p.order} modes, tensor has {t.order}")
+    if t.order % 2:
+        raise ShapeError(f"matricize needs an even order, got {t.order}")
     dims = set(t.dims)
     if len(dims) != 1:
         raise ShapeError(f"matricize requires equal mode dims, got {t.dims}")
-    M = dims.pop()
-    axes = [i - 1 for i in p.S] + [i - 1 for i in p.E]
-    arr = np.transpose(t.data, axes).reshape(M ** len(p.S), M ** len(p.E))
-    return DenseTensor(arr, t.field)
+    width = dims.pop() ** (t.order // 2)
+    return DenseTensor(t.data.reshape(width, width), t.field)
 
 
 def hadamard_power(m: DenseTensor, p: int) -> DenseTensor:
@@ -238,6 +206,8 @@ def parse_tensor(text: str) -> DenseTensor:
     if not lines or lines[0].strip() != FORMAT_TAG:
         raise InvalidInputError("not a tensor file (bad header)")
     (order,) = header_ints(header_words(lines, 1, "order", 1))
+    if order == 0:
+        raise InvalidInputError("a tensor has order >= 1, got order 0")
     dims = header_ints(header_words(lines, 2, "dims"))
     if len(dims) != order:
         raise InvalidInputError("dims line does not match order")

@@ -1,12 +1,13 @@
 """Tensor-network graphs for recurrent multiplicative networks.
 
 A graph node holds a concrete tensor; edges contract matching legs; open
-legs carry the external (input/output) modes.  The single-layer network is a
-matrix-product-state chain.  Deeper networks cannot duplicate intermediate
-vectors inside a network (see :func:`no_clone_counterexample`), so their
-graphs duplicate the *inputs*: each layer-(l-1) sub-network is rebuilt once
-per time-step of layer l, and the graph grows exponentially with depth.
-These graphs are analysis tools, not an execution scheme.
+legs carry the input modes, each with its time-step t >= 1 and its side of
+the start/end split.  The single-layer network is a matrix-product-state
+chain.  Deeper networks cannot duplicate intermediate vectors inside a
+network (see :func:`no_clone_counterexample`), so their graphs duplicate the
+*inputs*: each layer-(l-1) sub-network is rebuilt once per time-step of
+layer l, and the graph grows exponentially with depth.  These graphs are
+analysis tools, not an execution scheme.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +35,7 @@ DEFAULT_CONTRACT_BUDGET = 10 ** 7
 DEEP_TN_MAX_L = 3
 DEEP_TN_MAX_T = 8
 
-START, END, OUTPUT = "start", "end", "output"
+START, END = "start", "end"
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class OpenLeg:
     node: str
     leg: int
     dim: int
-    time_index: int = None  # None for output legs
+    time_index: int
     side: str = START
 
 
@@ -64,6 +66,8 @@ class TnGraph:
         self._validate()
 
     def _validate(self):
+        if not self.nodes:
+            raise ShapeError("a tensor-network graph needs at least one node")
         used = {nid: set() for nid in self.nodes}
         fields = {t.field for t in self.nodes.values()}
         if len(fields) > 1:
@@ -90,9 +94,13 @@ class TnGraph:
             claim(e.node_a, e.leg_a, e.dim)
             claim(e.node_b, e.leg_b, e.dim)
         for o in self.open_legs:
-            if o.side != OUTPUT and o.time_index is None:
-                raise ShapeError(
-                    f"{o.side} leg {o.node!r}[{o.leg}] needs a time index")
+            if o.side not in (START, END):
+                raise ShapeError(f"leg {o.node!r}[{o.leg}] has side {o.side!r}, "
+                                 f"not {START!r} or {END!r}")
+            t = o.time_index
+            if type(t) is bool or not isinstance(t, numbers.Integral) or t < 1:
+                raise ShapeError(f"leg {o.node!r}[{o.leg}] needs a time index "
+                                 f">= 1, got {t!r}")
             claim(o.node, o.leg, o.dim)
         for nid, legs in used.items():
             if len(legs) != self.nodes[nid].order:
@@ -132,6 +140,7 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
         raise ParameterError("build_mps requires a single-layer network")
     if T < 1:
         raise ShapeError("T must be >= 1")
+    check_class(p, c)
     wi, wh = p.w_in[0], p.w_hidden[0]
     R, M = p.R, p.M
     cell = wh.T[:, None, :] * wi.T[None, :, :]
@@ -143,13 +152,8 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
         edges.append(Edge(left[0], left[1], f"cell{t}", 0, R))
         side = START if t <= T // 2 else END
         open_legs.append(OpenLeg(f"cell{t}", 1, M, time_index=t, side=side))
-    if c is None:
-        nodes["out"] = DenseTensor(p.w_out, p.field)
-        open_legs.append(OpenLeg("out", 0, p.C, time_index=None, side=OUTPUT))
-    else:
-        check_class(p, c)
-        nodes["out"] = DenseTensor(p.w_out[c - 1], p.field)
-    edges.append(Edge(f"cell{T}", 2, "out", 1 if c is None else 0, R))
+    nodes["out"] = DenseTensor(p.w_out[c - 1], p.field)
+    edges.append(Edge(f"cell{T}", 2, "out", 0, R))
     return TnGraph(nodes, edges, open_legs)
 
 
@@ -208,25 +212,18 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     """Contract every input leg with its time-step's encoded template vector;
     ``seq`` holds one symbol per time-step of g, no fewer and no more."""
     symbols = as_symbols(seq, enc.M)
-    steps = max((o.time_index for o in g.open_legs if o.side != OUTPUT),
-                default=0)
+    steps = max((o.time_index for o in g.open_legs), default=0)
     if len(symbols) != steps:
         raise InvalidInputError(
             f"sequence has {len(symbols)} symbols, graph has {steps} steps")
     nodes = dict(g.nodes)
     edges = list(g.edges)
-    remaining = []
-    k = 0
-    for o in g.open_legs:
-        if o.side == OUTPUT:
-            remaining.append(o)
-            continue
+    for k, o in enumerate(g.open_legs):
         check_encoder(enc, o.dim, g.field)
         nid = f"in{k}"
-        k += 1
         nodes[nid] = DenseTensor(enc.row(symbols[o.time_index - 1]), g.field)
         edges.append(Edge(o.node, o.leg, nid, 0, o.dim))
-    return TnGraph(nodes, edges, remaining)
+    return TnGraph(nodes, edges, [])
 
 
 def contract(g: TnGraph) -> DenseTensor:
@@ -238,9 +235,9 @@ def contract(g: TnGraph) -> DenseTensor:
     pushes only the new tensor's pairs with its neighbours, so on a graph of
     N nodes and E bonds whose tensors keep a bounded number of neighbours
     scheduling costs O(E log E), not the O(N E) of rescanning every bond per
-    merge.  Open legs are ordered by time index (inputs) with output legs
-    last; a fully closed network yields a single-entry tensor.  The entry
-    budget is read from the RACSEP_CONTRACT_BUDGET environment variable.
+    merge.  Open legs are ordered by time index; a fully closed network
+    yields a single-entry tensor.  The entry budget is read from the
+    RACSEP_CONTRACT_BUDGET environment variable.
     """
     budget = env_budget(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET)
     total_open = math.prod(o.dim for o in g.open_legs)
@@ -251,8 +248,7 @@ def contract(g: TnGraph) -> DenseTensor:
     for b, e in enumerate(g.edges):
         label[e.node_a, e.leg_a] = label[e.node_b, e.leg_b] = b
     for i, o in enumerate(g.open_legs):
-        label[o.node, o.leg] = (1, 0, i) if o.side == OUTPUT \
-            else (0, o.time_index, i)
+        label[o.node, o.leg] = (o.time_index, i)
     # the pool: key -> (array, axis labels); keys count up in pool order
     keys = itertools.count()
     node_key = {nid: next(keys) for nid in g.nodes}
@@ -453,8 +449,7 @@ def dump_graph(g: TnGraph) -> str:
         lines.append(f"edge {e.node_a} {e.leg_a} {e.node_b} {e.leg_b} {e.dim}")
     lines.append(f"open {len(g.open_legs)}")
     for o in g.open_legs:
-        t = "-" if o.time_index is None else str(o.time_index)
-        lines.append(f"leg {o.node} {o.leg} {o.dim} {t} {o.side}")
+        lines.append(f"leg {o.node} {o.leg} {o.dim} {o.time_index} {o.side}")
     return "\n".join(lines) + "\n"
 
 
@@ -495,12 +490,10 @@ def parse_graph(text: str) -> TnGraph:
     open_legs = []
     for _ in items("open"):
         node, leg, dim, t, side = take("leg", 5)
-        if side not in (START, END, OUTPUT):
+        if side not in (START, END):
             raise InvalidInputError(
-                f"leg side must be {START}, {END} or {OUTPUT}, got {side!r}")
-        leg, dim = header_ints((leg, dim))
-        t = None if t == "-" else header_ints((t,))[0]
-        open_legs.append(OpenLeg(node, leg, dim, t, side))
+                f"leg side must be {START} or {END}, got {side!r}")
+        open_legs.append(OpenLeg(node, *header_ints((leg, dim, t)), side))
     return TnGraph(nodes, edges, open_legs)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racsep import (AppendixBAssignment, EXACT, FLOAT, IndexPartition,
+from racsep import (AppendixBAssignment, EXACT, FLOAT,
                     InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
                     attach_inputs, build_grid_tensor, build_mps,
@@ -40,7 +40,7 @@ def test_weights_tensor_r1_rank_one():
     p = RacParams(w_in=[exact_array([[2, 3]])], w_hidden=[exact_array([[5]])],
                   w_out=exact_array([[1]]))
     w = build_weights_tensor(p, T=4)
-    m = matricize(w.tensor, IndexPartition.start_end(4))
+    m = matricize(w.tensor)
     assert rank_exact(m).rank == 1
 
 
@@ -273,7 +273,7 @@ def test_grid_frontier_matches_forward_with_rational_weights(data):
 def _weights_rank(p, T, c=1):
     """The start/end rank of the materialized weights tensor."""
     w = build_weights_tensor(p, c=c, T=T).tensor
-    return rank_exact(matricize(w, IndexPartition.start_end(T))).rank
+    return rank_exact(matricize(w)).rank
 
 
 @settings(deadline=None, max_examples=150)

@@ -143,6 +143,21 @@ def test_exact_params_give_a_float_entry_its_one_form():
     assert separation_rank(p, 2).rank == 1
 
 
+@pytest.mark.parametrize("entry,form", [
+    (Fraction(2, 1), 2),
+    (Fraction(np.int64(2), 3), Fraction(2, 3)),
+], ids=["integral-fraction", "fraction-of-int64"])
+def test_exact_params_give_a_fraction_entry_its_one_form(entry, form):
+    # an array of ints and Fractions used to be kept as it was, so
+    # Fraction(2, 1) stayed a Fraction and forward_deep returned it
+    p = RacParams(w_in=[np.array([[entry, 1]], dtype=object)],
+                  w_hidden=[exact_array([[1]])], w_out=exact_array([[1]]),
+                  h0=[exact_array([1])])
+    assert all_canonical(*p.w_in, *p.w_hidden, p.w_out, *p.h0)
+    [score] = forward_deep(p, RAC_PRODUCT, TemplateEncoder.identity(2), [1])
+    assert type(score) is type(form) and score == form
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "x"])
 def test_exact_params_refuse_an_entry_that_is_not_rational(bad):
     with pytest.raises(ParameterError, match="rational"):

@@ -1,11 +1,12 @@
 """Package modules and tests import only public names from racsep modules,
-and package modules import only at module level."""
+and package modules import only at module level and only what they use."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "racsep").glob("*.py"))
+NOQA_UNUSED = "# noqa: F401"
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -73,4 +74,44 @@ def test_no_private_cross_module_imports():
     offenders = [(path.relative_to(ROOT).as_posix(), line, name)
                  for path in SOURCES
                  for line, name in private_imports(path.read_text())]
+    assert offenders == []
+
+
+def unused_imports(source):
+    """(line, name) of every name a module-level import binds that the module
+    never references; ``__future__`` imports and lines marked
+    ``# noqa: F401`` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                if name not in used and NOQA_UNUSED not in lines[a.lineno - 1]:
+                    yield a.lineno, name
+
+
+def test_detector_flags_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from dataclasses import dataclass, field\n"
+              "from .network import (Cell,\n"
+              "                      step_deep)\n"
+              "from .network import as_symbols  # noqa: F401\n"
+              "def f(c: Cell) -> int:\n"
+              "    import json\n"
+              "    return np.sum(os.path.sep) + field\n")
+    assert list(unused_imports(source)) == [
+        (2, "math"), (5, "dataclass"), (7, "step_deep")]
+
+
+def test_no_unused_imports_in_package():
+    offenders = [(path.name, line, name) for path in PACKAGE
+                 if path.name != "__init__.py"
+                 for line, name in unused_imports(path.read_text())]
     assert offenders == []

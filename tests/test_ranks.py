@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racsep import (AppendixBAssignment, Cell, FieldMismatchError,
-                    IndexPartition,
                     ParameterError, build_grid_tensor, build_weights_tensor,
                     check_claim1_equality, column_basis, draw_trials,
                     exact_array, matricize, rank_exact, separation_rank,
@@ -58,7 +57,7 @@ APPENDIX_B = [(M, R, T) for M in (2, 3) for R in (2, 3) for T in (4, 6, 8)
 def test_certificate_agrees_with_bareiss_on_appendix_b_grids(M, R, T):
     asg = AppendixBAssignment(M=M, R=R, T=T)
     grid = build_grid_tensor(asg.params(), T=T).tensor
-    mat = matricize(grid, IndexPartition.start_end(T)).data
+    mat = matricize(grid).data
     rank, certified = _check_agrees(mat)
     assert rank == asg.bound
     # the bound is full rank of the primitive rows exactly when M <= R
@@ -93,7 +92,7 @@ def test_factored_rank_agrees_with_weights_tensor_on_suite_draws():
     for M, R, T in SUITE_CELLS:
         for _, p in draw_trials(7, Cell(M, R, T), 50, "exact"):
             w = build_weights_tensor(p, T=T).tensor
-            want = rank_exact(matricize(w, IndexPartition.start_end(T))).rank
+            want = rank_exact(matricize(w)).rank
             assert separation_rank(p, T).rank == want <= R
 
 

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, DenseTensor, FieldMismatchError,
-                    IndexPartition, InvalidInputError, ShapeError,
-                    exact_array, hadamard_power, matricize,
-                    multiset_coefficient, rank_exact, rank_numeric,
-                    start_end_rank)
+                    InvalidInputError, ShapeError, exact_array,
+                    hadamard_power, matricize, multiset_coefficient,
+                    rank_exact, rank_numeric, start_end_rank)
 from racsep.tensor import dump_tensor, parse_tensor
 
 
@@ -33,62 +32,47 @@ def _one_hot(index, value):
 def test_matricize_known_entry_placement():
     # order-4, M=2: entry (d1,d2,d3,d4) -> row 2*(d1-1)+(d2-1), col likewise
     t = DenseTensor(_one_hot((0, 1, 1, 0), 7), EXACT)
-    m = matricize(t, IndexPartition.start_end(4))
+    m = matricize(t)
     assert m.dims == (4, 4)
     assert m[1, 2] == Fraction(7)
-
-
-def test_matricize_interleaved_partition():
-    t = DenseTensor(_one_hot((1, 0, 1, 0), 5), EXACT)
-    p = IndexPartition(S=(1, 3), E=(2, 4))
-    m = matricize(t, p)
-    assert m[3, 0] == Fraction(5)
 
 
 def test_matricize_requires_equal_dims():
     t = DenseTensor(np.zeros((2, 3), dtype=int), EXACT)
     with pytest.raises(ShapeError):
-        matricize(t, IndexPartition(S=(1,), E=(2,)))
+        matricize(t)
 
 
 def test_start_end_needs_even_T():
-    with pytest.raises(ShapeError):
-        IndexPartition.start_end(3)
+    # the start and end halves of an odd order do not exist
+    for order in (1, 3):
+        with pytest.raises(ShapeError, match="even order"):
+            matricize(DenseTensor(np.zeros((2,) * order, dtype=int), EXACT))
 
 
-def test_partition_must_cover_modes():
-    with pytest.raises(ShapeError):
-        IndexPartition(S=(1, 2), E=(2, 3))
-    with pytest.raises(ShapeError):
-        IndexPartition(S=(1,), E=(3,))
+def test_matricize_roundtrip():
+    # every entry (d_1..d_T) lands in row sum_{t<=T/2} d_t M^(T/2-t) and
+    # column sum_{t>T/2} d_t M^(T-t) (0-based d); distinct entries make it
+    # a bijection
+    def place(digits, M):
+        return sum(x * M ** k for k, x in enumerate(reversed(digits)))
 
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(2, 3), st.integers(1, 4), st.randoms(use_true_random=False))
-def test_matricize_roundtrip(M, T, rnd):
-    # every entry (d_1..d_T) lands in row sum_t d_{S_t} M^(|S|-t) and column
-    # sum_t d_{E_t} M^(|E|-t) (0-based d); distinct entries make it a bijection
-    t = DenseTensor(np.arange(M ** T).reshape((M,) * T), EXACT)
-    S = tuple(sorted(rnd.sample(range(1, T + 1), rnd.randint(0, T))))
-    E = tuple(i for i in range(1, T + 1) if i not in S)
-    m = matricize(t, IndexPartition(S=S, E=E))
-    assert m.dims == (M ** len(S), M ** len(E))
-
-    def place(d, modes):
-        return sum(d[i - 1] * M ** (len(modes) - k)
-                   for k, i in enumerate(modes, 1))
-
-    for d in itertools.product(range(M), repeat=T):
-        assert m[place(d, S), place(d, E)] == t[d]
+    for (M, T), field in itertools.product(
+            [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4)], [EXACT, FLOAT]):
+        t = DenseTensor(np.arange(M ** T).reshape((M,) * T), field)
+        m = matricize(t)
+        assert m.dims == (M ** (T // 2),) * 2 and m.field == field
+        for d in itertools.product(range(M), repeat=T):
+            assert m[place(d[:T // 2], M), place(d[T // 2:], M)] == t[d]
 
 
 def test_start_end_rank_matches_matricized_rank():
     rng = np.random.default_rng(3)
     t = DenseTensor(exact_array(rng.integers(-2, 3, (2,) * 4)), EXACT)
-    mat = matricize(t, IndexPartition.start_end(4))
+    mat = matricize(t)
     assert start_end_rank(t) == rank_exact(mat)
     f = DenseTensor(rng.uniform(-1, 1, (3,) * 4), FLOAT)
-    mat = matricize(f, IndexPartition.start_end(4))
+    mat = matricize(f)
     assert start_end_rank(f, rel_tol=1e-9) == rank_numeric(mat, rel_tol=1e-9)
     with pytest.raises(ShapeError):
         start_end_rank(DenseTensor(np.zeros((2, 2, 2), dtype=int), EXACT))
@@ -148,6 +132,13 @@ def test_parse_rejects_block_not_matching_dims(dims, entries):
     with pytest.raises(InvalidInputError):
         parse_tensor(f"racsep-tensor v1\norder {order}\ndims {dims}\n"
                      f"field exact\n{entries}\n")
+
+
+def test_parse_refuses_order_0():
+    # order 0 used to parse as an order-1 tensor, so dump_tensor wrote
+    # "order 1" and the round trip changed the file
+    with pytest.raises(InvalidInputError, match="order 0"):
+        parse_tensor("racsep-tensor v1\norder 0\ndims\nfield exact\n1/1\n")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

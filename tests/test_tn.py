@@ -15,8 +15,8 @@ from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
                     count_basic_units, delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
                     no_clone_counterexample, trial_rng)
-from racsep.tn import (CONTRACT_BUDGET_ENV, END, OUTPUT, START, Edge, OpenLeg,
-                       TnGraph, dump_graph, parse_graph)
+from racsep.tn import (CONTRACT_BUDGET_ENV, END, START, Edge, OpenLeg, TnGraph,
+                       dump_graph, parse_graph)
 
 
 def test_delta_tensor_superdiagonal():
@@ -47,11 +47,20 @@ def test_graph_validation():
     # edge from a node to itself
     with pytest.raises(ShapeError):
         TnGraph({"a": t}, [Edge("a", 0, "a", 1, 2)], [])
-    # start or end leg without a time index
-    for side in ("start", "end"):
-        with pytest.raises(ShapeError):
-            TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
-                    [OpenLeg("a", 1, 2, None, side)])
+    # a time index that is not an integer >= 1: time 0 used to be fed the
+    # last symbol of the sequence, and True was dumped as "True"
+    for time in (0, -1, None, 1.0, True):
+        for side in ("start", "end"):
+            with pytest.raises(ShapeError, match="time index"):
+                TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
+                        [OpenLeg("a", 1, 2, time, side)])
+    # a side other than start or end
+    with pytest.raises(ShapeError, match="side"):
+        TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
+                [OpenLeg("a", 1, 2, 1, "output")])
+    # no nodes: contract raised a bare ValueError, dump_graph StopIteration
+    with pytest.raises(ShapeError, match="node"):
+        TnGraph({}, [], [])
     # leg of dimension 0
     empty = DenseTensor(np.zeros((2, 0), dtype=int), EXACT)
     with pytest.raises(ShapeError):
@@ -169,15 +178,15 @@ def test_contract_matches_einsum_on_cycles_and_parallel_bonds(field, data):
         d, letter = data.draw(dim), next(letters)
         edges.append(Edge(f"v{a}", leg(a, d, letter), f"v{b}",
                           leg(b, d, letter), d))
-    sides = data.draw(st.lists(st.sampled_from([START, END, OUTPUT]),
+    sides = data.draw(st.lists(st.sampled_from([START, END]),
                                min_size=int(n == 1), max_size=3))
     open_legs, order = [], []
     for i, side in enumerate(sides):
         v, d, letter = data.draw(st.integers(0, n - 1)), data.draw(dim), \
             next(letters)
-        t = None if side == OUTPUT else data.draw(st.integers(1, 3))
+        t = data.draw(st.integers(1, 3))
         open_legs.append(OpenLeg(f"v{v}", leg(v, d, letter), d, t, side))
-        order.append(((1, 0, i) if side == OUTPUT else (0, t, i), letter))
+        order.append(((t, i), letter))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     arrays = []
     for v in range(n):
@@ -202,15 +211,6 @@ def test_mps_contracts_to_weights_tensor():
         p = draw_params(trial_rng(seed, 2, 3, 4, 1, 0), 2, 3, L=1)
         w = build_weights_tensor(p, T=4).tensor
         assert contract(build_mps(p, 4)).equals(w)
-
-
-def test_mps_open_class_leg():
-    p = draw_params(trial_rng(1, 2, 2, 4, 1, 0), 2, 2, L=1, C=2)
-    g = build_mps(p, 3, c=None)
-    out = contract(g)
-    assert out.dims == (2, 2, 2, 2)  # 3 time legs + class leg last
-    w2 = build_weights_tensor(p, c=2, T=3).tensor
-    assert np.all(out.data[..., 1] == w2.data)
 
 
 def test_deep_tn_matches_forward_exact():
@@ -324,9 +324,9 @@ def _brute_min_cut(g):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_min_cut_matches_enumeration(data):
-    # connected graphs with parallel and dim-1 bonds, several legs per node,
-    # nodes holding start and end legs, and output legs; "v10" sorts before
-    # "v2", so the enumeration's bit order differs from insertion order
+    # connected graphs with parallel and dim-1 bonds, several legs per node
+    # and nodes holding start and end legs; "v10" sorts before "v2", so the
+    # enumeration's bit order differs from insertion order
     n = data.draw(st.integers(1, 12))
     names = [f"v{i}" for i in range(n)]
     dim = st.integers(1, 4)
@@ -348,12 +348,11 @@ def test_min_cut_matches_enumeration(data):
         edges.append(Edge(names[a], leg(names[a], d), names[b],
                           leg(names[b], d), d))
     sides = [START, END] + data.draw(st.lists(
-        st.sampled_from([START, END, OUTPUT]), max_size=5))
+        st.sampled_from([START, END]), max_size=5))
     open_legs = []
     for t, side in enumerate(sides, 1):
         v, d = names[data.draw(st.integers(0, n - 1))], data.draw(dim)
-        open_legs.append(OpenLeg(v, leg(v, d), d,
-                                 None if side == OUTPUT else t, side))
+        open_legs.append(OpenLeg(v, leg(v, d), d, t, side))
     # float views of one scalar hold every shape without allocating it
     nodes = {v: DenseTensor(np.broadcast_to(1.0, tuple(legs[v])), FLOAT)
              for v in names}
@@ -419,13 +418,18 @@ def _edit(pos, new):
     _edit(22, "leg cell1 1 2 1"),
     _edit(22, "leg cell1 1 2 1 middle"),
     _edit(5, "node cell1 3 2 2 2"),
+    _edit(22, "leg cell1 1 2 - start"),
+    _edit(25, "leg cell4 1 2 - end"),
+    _edit(22, "leg cell1 1 2 1 output"),
 ], ids=["truncated", "unknown-field", "nan-entry", "dims-vs-order",
         "missing-entries", "short-edge", "short-leg", "bad-side",
-        "repeated-node"])
+        "repeated-node", "start-leg-without-time", "end-leg-without-time",
+        "output-side"])
 def test_parse_graph_rejects_malformed(edit):
     p = draw_params(trial_rng(2, 2, 2, 4, 1, 0), 2, 2, L=1, field=FLOAT)
     lines = dump_graph(build_mps(p, 4)).splitlines()
     assert lines[3] == "node cell1 3 2 2 2" and lines[11] == "node h0 1 2"
+    assert lines[22] == "leg cell1 1 2 1 start" and len(lines) == 26
     with pytest.raises(InvalidInputError):
         parse_graph("\n".join(edit(lines)))
 
@@ -445,9 +449,10 @@ leg t 1 2 2 end
 @pytest.mark.parametrize("old,new", [
     ("edges 0\nopen 2\nleg t 0 2 1 start\nleg t 1 2 2 end\n",
      "edges 1\nedge t 0 t 1 2\nopen 0\n"),
-    ("leg t 0 2 1 start", "leg t 0 2 - start"),
-    ("leg t 1 2 2 end", "leg t 1 2 - end"),
-], ids=["self-loop", "start-leg-without-time", "end-leg-without-time"])
+    ("leg t 0 2 1 start", "leg t 0 2 0 start"),
+    ("nodes 1\nnode t 2 2 2\n1/1 2/1 3/1 4/1\nedges 0\nopen 2\n"
+     "leg t 0 2 1 start\nleg t 1 2 2 end\n", "nodes 0\nedges 0\nopen 0\n"),
+], ids=["self-loop", "time-index-0", "no-nodes"])
 def test_parse_graph_refuses_what_contract_cannot_handle(old, new):
     t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, IndexPartition,
+from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell,
                     InvalidInputError, ParameterError, ShapeError,
                     build_grid_tensor,
                     check_bucket_lemma, check_claim1_equality,
@@ -98,7 +98,7 @@ def test_appendix_b_grid_rank(M, R, T, expected):
     # the materialized grid and the frontier walk of separation_rank agree
     p = AppendixBAssignment(M=M, R=R, T=T).params()
     grid = build_grid_tensor(p, T=T).tensor
-    m = matricize(grid, IndexPartition.start_end(T))
+    m = matricize(grid)
     assert rank_exact(m).rank == expected
     assert separation_rank(p, T).rank == expected
 
