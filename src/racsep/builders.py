@@ -14,10 +14,13 @@ A network's start/end rank, the Start-End separation rank of its output,
 has one entry point (:func:`separation_rank`), which builds neither tensor.
 It walks the frontier under identity templates in two halves: every start
 word's state is advanced T/2 steps, the start words whose rows span the
-start/end matricization are kept (for an exact single-layer network, an
-exact column basis of r <= R of them; else all), and only their states are
-advanced the other T/2 steps (the tensor-train view of Khrulkov, Novikov
-and Oseledets, ICLR 2018).  Every state array a walk builds counts against
+start/end matricization are kept, and only their states are advanced the
+other T/2 steps (the tensor-train view of Khrulkov, Novikov and Oseledets,
+ICLR 2018: the rank is carried by the distinct mid-sequence states).  An
+exact single-layer network keeps an exact column basis of r <= R of them;
+an exact deep network keeps one start word per class of projectively equal
+mid-sequence states, and none whose state is zero in some layer; a float
+network keeps all.  Every state array a walk builds counts against
 RACSEP_GRID_BUDGET: R entries per prefix it holds.
 """
 
@@ -34,8 +37,8 @@ from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
-from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis, rank_exact,
-                    rank_numeric)
+from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis, primitive_row,
+                    rank_exact, rank_numeric)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -131,16 +134,38 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     (so rank G = rank G_S) and advances only theirs T/2 more.  An exact
     single-layer network has G = A C with row s of A its one hidden state,
     so S is an exact column basis, r <= R, of the R x M^(T/2) mid-sequence
-    state array; every other network keeps all start words.  Exact G_S is
-    the frontier's integers: a common denominator does not change a rank."""
+    state array.  An exact deep network keeps one start word per class of
+    projectively equal mid-sequence states (:func:`_state_classes`); a float
+    network keeps all start words.  Exact G_S is the frontier's integers: a
+    common denominator does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
     net = _Frontier(p, _identity(p), c)
     S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
-    if p.L == 1 and p.field == EXACT:
-        S = [S[0][:, column_basis(S[0])]]
+    if p.field == EXACT:
+        keep = column_basis(S[0]) if p.L == 1 else _state_classes(S)
+        S = [s[:, keep] for s in S]
     S, _ = net.advance(S, D, cell.half, "end-half state array")
     G = (net.out @ S[-1]).reshape(-1, cell.width)
     return rank_exact(G) if p.field == EXACT else rank_numeric(G, rel_tol)
+
+
+def _state_classes(S):
+    """Indices, ascending, of one start word per class of the exact
+    per-layer states ``S`` (R x n integer arrays): two words are in one
+    class when, layer by layer, their states are nonzero multiples of each
+    other.  A word with a zero state in some layer is in none.
+
+    Each layer's step is bilinear in its own state and the new state of the
+    layer below, so per-layer factors carry through every later step as
+    factors free of the symbols, and two words of one class have
+    proportional rows in G.  A zero layer stays zero and zeroes every layer
+    above it from the next step on, so its word's row is zero."""
+    first = {}
+    for j, states in enumerate(zip(*(s.T.tolist() for s in S))):
+        key = tuple(map(primitive_row, states))
+        if None not in key:
+            first.setdefault(key, j)
+    return list(first.values())
 
 
 def _integer_form(a):

@@ -1,23 +1,25 @@
 """Matrix rank oracles: exact fraction-free elimination and SVD-based.
 
 The exact oracle first clears the matrix of denominators (one common
-denominator), divides every row by its content (the gcd of its entries) and
-drops repeated and zero rows, which changes no rank.  It then tries a
-certificate: row-echelon elimination modulo the prime 2147483629 over the
-shorter side (rows, or columns when there are more rows than columns).  If
-every vector stays independent mod p, the rank is min(rows, columns),
-exactly, since a minor that is nonzero mod p is a nonzero integer.  The
-attempt stops at the first vector that reduces to zero mod p, and then
+denominator) and drops repeated and zero rows, which changes no rank.  It
+then tries a certificate on those rows as they are: row-echelon elimination
+modulo the prime 2147483629 over the shorter side (rows, or columns when
+there are more rows than columns).  If every vector stays independent mod
+p, the rank is min(rows, columns), exactly, since a minor that is nonzero
+mod p is a nonzero integer.  The attempt stops at the first vector that
+reduces to zero mod p.  Only then is every row divided by its content (the
+gcd of its entries, :func:`primitive_row`), so that proportional rows
+collapse, and the certificate is tried again; if it fails once more,
 Bareiss (division-deferred) elimination with full pivoting over
 arbitrary-precision integers gives the rank, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
 handled without loss.  Each Bareiss pivot is the trailing entry of fewest
 bits (the first in row-major order on a tie), which keeps the cross
-products small.  The same Bareiss elimination solves square exact systems
-(:func:`solve_exact`), such as the neutral initial state W_h h0 = 1, and
-picks a column basis (:func:`column_basis`, its pivot columns), from which
-the builders compute a single-layer start/end rank through the
-mid-sequence states.
+products small, and it runs only on primitive rows.  The same Bareiss
+elimination solves square exact systems (:func:`solve_exact`), such as the
+neutral initial state W_h h0 = 1, and picks a column basis
+(:func:`column_basis`, its pivot columns), from which the builders compute
+a single-layer start/end rank through the mid-sequence states.
 """
 
 from __future__ import annotations
@@ -55,18 +57,20 @@ def _as_matrix(m):
 
 
 def rank_exact(m) -> RankReport:
-    """Exact rank: full rank certified modulo a prime, else fraction-free
-    Gaussian elimination with full pivoting."""
+    """Exact rank: full rank certified modulo a prime on the distinct rows,
+    then on the primitive rows, else fraction-free Gaussian elimination
+    with full pivoting."""
     arr, fld = _as_matrix(m)
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
     ncols = arr.shape[1]
-    rows = _primitive_rows(arr.reshape(-1), ncols)
-    if _full_rank_mod_p(rows, ncols):
-        rank = min(len(rows), ncols)
-    else:
-        rank, _ = _bareiss(rows, ncols)
-    return RankReport(rank=rank, method="exact")
+    rows = [list(row) for row in dict.fromkeys(
+        _integer_rows(arr.reshape(-1), ncols)) if any(row)]
+    if not _full_rank_mod_p(rows, ncols):
+        rows = _primitive_rows(rows)
+        if not _full_rank_mod_p(rows, ncols):
+            return RankReport(rank=_bareiss(rows, ncols)[0], method="exact")
+    return RankReport(rank=min(len(rows), ncols), method="exact")
 
 
 def column_basis(m) -> list:
@@ -78,7 +82,8 @@ def column_basis(m) -> list:
     if fld != EXACT:
         raise FieldMismatchError("column_basis requires the exact scalar field")
     ncols = arr.shape[1]
-    rank, order = _bareiss(_primitive_rows(arr.reshape(-1), ncols), ncols)
+    rows = _primitive_rows(_integer_rows(arr.reshape(-1), ncols))
+    rank, order = _bareiss(rows, ncols)
     return sorted(order[:rank])
 
 
@@ -88,7 +93,8 @@ def solve_exact(a, b):
     A zero or repeated row of [a | b] makes ``a`` singular, so dropping it
     only shortens the elimination."""
     n = a.shape[0]
-    rows = _primitive_rows([x for i in range(n) for x in (*a[i], b[i])], n + 1)
+    rows = _primitive_rows(_integer_rows(
+        [x for i in range(n) for x in (*a[i], b[i])], n + 1))
     rank, order = _bareiss(rows, n)
     if rank < n:
         raise ParameterError("singular matrix")
@@ -172,30 +178,41 @@ def _full_rank_mod_p(rows, ncols):
     return True
 
 
-def _primitive_rows(values, width):
-    """The distinct nonzero rows of the exact row-major ``values`` (rows of
-    ``width`` entries) as Python ints: the whole matrix is cleared of
-    denominators at once, then each row is divided by the gcd of its
-    entries and signed so that its first nonzero entry is positive.
-
-    Scaling a row by a nonzero rational or dropping a repeated or zero row
-    leaves the rank unchanged, and fewer, smaller rows shorten Bareiss.
-    """
+def _integer_rows(values, width):
+    """The rows of the exact row-major ``values`` (rows of ``width``
+    entries), cleared of one common denominator, as tuples of Python
+    ints."""
     try:
         nums = clear_denominators(values)[0]
     except AttributeError:
         raise FieldMismatchError(
             "exact elimination requires int or Fraction entries") from None
-    distinct = {}
-    for i in range(0, len(nums), width or 1):  # no entries if width is 0
-        row = nums[i:i + width]
-        g = math.gcd(*row)
-        if g == 0:
-            continue
-        if next(x for x in row if x) < 0:
-            g = -g
-        distinct.setdefault(tuple(x // g for x in row), None)
-    return [list(row) for row in distinct]
+    return zip(*[iter(nums)] * width)  # one iterator, width entries a row
+
+
+def primitive_row(row):
+    """The integer ``row`` divided by the gcd of its entries and signed so
+    that its first nonzero entry is positive, as a tuple; None for a zero
+    row.  Two rows have one primitive form exactly when each is a nonzero
+    rational multiple of the other."""
+    g = math.gcd(*row)
+    if g == 0:
+        return None
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def _primitive_rows(rows):
+    """The distinct primitive forms of the nonzero rows among the integer
+    ``rows``, in order of first appearance, as lists.
+
+    Scaling a row by a nonzero rational or dropping a repeated or zero row
+    leaves the rank unchanged, and fewer, smaller rows shorten Bareiss.
+    """
+    forms = dict.fromkeys(map(primitive_row, rows))
+    forms.pop(None, None)
+    return [list(row) for row in forms]
 
 
 def check_rel_tol(rel_tol):

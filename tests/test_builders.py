@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from racsep import (AppendixBAssignment, EXACT, FLOAT,
@@ -22,6 +22,10 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT,
 from racsep import builders, network
 from racsep.builders import GRID_BUDGET_ENV
 from scalars import canonical
+
+# a failing exact L = 3 example grows big integers, and shrinking it took
+# minutes; without the shrink phase a failure reports the first example
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def test_weights_tensor_matches_forward_on_every_sequence():
@@ -358,7 +362,7 @@ def test_separation_rank_is_the_grid_rank_unless_exact_single_layer(L,
                 _grid_rank(p, 6, rel_tol)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=60, phases=NO_SHRINK)
 @given(st.data())
 def test_separation_rank_is_the_rank_of_the_materialized_grid(data):
     # one frontier walk for every network: rational weights, an explicit h0
@@ -405,6 +409,51 @@ def test_separation_rank_of_the_appendix_b_network():
     rank = separation_rank(asg.params(), 8)
     assert rank == _grid_rank(asg.params(), 8)
     assert rank.rank == asg.bound == 5
+
+
+def test_separation_rank_of_the_appendix_b_network_at_3_3_8(monkeypatch):
+    # W_h = I, so a start word's mid-sequence state depends only on its
+    # multiset of symbols: 81 start words of length 4 over 3 symbols carry
+    # multiset(3, 4) = 15 states, and the end half advances one word each
+    widths = []
+    advance = builders._Frontier.advance
+
+    def spy(self, S, D, t, what):
+        widths.append(S[0].shape[1])
+        return advance(self, S, D, t, what)
+
+    monkeypatch.setattr(builders._Frontier, "advance", spy)
+    asg = AppendixBAssignment(3, 3, 8)
+    assert separation_rank(asg.params(), 8).rank == 15 == asg.bound
+    assert widths == [1, 15]
+
+
+@settings(deadline=None, max_examples=150, phases=NO_SHRINK)
+@given(st.data())
+def test_deep_state_classes_keep_the_rank_of_the_materialized_grid(data):
+    # identity and diagonal hidden matrices make mid-sequence states
+    # collide projectively, and zero entries of an explicit h0 make some
+    # layers' states zero: the kept start words still give the grid's rank
+    L = data.draw(st.integers(2, 3))
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 3))
+    T = data.draw(st.sampled_from([2, 4, 6] if M <= 2 else [2, 4]))
+
+    def ints(*shape, lo=-2, hi=2):
+        n = math.prod(shape)
+        return exact_array(data.draw(st.lists(
+            st.integers(lo, hi), min_size=n, max_size=n)), shape=shape)
+
+    def hidden():
+        kind = data.draw(st.sampled_from(["identity", "diagonal", "general"]))
+        if kind == "identity":
+            return exact_array(np.eye(R, dtype=int))
+        return np.diag(ints(R)) if kind == "diagonal" else ints(R, R)
+
+    p = RacParams(w_in=[ints(R, M if l == 0 else R) for l in range(L)],
+                  w_hidden=[hidden() for _ in range(L)], w_out=ints(1, R),
+                  h0=[ints(R, lo=-1, hi=1) for _ in range(L)])
+    assert separation_rank(p, T) == _grid_rank(p, T)
 
 
 def _refuse(*args, **kwargs):

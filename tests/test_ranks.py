@@ -1,10 +1,11 @@
 """The exact rank oracle's mod-p full-rank certificate against Bareiss.
 
-``rank_exact`` reports min(rows, columns) when the primitive rows have full
-rank modulo a prime, and runs Bareiss otherwise.  Every certificate test
-here compares that answer with Bareiss on the same primitive rows.  The
-Bareiss pivot rule, the column basis read off its pivots, and the factored
-single-layer start/end rank built on that basis are checked here too.
+``rank_exact`` reports min(rows, columns) when the distinct rows, or else
+the primitive rows, have full rank modulo a prime, and runs Bareiss on the
+primitive rows otherwise.  Every certificate test here compares that
+answer with Bareiss on the primitive rows.  The Bareiss pivot rule, the
+column basis read off its pivots, and the factored single-layer start/end
+rank built on that basis are checked here too.
 """
 
 from fractions import Fraction
@@ -31,7 +32,8 @@ _bareiss, _full_rank_mod_p = ranks._bareiss, ranks._full_rank_mod_p
 def _rows(m):
     """The primitive rows of the exact matrix ``m``."""
     m = np.asarray(m, dtype=object)
-    return ranks._primitive_rows(m.reshape(-1), m.shape[1])
+    return ranks._primitive_rows(ranks._integer_rows(m.reshape(-1),
+                                                     m.shape[1]))
 
 
 def _check_agrees(m):
@@ -99,7 +101,7 @@ def test_factored_rank_agrees_with_weights_tensor_on_suite_draws():
 def _matrices_with_redundant_rows():
     """Integer matrices of chosen rank (a product of two random factors),
     with entries near multiples of the prime, plus scaled, repeated and zero
-    rows, in any order."""
+    rows and rows equal to another mod p only, in any order."""
     entry = st.one_of(st.integers(-3, 3),
                       st.sampled_from([P, -P, P + 1,
                                        2 * P - 1, 2 ** 70]))
@@ -118,6 +120,12 @@ def _matrices_with_redundant_rows():
             st.one_of(st.integers(-2 ** 70, 2 ** 70).filter(bool),
                       st.fractions().filter(bool))), max_size=4))
         rows += [[k * x for x in rows[i]] for i, k in scaled]
+        rows += [rows[i] for i in draw(st.lists(st.integers(0, n - 1),
+                                                max_size=2))]
+        shifted = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                          st.integers(0, m - 1)), max_size=2))
+        rows += [[x + P * (j == col) for j, x in enumerate(rows[i])]
+                 for i, col in shifted]
         rows += [[0] * m] * draw(st.integers(0, 2))
         return draw(st.permutations(rows))
     return build()
@@ -134,6 +142,46 @@ def test_singular_mod_p_falls_back_to_bareiss():
     m = [[1, 1], [1, 1 + P]]  # det = p: singular mod p, rank 2 over Q
     assert not _full_rank_mod_p(_rows(m), 2)
     assert rank_exact(exact_array(m)).rank == 2
+
+
+def _record_calls(monkeypatch, names):
+    """Wraps each named ranks kernel to log its name; returns the log."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _kernel=getattr(ranks, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(ranks, name, spy)
+    return calls
+
+
+KERNELS = ("_full_rank_mod_p", "_primitive_rows", "_bareiss")
+
+
+@pytest.mark.parametrize("m,rank,calls", [
+    # full rank once a repeat and a zero row are dropped, with no content
+    # divided out (the three columns are dependent)
+    ([[2, 4, 6], [1, 3, 5], [2, 4, 6], [0, 0, 0]], 2, ["_full_rank_mod_p"]),
+    # proportional rows: certified once their contents are divided out
+    ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 2,
+     ["_full_rank_mod_p", "_primitive_rows", "_full_rank_mod_p"]),
+    # equal mod p but not proportional: only Bareiss finds rank 2
+    ([[1, 1], [1, 1 + P]], 2,
+     ["_full_rank_mod_p", "_primitive_rows", "_full_rank_mod_p", "_bareiss"]),
+])
+def test_rank_exact_certifies_before_dividing_out_contents(m, rank, calls,
+                                                           monkeypatch):
+    log = _record_calls(monkeypatch, KERNELS)
+    assert rank_exact(exact_array(m)).rank == rank
+    assert log == calls
+    _check_agrees(m)
+
+
+def test_certified_appendix_b_rank_divides_no_row(monkeypatch):
+    log = _record_calls(monkeypatch, KERNELS)
+    asg = AppendixBAssignment(3, 3, 6)
+    assert separation_rank(asg.params(), 6).rank == asg.bound == 10
+    assert log == ["_full_rank_mod_p"]
 
 
 def test_more_rows_than_columns_checks_columns():
