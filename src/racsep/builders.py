@@ -14,18 +14,25 @@ A network's start/end rank, the Start-End separation rank of its output,
 has one entry point (:func:`separation_rank`), which builds neither tensor.
 It walks the frontier under identity templates in two halves: every start
 word's state is advanced T/2 steps, the start words whose rows span the
-start/end matricization are kept, and only their states are advanced the
-other T/2 steps (the tensor-train view of Khrulkov, Novikov and Oseledets,
-ICLR 2018: the rank is carried by the distinct mid-sequence states).  An
-exact single-layer network keeps an exact column basis of r <= R of them;
-an exact deep network keeps one start word per class of projectively equal
-mid-sequence states, and none whose state is zero in some layer; a float
-network keeps all.  Every state array a walk builds counts against
-RACSEP_GRID_BUDGET: R entries per prefix it holds.
+start/end matricization G are kept, and only their states are advanced the
+other T/2 steps.  An exact network of depth L <= 2 factors G = Phi C
+through the lifted mid-sequence states Phi: the hidden state h itself at
+L = 1 (the tensor-train view of Khrulkov, Novikov and Oseledets, ICLR
+2018), and h2 (x) Sym^(T/2)(h1) at L = 2 (the weighted-automaton view of
+Rabusseau, Li and Precup, AISTATS 2019), K = R multiset(R, T/2)
+coordinates.  Start words whose lifted states span Phi's columns have rows
+that span G's rows, so an exact column basis of at most K of them keeps
+rank G.  An exact deep network first keeps one start word per class of
+projectively equal mid-sequence states, and none whose state is zero in
+some layer, and at L = 2 only a column basis of their lifted states when
+the classes outnumber K; a float network keeps all.  Every state array a
+walk builds counts against RACSEP_GRID_BUDGET: R entries per prefix it
+holds, and K per kept start word for the lifted array.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +44,9 @@ from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
-from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis, primitive_row,
-                    rank_exact, rank_numeric)
+from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis,
+                    multiset_coefficient, primitive_row, rank_exact,
+                    rank_numeric)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -132,21 +140,67 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     word, of start word s's states after T/2 steps.  The walk advances all
     start words T/2 steps, keeps start words S whose rows G_S span G's rows
     (so rank G = rank G_S) and advances only theirs T/2 more.  An exact
-    single-layer network has G = A C with row s of A its one hidden state,
-    so S is an exact column basis, r <= R, of the R x M^(T/2) mid-sequence
-    state array.  An exact deep network keeps one start word per class of
-    projectively equal mid-sequence states (:func:`_state_classes`); a float
+    network of depth L <= 2 has G = Phi C, with column s of Phi the lifted
+    mid-sequence state of start word s (:func:`_lifted_states`; its hidden
+    state at L = 1) and C depending on the end words only, so S may be an
+    exact column basis of Phi: r <= K words, K = R at L = 1.  An exact deep
+    network first keeps one start word per class of projectively equal
+    mid-sequence states (:func:`_state_classes`), and L = 2 takes the basis
+    only when the classes outnumber K (:func:`_start_basis`); a float
     network keeps all start words.  Exact G_S is the frontier's integers: a
     common denominator does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
     net = _Frontier(p, _identity(p), c)
     S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
     if p.field == EXACT:
-        keep = column_basis(S[0]) if p.L == 1 else _state_classes(S)
+        keep = _start_basis(S, cell.half)
         S = [s[:, keep] for s in S]
     S, _ = net.advance(S, D, cell.half, "end-half state array")
     G = (net.out @ S[-1]).reshape(-1, cell.width)
     return rank_exact(G) if p.field == EXACT else rank_numeric(G, rel_tol)
+
+
+def _start_basis(S, half):
+    """Indices, ascending, of the start words an exact walk keeps, given
+    their per-layer mid-sequence states ``S`` (R x n integer arrays): every
+    start word at L = 1, one per state class (:func:`_state_classes`) at
+    L >= 2.  At L <= 2, if these outnumber the K rows of their lifted
+    states Phi (:func:`_lifted_states`), only the start words of an exact
+    column basis of Phi are kept: their rows of G = Phi C span the others.
+    Phi counts against RACSEP_GRID_BUDGET as the "lifted mid-sequence state
+    array" before it is built."""
+    keep = _state_classes(S) if len(S) > 1 else range(S[0].shape[1])
+    if len(S) > 2:
+        return keep
+    R, degree = S[0].shape[0], half if len(S) == 2 else 0
+    K = R * multiset_coefficient(R, degree)
+    if len(keep) <= K:
+        return keep
+    check_budget("lifted mid-sequence state array", K * len(keep),
+                 grid_budget())
+    lifted = _lifted_states([s[:, keep] for s in S], degree)
+    return [keep[j] for j in column_basis(lifted)]
+
+
+def _lifted_states(S, degree):
+    """The K x n array Phi of the lifted states of n start words with
+    per-layer states ``S`` at L <= 2: S[0] itself at L = 1 (K = R), and at
+    L = 2 column j is h2_j (x) every degree-``degree`` monomial of h1_j
+    (K = R multiset(R, degree)), one R-row block per monomial.
+
+    From the middle of the sequence each step of layer 1 is linear in its
+    own state, and each step of layer 2 is linear in its own state and in
+    layer 1's new state.  After ``degree`` = T/2 more steps every output is
+    therefore linear in h2 and homogeneous of degree T/2 in h1: a linear
+    form in the lifted state whose coefficients depend on the end word only
+    (the weighted-automaton view of linear second-order RNNs of Rabusseau,
+    Li and Precup, AISTATS 2019)."""
+    if len(S) == 1:
+        return S[0]
+    h1, h2 = S
+    return np.concatenate([h2 * np.prod(h1[list(m)], axis=0) for m in
+                           itertools.combinations_with_replacement(
+                               range(h1.shape[0]), degree)])
 
 
 def _state_classes(S):

@@ -2,8 +2,9 @@
 
 A graph node holds a concrete tensor; edges contract matching legs; open
 legs carry the input modes, each with its time-step t >= 1 and its side of
-the start/end split.  The single-layer network is a matrix-product-state
-chain.  Deeper networks cannot duplicate intermediate vectors inside a
+the start/end split, which must agree with t: start iff t <= T // 2, for T
+the graph's largest time index.  The single-layer network is a
+matrix-product-state chain.  Deeper networks cannot duplicate intermediate vectors inside a
 network (see :func:`no_clone_counterexample`), so their graphs duplicate the
 *inputs*: each layer-(l-1) sub-network is rebuilt once per time-step of
 layer l, and the graph grows exponentially with depth.  These graphs are
@@ -102,6 +103,14 @@ class TnGraph:
                 raise ShapeError(f"leg {o.node!r}[{o.leg}] needs a time index "
                                  f">= 1, got {t!r}")
             claim(o.node, o.leg, o.dim)
+        # the builders' split: a start leg iff t <= (largest time index) // 2
+        half = max((o.time_index for o in self.open_legs), default=0) // 2
+        for o in self.open_legs:
+            if o.side != (START if o.time_index <= half else END):
+                raise ShapeError(
+                    f"leg {o.node!r}[{o.leg}] at time {o.time_index} is on "
+                    f"the {o.side} side; times up to {half} are {START}, "
+                    f"later ones {END}")
         for nid, legs in used.items():
             if len(legs) != self.nodes[nid].order:
                 raise ShapeError(f"node {nid!r} has unused legs")

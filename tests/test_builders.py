@@ -16,7 +16,8 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
                     attach_inputs, build_grid_tensor, build_mps,
                     build_weights_tensor, contract, draw_params, exact_array,
-                    forward_deep, grid_budget, matricize, rank_exact,
+                    forward_deep, grid_budget, matricize,
+                    multiset_coefficient, rank_exact,
                     score_from_tensor, separation_rank, start_end_rank,
                     step_deep, trial_rng)
 from racsep import builders, network
@@ -404,17 +405,9 @@ def test_separation_rank_is_the_rank_of_the_materialized_grid(data):
         build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
 
 
-def test_separation_rank_of_the_appendix_b_network():
-    asg = AppendixBAssignment(3, 2, 8)
-    rank = separation_rank(asg.params(), 8)
-    assert rank == _grid_rank(asg.params(), 8)
-    assert rank.rank == asg.bound == 5
-
-
-def test_separation_rank_of_the_appendix_b_network_at_3_3_8(monkeypatch):
-    # W_h = I, so a start word's mid-sequence state depends only on its
-    # multiset of symbols: 81 start words of length 4 over 3 symbols carry
-    # multiset(3, 4) = 15 states, and the end half advances one word each
+@pytest.fixture
+def advance_widths(monkeypatch):
+    """The number of start words each _Frontier.advance call starts from."""
     widths = []
     advance = builders._Frontier.advance
 
@@ -423,9 +416,56 @@ def test_separation_rank_of_the_appendix_b_network_at_3_3_8(monkeypatch):
         return advance(self, S, D, t, what)
 
     monkeypatch.setattr(builders._Frontier, "advance", spy)
+    return widths
+
+
+def test_separation_rank_of_the_appendix_b_network(advance_widths):
+    # 81 start words carry 15 classes of mid-sequence states, but their
+    # lifted states h2 (x) Sym^4(h1) have K = 2 * 5 = 10 coordinates and
+    # rank 5: the end half advances 5 start words
+    asg = AppendixBAssignment(3, 2, 8)
+    rank = separation_rank(asg.params(), 8)
+    assert advance_widths == [1, 5]
+    assert rank == _grid_rank(asg.params(), 8)
+    assert rank.rank == asg.bound == 5
+
+
+@pytest.mark.parametrize("T,bound", [(10, 6), (12, 7)])
+def test_separation_rank_of_the_appendix_b_network_at_longer_t(
+        T, bound, advance_widths):
+    # a grid of 3^T entries is too large to rank here; the bound is the
+    # depth-2 law's, and the end half advances one start word per unit
+    asg = AppendixBAssignment(3, 2, T)
+    assert separation_rank(asg.params(), T).rank == asg.bound == bound
+    assert advance_widths == [1, bound]
+
+
+def test_separation_rank_of_the_appendix_b_network_at_3_3_8(advance_widths):
+    # W_h = I, so a start word's mid-sequence state depends only on its
+    # multiset of symbols: 81 start words of length 4 over 3 symbols carry
+    # multiset(3, 4) = 15 states, fewer than K = 3 * 15 = 45, so the end
+    # half advances one word each and no lifted array is built
     asg = AppendixBAssignment(3, 3, 8)
     assert separation_rank(asg.params(), 8).rank == 15 == asg.bound
-    assert widths == [1, 15]
+    assert advance_widths == [1, 15]
+
+
+def test_deep_rank_budget_counts_the_lifted_states(monkeypatch):
+    # at (M, R, T) = (2, 2, 8) this draw's 16 start words have 16 state
+    # classes, more than K = 2 * multiset(2, 4) = 10: the mid states are
+    # 2 x 16, the lifted ones 10 x 16, and the 10 kept words' end states
+    # 2 x 10*16
+    p = draw_params(trial_rng(1, 2, 2, 8, 2, 0), 2, 2, L=2)
+    for budget, stage, required in ((31, "mid-sequence state array", 32),
+                                    (159, "lifted mid-sequence state array",
+                                     160),
+                                    (319, "end-half state array", 320)):
+        monkeypatch.setenv(GRID_BUDGET_ENV, str(budget))
+        with pytest.raises(ResourceBudgetError, match=stage) as ei:
+            separation_rank(p, 8)
+        assert (ei.value.required, ei.value.budget) == (required, budget)
+    monkeypatch.setenv(GRID_BUDGET_ENV, "320")
+    assert separation_rank(p, 8).rank == 10
 
 
 @settings(deadline=None, max_examples=150, phases=NO_SHRINK)
@@ -453,6 +493,32 @@ def test_deep_state_classes_keep_the_rank_of_the_materialized_grid(data):
     p = RacParams(w_in=[ints(R, M if l == 0 else R) for l in range(L)],
                   w_hidden=[hidden() for _ in range(L)], w_out=ints(1, R),
                   h0=[ints(R, lo=-1, hi=1) for _ in range(L)])
+    rank = separation_rank(p, T)
+    assert rank == _grid_rank(p, T)
+    if L == 2:  # G = Phi C through K = R multiset(R, T/2) lifted states
+        assert rank.rank <= R * multiset_coefficient(R, T // 2)
+
+
+@settings(deadline=None, max_examples=40, phases=NO_SHRINK)
+@given(st.data())
+def test_lifted_state_basis_keeps_the_rank_of_the_materialized_grid(data):
+    # cells where M^(T/2) start words exceed K = R multiset(R, T/2) lifted
+    # coordinates; nonzero weights keep the states apart, so the classes
+    # outnumber K and the walk keeps a column basis of the lifted states.
+    # R = 1 is left out: its scalar states fall into one class
+    M, R, T = data.draw(st.sampled_from([(3, 2, 4), (2, 2, 8), (3, 2, 6),
+                                         (2, 2, 10)]))
+
+    def ints(*shape, nonzero=True):
+        n = math.prod(shape)
+        values = st.integers(-3, 3).filter(bool) if nonzero \
+            else st.integers(-1, 1)
+        return exact_array(data.draw(st.lists(
+            values, min_size=n, max_size=n)), shape=shape)
+
+    p = RacParams(w_in=[ints(R, M), ints(R, R)],
+                  w_hidden=[ints(R, R), ints(R, R)], w_out=ints(1, R),
+                  h0=[ints(R, nonzero=False) for _ in range(2)])
     assert separation_rank(p, T) == _grid_rank(p, T)
 
 

@@ -58,6 +58,11 @@ def test_graph_validation():
     with pytest.raises(ShapeError, match="side"):
         TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
                 [OpenLeg("a", 1, 2, 1, "output")])
+    # a side that disagrees with the time index: min_cut, which reads only
+    # the sides, returned 2 for this start leg after an end leg
+    with pytest.raises(ShapeError, match="side"):
+        TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 2, "start"),
+                               OpenLeg("t", 1, 2, 1, "end")])
     # no nodes: contract raised a bare ValueError, dump_graph StopIteration
     with pytest.raises(ShapeError, match="node"):
         TnGraph({}, [], [])
@@ -72,7 +77,7 @@ def test_contract_matrix_vector():
     m = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     v = DenseTensor(np.array([5, 6]), EXACT)
     g = TnGraph({"m": m, "v": v}, [Edge("m", 1, "v", 0, 2)],
-                [OpenLeg("m", 0, 2, 1, "start")])
+                [OpenLeg("m", 0, 2, 1, "end")])
     out = contract(g)
     assert list(out.entries) == [Fraction(17), Fraction(39)]
 
@@ -178,13 +183,14 @@ def test_contract_matches_einsum_on_cycles_and_parallel_bonds(field, data):
         d, letter = data.draw(dim), next(letters)
         edges.append(Edge(f"v{a}", leg(a, d, letter), f"v{b}",
                           leg(b, d, letter), d))
-    sides = data.draw(st.lists(st.sampled_from([START, END]),
-                               min_size=int(n == 1), max_size=3))
+    times = data.draw(st.lists(st.integers(1, 3), min_size=int(n == 1),
+                               max_size=3))
+    half = max(times, default=0) // 2
     open_legs, order = [], []
-    for i, side in enumerate(sides):
+    for i, t in enumerate(times):
         v, d, letter = data.draw(st.integers(0, n - 1)), data.draw(dim), \
             next(letters)
-        t = data.draw(st.integers(1, 3))
+        side = START if t <= half else END
         open_legs.append(OpenLeg(f"v{v}", leg(v, d, letter), d, t, side))
         order.append(((t, i), letter))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -284,9 +290,10 @@ def test_min_cut_single_edge():
 
 
 def test_min_cut_requires_both_sides():
+    # a graph's last leg is an end leg, so only start legs can be missing
     t = DenseTensor(np.ones(2, dtype=int), EXACT)
-    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start")])
-    with pytest.raises(ShapeError):
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "end")])
+    with pytest.raises(ShapeError, match="both"):
         min_cut(g)
 
 
@@ -347,12 +354,13 @@ def test_min_cut_matches_enumeration(data):
         d = data.draw(dim)
         edges.append(Edge(names[a], leg(names[a], d), names[b],
                           leg(names[b], d), d))
-    sides = [START, END] + data.draw(st.lists(
-        st.sampled_from([START, END]), max_size=5))
+    # legs land on random nodes, so every node may carry either side
+    T = data.draw(st.integers(2, 7))
     open_legs = []
-    for t, side in enumerate(sides, 1):
+    for t in range(1, T + 1):
         v, d = names[data.draw(st.integers(0, n - 1))], data.draw(dim)
-        open_legs.append(OpenLeg(v, leg(v, d), d, t, side))
+        open_legs.append(OpenLeg(v, leg(v, d), d, t,
+                                 START if t <= T // 2 else END))
     # float views of one scalar hold every shape without allocating it
     nodes = {v: DenseTensor(np.broadcast_to(1.0, tuple(legs[v])), FLOAT)
              for v in names}
@@ -452,7 +460,8 @@ leg t 1 2 2 end
     ("leg t 0 2 1 start", "leg t 0 2 0 start"),
     ("nodes 1\nnode t 2 2 2\n1/1 2/1 3/1 4/1\nedges 0\nopen 2\n"
      "leg t 0 2 1 start\nleg t 1 2 2 end\n", "nodes 0\nedges 0\nopen 0\n"),
-], ids=["self-loop", "time-index-0", "no-nodes"])
+    ("leg t 1 2 2 end", "leg t 1 2 2 start"),
+], ids=["self-loop", "time-index-0", "no-nodes", "side-vs-time"])
 def test_parse_graph_refuses_what_contract_cannot_handle(old, new):
     t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start"),
