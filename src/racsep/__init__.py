@@ -7,14 +7,14 @@ that govern their start/end dependency structure — with an exact rational
 rank oracle and an SVD-based numeric one.
 """
 
-from .builders import (GridTensor, build_grid_tensor, build_weights_tensor,
-                       grid_budget, score_from_tensor, separation_rank)
+from .builders import (build_grid_tensor, build_weights_tensor, grid_budget,
+                       separation_rank)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      RacsepError, ResourceBudgetError, ShapeError)
 from .network import (RAC_PRODUCT, Cell, RacParams, TemplateEncoder,
                       forward_deep, neutral_h0, step_deep)
 from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,
-                    rank_numeric, start_end_rank)
+                    rank_numeric)
 from .tensor import (EXACT, FLOAT, DenseTensor, exact_array, hadamard_power,
                      load_tensor, matricize, save_tensor)
 from .tn import (BasicUnitCount, Edge, NoCloneReport, OpenLeg, TnGraph,

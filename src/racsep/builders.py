@@ -1,5 +1,5 @@
-"""Grid tensors, weights tensors and start/end ranks of multiplicative
-recurrent networks, all advanced on one level-by-level frontier.
+"""Grid tensors and start/end ranks of multiplicative recurrent networks,
+all advanced on one level-by-level frontier.
 
 A grid tensor holds a network's outputs on every length-T sequence of
 template symbols, for any depth; the frontier (:class:`_Frontier`) builds it
@@ -8,40 +8,40 @@ integers over one common denominator.  A single-layer network's score is the
 full contraction of its order-T coefficient tensor (the weights tensor) with
 the per-step input encodings, and by the paper's Claim 1 the grid tensor is
 the weights tensor with every mode multiplied by the template matrix F; so
-the weights tensor is the grid tensor under identity templates.
+the weights tensor is the grid tensor under identity templates, and for a
+non-singular F the two have one start/end rank.
 
 A network's start/end rank, the Start-End separation rank of its output,
-has one entry point (:func:`separation_rank`), which builds neither tensor.
-It walks the frontier under identity templates in two halves: every start
-word's state is advanced T/2 steps, the start words whose rows span the
-start/end matricization G are kept, and only their states are advanced the
-other T/2 steps.  An exact network of depth L <= 2 factors G = Phi C
-through the lifted mid-sequence states Phi: the hidden state h itself at
-L = 1 (the tensor-train view of Khrulkov, Novikov and Oseledets, ICLR
-2018), and h2 (x) Sym^(T/2)(h1) at L = 2 (the weighted-automaton view of
-Rabusseau, Li and Precup, AISTATS 2019), K = R multiset(R, T/2)
-coordinates.  Start words whose lifted states span Phi's columns have rows
-that span G's rows, so an exact column basis of at most K of them keeps
-rank G.  An exact deep network first keeps one start word per class of
-projectively equal mid-sequence states, and none whose state is zero in
-some layer, and at L = 2 only a column basis of their lifted states when
-the classes outnumber K; a float network keeps all.  Every state array a
-walk builds counts against RACSEP_GRID_BUDGET: R entries per prefix it
-holds, and K per kept start word for the lifted array.
+has one entry point (:func:`separation_rank`), which builds no tensor.
+It walks the frontier, under identity or given templates, in two halves:
+every start word's state is advanced T/2 steps, the start words whose rows
+span the start/end matricization G are kept, and only their states are
+advanced the other T/2 steps.  An exact network of depth L <= 2 factors
+G = Phi C through the lifted mid-sequence states Phi: the hidden state h
+itself at L = 1 (the tensor-train view of Khrulkov, Novikov and Oseledets,
+ICLR 2018), and h2 (x) Sym^(T/2)(h1) at L = 2 (the weighted-automaton view
+of Rabusseau, Li and Precup, AISTATS 2019), K = R multiset(R, T/2)
+coordinates, whatever the templates.  Start words whose lifted states span
+Phi's columns have rows that span G's rows, so an exact column basis of at
+most K of them keeps rank G.  An exact deep network first keeps one start
+word per class of projectively equal mid-sequence states, and none whose
+state is zero in some layer, and at L = 2 only a column basis of their
+lifted states when the classes outnumber K; a float network keeps all.
+Every state array a walk builds counts against RACSEP_GRID_BUDGET: R
+entries per prefix it holds, and K per kept start word for the lifted
+array.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvalidInputError, ParameterError, ShapeError,
-                     check_budget, env_budget)
-from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
-                      check_class, check_encoder)
+from .errors import ParameterError, check_budget, env_budget
+from .network import (Cell, RacParams, TemplateEncoder, check_class,
+                      check_encoder, check_steps)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
 from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis,
@@ -57,84 +57,53 @@ def grid_budget():
     return env_budget(GRID_BUDGET_ENV, DEFAULT_GRID_BUDGET)
 
 
-@dataclass(frozen=True)
-class GridTensor:
-    """What both tensor builders return: the order-T tensor they built."""
-
-    tensor: DenseTensor
-
-
-def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> GridTensor:
-    """The order-T coefficient tensor A of the single-layer network p for
-    class c: the score of any template sequence is the contraction of A with
-    its encodings (:func:`score_from_tensor`).
-
-    By Claim 1 the grid tensor is A with every mode multiplied by the
-    template matrix F, so A is the grid tensor under identity templates,
-    advanced from the initial state p.h0 on the grid's frontier, under the
-    grid tensors' budget.
-    """
-    if p.L != 1:
-        raise ParameterError("weights tensor is defined for single-layer networks")
-    if T < 2:
-        raise ShapeError(f"T must be >= 2, got {T}")
-    return _outputs(p, _identity(p), c, T, "weights tensor")
-
-
-def score_from_tensor(w: GridTensor, enc: TemplateEncoder, seq) -> object:
-    """Full contraction sum_d A_d prod_i F[seq_i, d_i]; a single entry lookup
-    when the encoder is the identity."""
-    t = w.tensor
-    check_encoder(enc, t.dims[0], t.field)
-    symbols = as_symbols(seq, enc.M)
-    if len(symbols) != t.order:
-        raise InvalidInputError(
-            f"sequence has {len(symbols)} symbols, tensor order is {t.order}")
-    acc = t.data
-    for s in symbols:
-        acc = np.tensordot(enc.row(s), acc, axes=([0], [0]))
-    return acc if np.ndim(acc) == 0 else acc[()]
-
-
 def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
-                      T: int = 2) -> GridTensor:
-    """Order-T tensor of network outputs over all M^T template sequences,
-    advanced level by level from h0 (see :class:`_Frontier`, which checks
-    its R x M^T state arrays against RACSEP_GRID_BUDGET).
+                      T: int = 2) -> DenseTensor:
+    """Order-T tensor of network p's class-c outputs over all M^T sequences
+    of the templates ``enc`` (the identity templates when None), advanced
+    level by level from h0 on one :class:`_Frontier`, which checks its
+    R x M^T state arrays against RACSEP_GRID_BUDGET, and divided by the
+    frontier's one denominator if that is not 1 (it is 1 over the float
+    field and for integer weights, h0 and templates).
     """
-    if enc is not None:
-        check_encoder(enc, p.M, p.field)
-    if T < 1:
-        raise ShapeError(f"T must be >= 1, got {T}")
-    return _outputs(p, enc.F if enc is not None else _identity(p), c, T,
-                    "grid tensor")
-
-
-def _identity(p):
-    """The identity templates' M x M matrix in p's field (exact: ints)."""
-    return np.eye(p.M, dtype=object if p.field == EXACT else np.float64)
-
-
-def _outputs(p, F, c, T, what):
-    """The tensor ``what`` of p's class-c outputs on all M^T sequences of
-    the templates F, advanced from h0 on one :class:`_Frontier` and divided
-    by its one denominator, if that is not 1 (it is 1 over the float field
-    and for integer weights, h0 and templates)."""
-    net = _Frontier(p, F, c)
-    S, D = net.advance(net.h0, net.D0, T, f"{what} state array")
+    check_steps(T)
+    net = _Frontier(p, _templates(p, enc), c)
+    S, D = net.advance(net.h0, net.D0, T, "grid tensor state array")
     A, den = net.out @ S[-1], net.do * D[-1]
     if den != 1:
         A = np.array([Fraction(x, den) for x in A], dtype=object)
-    return GridTensor(DenseTensor(A.reshape((p.M,) * T), p.field))
+    return DenseTensor(A.reshape((p.M,) * T), p.field)
+
+
+def build_weights_tensor(p: RacParams, c: int = 1, T: int = 2) -> DenseTensor:
+    """The order-T coefficient tensor A of the single-layer network p for
+    class c, whose contraction with the encodings of a template sequence is
+    its score.  By Claim 1 the grid tensor is A with every mode multiplied
+    by the template matrix F, so A is the grid under identity templates."""
+    if p.L != 1:
+        raise ParameterError("weights tensor is defined for single-layer networks")
+    return build_grid_tensor(p, None, c, T)
+
+
+def _templates(p, enc):
+    """The template matrix F of ``enc``, which must encode p's M symbols in
+    p's field; the identity in p's field (exact: ints) when ``enc`` is
+    None."""
+    if enc is None:
+        return np.eye(p.M, dtype=object if p.field == EXACT else np.float64)
+    check_encoder(enc, p.M, p.field)
+    return enc.F
 
 
 def separation_rank(p: RacParams, T: int, c: int = 1,
-                    rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
+                    rel_tol: float = DEFAULT_REL_TOL,
+                    enc: TemplateEncoder = None) -> RankReport:
     """The Start-End separation rank of network p's class-c output on
     length-T sequences: the rank of the start/end matricization G of its
-    grid tensor under identity templates (its weights tensor when L = 1),
-    exact for the exact field and by SVD with ``rel_tol`` for the float
-    field.  A T that is odd or below 2 is refused by :class:`Cell`.
+    grid tensor under the templates ``enc`` (identity templates when None,
+    so the weights tensor when L = 1), exact for the exact field and by SVD
+    with ``rel_tol`` for the float field.  A T that is odd or below 2 is
+    refused by :class:`Cell`.
 
     Neither tensor is built.  Row s of G holds the outputs, over every end
     word, of start word s's states after T/2 steps.  The walk advances all
@@ -150,7 +119,7 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     network keeps all start words.  Exact G_S is the frontier's integers: a
     common denominator does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
-    net = _Frontier(p, _identity(p), c)
+    net = _Frontier(p, _templates(p, enc), c)
     S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
     if p.field == EXACT:
         keep = _start_basis(S, cell.half)

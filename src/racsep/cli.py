@@ -198,9 +198,9 @@ def cmd_export(args):
     cell = Cell(args.M, args.R, args.T, args.L)
     [(_, p)] = draw_trials(args.seed, cell, 1, args.field)
     if args.what == "weights":
-        save_tensor(build_weights_tensor(p, T=args.T).tensor, args.out)
+        save_tensor(build_weights_tensor(p, T=args.T), args.out)
     elif args.what == "grid":
-        save_tensor(build_grid_tensor(p, T=args.T).tensor, args.out)
+        save_tensor(build_grid_tensor(p, T=args.T), args.out)
     elif args.what == "mps":
         save_graph(build_mps(p, args.T), args.out)
     else:

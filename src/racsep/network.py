@@ -28,7 +28,11 @@ RAC_PRODUCT = operator.mul
 
 
 def neutral_h0(w_hidden):
-    """Initial state solving W_h h0 = 1, so the first update sees all-ones."""
+    """Initial state solving W_h h0 = 1, so the first update sees all-ones;
+    ParameterError unless W_h is square and non-singular."""
+    if w_hidden.ndim != 2 or w_hidden.shape[0] != w_hidden.shape[1]:
+        raise ParameterError(
+            f"hidden weights matrix must be square, got {w_hidden.shape}")
     n = w_hidden.shape[0]
     if field_of(w_hidden) == EXACT:
         return solve_exact(w_hidden, [1] * n)
@@ -65,6 +69,13 @@ class Cell:
     @property
     def width(self):  # M^(T/2), the side of the start/end matricization
         return self.M ** self.half
+
+
+def check_steps(T):
+    """Raises ShapeError unless ``T``, a number of time-steps, is an integer
+    >= 1 (a bool is not)."""
+    if type(T) is bool or not isinstance(T, numbers.Integral) or T < 1:
+        raise ShapeError(f"T must be an integer >= 1, got {T!r}")
 
 
 @dataclass
@@ -277,6 +288,9 @@ def parse_params(text: str) -> RacParams:
     w_hidden = [read_block("w_hidden", l) for l in range(L)]
     w_out = read_block("w_out")
     h0 = [read_block("h0", l) for l in range(L)]
+    if pos != len(lines):
+        raise InvalidInputError(
+            f"unexpected line after the h0 blocks: {lines[pos]!r}")
     p = RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
     if [p.R, p.M, p.C] != sizes:
         raise InvalidInputError(

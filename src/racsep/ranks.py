@@ -19,7 +19,7 @@ products small, and it runs only on primitive rows.  The same Bareiss
 elimination solves square exact systems (:func:`solve_exact`), such as the
 neutral initial state W_h h0 = 1, and picks a column basis
 (:func:`column_basis`, its pivot columns), from which the builders compute
-a single-layer start/end rank through the mid-sequence states.
+a depth <= 2 start/end rank through the mid-sequence states.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      ShapeError)
 from .tensor import (EXACT, DenseTensor, clear_denominators, exact_array,
-                     field_of, matricize)
+                     field_of)
 
 DEFAULT_REL_TOL = 1e-12
 # the word-size prime of the full-rank certificate, just under 2^31
@@ -89,10 +89,14 @@ def column_basis(m) -> list:
 
 def solve_exact(a, b):
     """The x with a x = b over the rationals, for square exact ``a``, as an
-    :func:`exact_array`; raises ParameterError if ``a`` is singular.
+    :func:`exact_array`; raises ShapeError unless ``a`` is square and ``b``
+    has one entry per row, and ParameterError if ``a`` is singular.
     A zero or repeated row of [a | b] makes ``a`` singular, so dropping it
     only shortens the elimination."""
-    n = a.shape[0]
+    n = len(b)
+    if np.shape(a) != (n, n):
+        raise ShapeError(f"solve_exact needs an n x n matrix for n = {n} "
+                         f"right-hand sides, got shape {np.shape(a)}")
     rows = _primitive_rows(_integer_rows(
         [x for i in range(n) for x in (*a[i], b[i])], n + 1))
     rank, order = _bareiss(rows, n)
@@ -237,16 +241,6 @@ def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
     rank = int(np.count_nonzero(sv > cutoff))
     return RankReport(rank=rank, method="svd", singular_values=tuple(sv),
                       tolerance=rel_tol)
-
-
-def start_end_rank(t: DenseTensor, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
-    """Rank of the start/end matricization of an order-T tensor (T even):
-    the Start-End separation rank.  Exact for the exact field, SVD-based
-    with ``rel_tol`` for the float field."""
-    mat = matricize(t)
-    if t.field == EXACT:
-        return rank_exact(mat)
-    return rank_numeric(mat, rel_tol=rel_tol)
 
 
 def multiset_coefficient(n: int, k: int) -> int:

@@ -1,9 +1,9 @@
 """Tensor-network graphs for recurrent multiplicative networks.
 
 A graph node holds a concrete tensor; edges contract matching legs; open
-legs carry the input modes, each with its time-step t >= 1 and its side of
-the start/end split, which must agree with t: start iff t <= T // 2, for T
-the graph's largest time index.  The single-layer network is a
+legs carry the input modes, each with its time-step t >= 1, which puts it
+on one side of the start/end split: start iff t <= T // 2, for T the
+graph's largest time index.  The single-layer network is a
 matrix-product-state chain.  Deeper networks cannot duplicate intermediate vectors inside a
 network (see :func:`no_clone_counterexample`), so their graphs duplicate the
 *inputs*: each layer-(l-1) sub-network is rebuilt once per time-step of
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError, check_budget, env_budget)
 from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
-                      check_class, check_encoder)
+                      check_class, check_encoder, check_steps)
 from .ranks import multiset_coefficient
 from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
@@ -54,17 +54,23 @@ class OpenLeg:
     leg: int
     dim: int
     time_index: int
-    side: str = START
 
 
 class TnGraph:
-    """Weighted graph of tensors; every tensor leg is used exactly once."""
+    """Weighted graph of tensors; every tensor leg is used exactly once.
+    ``steps`` is the largest time index of an open leg (0 if none)."""
 
     def __init__(self, nodes, edges, open_legs):
         self.nodes = dict(nodes)
         self.edges = list(edges)
         self.open_legs = list(open_legs)
         self._validate()
+        self.steps = max((o.time_index for o in self.open_legs), default=0)
+
+    def side(self, o: OpenLeg):
+        """START if open leg ``o`` is in the first half of the steps, else
+        END."""
+        return START if o.time_index <= self.steps // 2 else END
 
     def _validate(self):
         if not self.nodes:
@@ -95,22 +101,11 @@ class TnGraph:
             claim(e.node_a, e.leg_a, e.dim)
             claim(e.node_b, e.leg_b, e.dim)
         for o in self.open_legs:
-            if o.side not in (START, END):
-                raise ShapeError(f"leg {o.node!r}[{o.leg}] has side {o.side!r}, "
-                                 f"not {START!r} or {END!r}")
             t = o.time_index
             if type(t) is bool or not isinstance(t, numbers.Integral) or t < 1:
                 raise ShapeError(f"leg {o.node!r}[{o.leg}] needs a time index "
                                  f">= 1, got {t!r}")
             claim(o.node, o.leg, o.dim)
-        # the builders' split: a start leg iff t <= (largest time index) // 2
-        half = max((o.time_index for o in self.open_legs), default=0) // 2
-        for o in self.open_legs:
-            if o.side != (START if o.time_index <= half else END):
-                raise ShapeError(
-                    f"leg {o.node!r}[{o.leg}] at time {o.time_index} is on "
-                    f"the {o.side} side; times up to {half} are {START}, "
-                    f"later ones {END}")
         for nid, legs in used.items():
             if len(legs) != self.nodes[nid].order:
                 raise ShapeError(f"node {nid!r} has unused legs")
@@ -143,12 +138,10 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
 
     Cell t is the order-3 tensor M[k_prev, d, k] = Wi[k, d] * Wh[k, k_prev];
     boundaries are the neutral initial state and the class-c output row.
-    Input legs are tagged "start" for t <= T/2 and "end" otherwise.
     """
     if p.L != 1:
         raise ParameterError("build_mps requires a single-layer network")
-    if T < 1:
-        raise ShapeError("T must be >= 1")
+    check_steps(T)
     check_class(p, c)
     wi, wh = p.w_in[0], p.w_hidden[0]
     R, M = p.R, p.M
@@ -159,8 +152,7 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
         nodes[f"cell{t}"] = DenseTensor(cell, p.field)
         left = ("h0", 0) if t == 1 else (f"cell{t-1}", 2)
         edges.append(Edge(left[0], left[1], f"cell{t}", 0, R))
-        side = START if t <= T // 2 else END
-        open_legs.append(OpenLeg(f"cell{t}", 1, M, time_index=t, side=side))
+        open_legs.append(OpenLeg(f"cell{t}", 1, M, time_index=t))
     nodes["out"] = DenseTensor(p.w_out[c - 1], p.field)
     edges.append(Edge(f"cell{T}", 2, "out", 0, R))
     return TnGraph(nodes, edges, open_legs)
@@ -175,8 +167,7 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     Contraction (with inputs attached) equals the forward evaluation exactly.
     The graph is capped at L <= DEEP_TN_MAX_L and T <= DEEP_TN_MAX_T.
     """
-    if T < 1:
-        raise ShapeError(f"T must be >= 1, got {T}")
+    check_steps(T)
     if p.L > DEEP_TN_MAX_L or T > DEEP_TN_MAX_T:
         raise ResourceBudgetError(
             f"deep graph budget is L<={DEEP_TN_MAX_L}, T<={DEEP_TN_MAX_T}; "
@@ -201,8 +192,7 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
         edges.append(Edge(wh, 1, prev[0], prev[1], R))
         wi = add("wi", DenseTensor(p.w_in[l - 1], p.field))
         if l == 1:
-            side = START if t <= T // 2 else END
-            open_legs.append(OpenLeg(wi, 1, M, time_index=t, side=side))
+            open_legs.append(OpenLeg(wi, 1, M, time_index=t))
         else:
             below = fragment(l - 1, t)
             edges.append(Edge(wi, 1, below[0], below[1], R))
@@ -221,10 +211,9 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     """Contract every input leg with its time-step's encoded template vector;
     ``seq`` holds one symbol per time-step of g, no fewer and no more."""
     symbols = as_symbols(seq, enc.M)
-    steps = max((o.time_index for o in g.open_legs), default=0)
-    if len(symbols) != steps:
+    if len(symbols) != g.steps:
         raise InvalidInputError(
-            f"sequence has {len(symbols)} symbols, graph has {steps} steps")
+            f"sequence has {len(symbols)} symbols, graph has {g.steps} steps")
     nodes = dict(g.nodes)
     edges = list(g.edges)
     for k, o in enumerate(g.open_legs):
@@ -325,8 +314,8 @@ def min_cut(g: TnGraph):
     cut descriptors (crossing edges, then stranded start legs, then
     stranded end legs, each in graph order).
     """
-    starts = [o for o in g.open_legs if o.side == START]
-    ends = [o for o in g.open_legs if o.side == END]
+    starts = [o for o in g.open_legs if g.side(o) == START]
+    ends = [o for o in g.open_legs if g.side(o) == END]
     if not starts or not ends:
         raise ShapeError("min_cut needs both start- and end-tagged open legs")
     source, sink = object(), object()
@@ -458,7 +447,7 @@ def dump_graph(g: TnGraph) -> str:
         lines.append(f"edge {e.node_a} {e.leg_a} {e.node_b} {e.leg_b} {e.dim}")
     lines.append(f"open {len(g.open_legs)}")
     for o in g.open_legs:
-        lines.append(f"leg {o.node} {o.leg} {o.dim} {o.time_index} {o.side}")
+        lines.append(f"leg {o.node} {o.leg} {o.dim} {o.time_index} {g.side(o)}")
     return "\n".join(lines) + "\n"
 
 
@@ -496,14 +485,25 @@ def parse_graph(text: str) -> TnGraph:
         a, la, b, lb, dim = take("edge", 5)
         la, lb, dim = header_ints((la, lb, dim))
         edges.append(Edge(a, la, b, lb, dim))
-    open_legs = []
+    open_legs, sides = [], []
     for _ in items("open"):
         node, leg, dim, t, side = take("leg", 5)
         if side not in (START, END):
             raise InvalidInputError(
                 f"leg side must be {START} or {END}, got {side!r}")
-        open_legs.append(OpenLeg(node, *header_ints((leg, dim, t)), side))
-    return TnGraph(nodes, edges, open_legs)
+        open_legs.append(OpenLeg(node, *header_ints((leg, dim, t))))
+        sides.append(side)
+    if pos != len(lines):
+        raise InvalidInputError(f"unexpected line after the open legs: "
+                                f"{lines[pos]!r}")
+    g = TnGraph(nodes, edges, open_legs)
+    for o, side in zip(open_legs, sides):
+        if side != g.side(o):
+            raise ShapeError(
+                f"leg {o.node!r}[{o.leg}] at time {o.time_index} is on the "
+                f"{side} side; times up to {g.steps // 2} are {START}, "
+                f"later ones {END}")
+    return g
 
 
 def save_graph(g: TnGraph, path):

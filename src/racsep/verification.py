@@ -6,7 +6,7 @@ constructions) must each pass, and at least a ``DEFAULT_THRESHOLD`` share of
 sampled rows (random draws) must pass, which tolerates the measure-zero
 parameter sets on which generic rank statements are allowed to fail.
 Every network's start/end rank comes from :func:`separation_rank`, which
-picks the oracle; only Claim 1 ranks the two tensors it builds itself.
+picks the oracle.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .builders import (build_grid_tensor, build_weights_tensor,
-                       separation_rank)
+from .builders import separation_rank
 from .errors import InvalidInputError, ParameterError
 from .network import Cell, RacParams, TemplateEncoder, neutral_h0
-from .ranks import (DEFAULT_REL_TOL, multiset_coefficient, rank_exact,
-                    start_end_rank)
+from .ranks import DEFAULT_REL_TOL, multiset_coefficient, rank_exact
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
 from .tn import build_mps, min_cut, no_clone_counterexample
 
@@ -218,14 +216,14 @@ def verify_deep_lower_bound(cell: Cell, trials=30, seed=0,
 def check_claim1_equality(cell: Cell, trials, seed=0) -> Report:
     """Claim 1: the grid tensor is the weights tensor with every mode
     multiplied by the template matrix F, so for a non-singular F the two
-    matricizations have equal rank.  Checked draw for draw under fixed
-    templates: the lower-triangular all-ones F, of det 1 and not the
-    identity for M >= 2."""
+    matricizations have equal rank.  Checked draw for draw, each rank by
+    :func:`separation_rank`, under fixed templates: the lower-triangular
+    all-ones F, of det 1 and not the identity for M >= 2."""
     rep = _report("claim1", cell, 1)
     enc = TemplateEncoder(exact_array(np.tri(cell.M, dtype=int)))
     for label, p in draw_trials(seed, cell, trials, EXACT):
-        rg = start_end_rank(build_grid_tensor(p, enc, T=cell.T).tensor).rank
-        rw = start_end_rank(build_weights_tensor(p, T=cell.T).tensor).rank
+        rg = separation_rank(p, cell.T, enc=enc).rank
+        rw = separation_rank(p, cell.T).rank
         rep.add(EXACT, label, rg, rw, rg == rw)
     return rep
 

@@ -79,7 +79,7 @@ def test_criterion_5_forward_contraction_equivalence(capsys):
     ok = True
     for trial in range(20):
         p = draw_params(trial_rng(SEED, 2, 2, 4, 1, trial), 2, 2, L=1)
-        w = build_weights_tensor(p, T=4).tensor
+        w = build_weights_tensor(p, T=4)
         ok &= contract(build_mps(p, 4)).equals(w)
     enc_e = TemplateEncoder.identity(2)
     enc_f = TemplateEncoder.identity(2, FLOAT)

@@ -11,15 +11,14 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from racsep import (AppendixBAssignment, EXACT, FLOAT,
+from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, DenseTensor,
                     InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
-                    attach_inputs, build_grid_tensor, build_mps,
-                    build_weights_tensor, contract, draw_params, exact_array,
-                    forward_deep, grid_budget, matricize,
-                    multiset_coefficient, rank_exact,
-                    score_from_tensor, separation_rank, start_end_rank,
-                    step_deep, trial_rng)
+                    attach_inputs, build_deep_tn, build_grid_tensor,
+                    build_mps, build_weights_tensor, check_claim1_equality,
+                    contract, draw_params, exact_array, forward_deep,
+                    grid_budget, matricize, multiset_coefficient, rank_exact,
+                    rank_numeric, separation_rank, step_deep, trial_rng)
 from racsep import builders, network
 from racsep.builders import GRID_BUDGET_ENV
 from scalars import canonical
@@ -38,14 +37,14 @@ def test_weights_tensor_matches_forward_on_every_sequence():
         enc = TemplateEncoder.identity(2)
         for d in itertools.product([1, 2], repeat=4):
             idx = tuple(x - 1 for x in d)
-            assert w.tensor[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
+            assert w[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
 
 
 def test_weights_tensor_r1_rank_one():
     p = RacParams(w_in=[exact_array([[2, 3]])], w_hidden=[exact_array([[5]])],
                   w_out=exact_array([[1]]))
     w = build_weights_tensor(p, T=4)
-    m = matricize(w.tensor)
+    m = matricize(w)
     assert rank_exact(m).rank == 1
 
 
@@ -56,8 +55,8 @@ def test_weights_tensor_class_selection():
     w2 = build_weights_tensor(p, c=2, T=2)
     enc = TemplateEncoder.identity(2)
     out = forward_deep(p, RAC_PRODUCT, enc, [2, 1])
-    assert w1.tensor[1, 0] == out[0]
-    assert w2.tensor[1, 0] == out[1]
+    assert w1[1, 0] == out[0]
+    assert w2[1, 0] == out[1]
     with pytest.raises(ParameterError):
         build_weights_tensor(p, c=3, T=2)
 
@@ -67,33 +66,62 @@ def test_weights_tensor_requires_shallow_and_valid_T():
     with pytest.raises(ParameterError):
         build_weights_tensor(deep, T=4)
     shallow = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
-    with pytest.raises(ShapeError):
-        build_weights_tensor(shallow, T=1)
+    # the grid under identity templates, so of any order T >= 1
+    assert build_weights_tensor(shallow, T=1).equals(
+        build_grid_tensor(shallow, T=1))
     for T in (0, -3):  # used to give the 1-entry empty-sequence score
         with pytest.raises(ShapeError):
-            build_grid_tensor(shallow, T=T)
+            build_weights_tensor(shallow, T=T)
         with pytest.raises(ShapeError):
             build_grid_tensor(deep, T=T)
 
 
+_STEP_BUILDERS = {
+    "build_grid_tensor": lambda p, T: build_grid_tensor(p, T=T),
+    "build_weights_tensor": lambda p, T: build_weights_tensor(p, T=T),
+    "build_mps": build_mps,
+    "build_deep_tn": build_deep_tn,
+}
+
+
+@pytest.mark.parametrize("T", [0, -3, 2.0, True, "2", None])
+@pytest.mark.parametrize("name", _STEP_BUILDERS)
+def test_builders_refuse_a_step_count_that_is_not_an_integer_ge_1(name, T):
+    # 2.0 used to raise a bare TypeError (weights tensor) or a misleading
+    # time-index error (deep graph), and True built an order-1 grid
+    p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
+    with pytest.raises(ShapeError, match="T must be an integer >= 1"):
+        _STEP_BUILDERS[name](p, T)
+
+
+def _fold(w, F):
+    """The tensor ``w`` with every mode multiplied by the template matrix F:
+    the grid tensor of Claim 1, sum_d w_d prod_i F[s_i, d_i]."""
+    a = w.data
+    for _ in range(w.order):
+        a = np.tensordot(a, F, axes=([0], [1]))
+    return DenseTensor(a, w.field)
+
+
 def test_score_from_tensor_general_encoder():
-    # with a non-identity encoder the score is the full contraction
+    # with a non-identity encoder the score is the weights tensor with every
+    # mode multiplied by F (Claim 1), which is the grid under F
     p = draw_params(trial_rng(7, 2, 2, 4, 1, 0), 2, 2, L=1)
     enc = TemplateEncoder(exact_array([[1, 2], [1, -1]]))
-    w = build_weights_tensor(p, T=3)
+    grid = _fold(build_weights_tensor(p, T=3), enc.F)
+    assert grid.equals(build_grid_tensor(p, enc=enc, T=3))
     for seq in itertools.product([1, 2], repeat=3):
-        assert (score_from_tensor(w, enc, seq)
+        assert (grid[tuple(s - 1 for s in seq)]
                 == forward_deep(p, RAC_PRODUCT, enc, seq)[0])
 
 
 @pytest.mark.parametrize("enc", [TemplateEncoder.identity(3),
                                  TemplateEncoder.identity(2, FLOAT)],
                          ids=["wrong-M", "wrong-field"])
-def test_score_from_tensor_rejects_mismatched_encoder(enc):
+def test_separation_rank_rejects_mismatched_encoder(enc):
     p = draw_params(trial_rng(7, 2, 2, 4, 1, 0), 2, 2, L=1)
-    w = build_weights_tensor(p, T=4)
-    with pytest.raises(ParameterError):
-        score_from_tensor(w, enc, (1, 2, 1, 2))
+    with pytest.raises(ParameterError, match="encoder"):
+        separation_rank(p, 4, enc=enc)
 
 
 def test_grid_tensor_matches_forward_deep():
@@ -102,7 +130,7 @@ def test_grid_tensor_matches_forward_deep():
     enc = TemplateEncoder.identity(2)
     for d in itertools.product([1, 2], repeat=3):
         idx = tuple(x - 1 for x in d)
-        assert g.tensor[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
+        assert g[idx] == forward_deep(p, RAC_PRODUCT, enc, d)[0]
 
 
 def test_grid_tensor_float_field():
@@ -110,14 +138,14 @@ def test_grid_tensor_float_field():
     g = build_grid_tensor(p, T=4)
     enc = TemplateEncoder.identity(2, FLOAT)
     val = forward_deep(p, RAC_PRODUCT, enc, [1, 2, 2, 1])[0]
-    assert g.tensor[0, 1, 1, 0] == pytest.approx(val, rel=1e-12)
+    assert g[0, 1, 1, 0] == pytest.approx(val, rel=1e-12)
 
 
 def test_grid_tensor_custom_encoder():
     p = draw_params(trial_rng(8, 2, 2, 4, 1, 0), 2, 2, L=1)
     enc = TemplateEncoder(exact_array([[2, 1], [0, 1]]))
     g = build_grid_tensor(p, enc=enc, T=2)
-    assert g.tensor[1, 0] == forward_deep(p, RAC_PRODUCT, enc, [2, 1])[0]
+    assert g[1, 0] == forward_deep(p, RAC_PRODUCT, enc, [2, 1])[0]
 
 
 @pytest.mark.parametrize("enc", [
@@ -159,7 +187,7 @@ def test_weights_budget_enforced(monkeypatch):
     with pytest.raises(ResourceBudgetError) as ei:
         build_weights_tensor(p, T=4)
     assert ei.value.required == 32 and ei.value.budget == 15
-    assert "weights tensor state array" in str(ei.value)
+    assert "grid tensor state array" in str(ei.value)
     build_weights_tensor(p, T=2)  # 2 x 4 entries fits
 
 
@@ -169,7 +197,7 @@ def test_grid_equals_weights_tensor_identity_encoder():
         p = draw_params(trial_rng(seed, 3, 2, 4, 1, 0), 3, 2, L=1)
         g = build_grid_tensor(p, T=4)
         w = build_weights_tensor(p, T=4)
-        assert g.tensor.equals(w.tensor)
+        assert g.equals(w)
 
 
 @settings(deadline=None, max_examples=30)
@@ -202,13 +230,13 @@ def test_builders_agree_with_forward_for_explicit_h0(data):
     p = RacParams(w_in=[ints(R, M)], w_hidden=[wh], w_out=ints(1, R),
                   h0=[h0])
     enc = TemplateEncoder(F)
-    weights = build_weights_tensor(p, T=T)
-    grid = build_grid_tensor(p, enc=enc, T=T).tensor
+    folded = _fold(build_weights_tensor(p, T=T), F)
+    grid = build_grid_tensor(p, enc=enc, T=T)
     mps = build_mps(p, T)
     for d in itertools.product(range(1, M + 1), repeat=T):
         idx = tuple(x - 1 for x in d)
         want = forward_deep(p, RAC_PRODUCT, enc, d)[0]
-        assert score_from_tensor(weights, enc, d) == want
+        assert folded[idx] == want
         assert grid[idx] == want
         assert contract(attach_inputs(mps, enc, d)).entries[0] == want
         assert canonical(grid[idx])
@@ -254,7 +282,7 @@ def test_grid_frontier_matches_forward_with_rational_weights(data):
     except ParameterError:  # a singular hidden matrix has no neutral h0
         assume(False)
     enc = TemplateEncoder(F)
-    grid = build_grid_tensor(p, enc=enc, T=T).tensor
+    grid = build_grid_tensor(p, enc=enc, T=T)
 
     # the same network in floats; the frontier sums in another order than
     # the forward pass, so the two agree to rounding of the |terms| bound
@@ -265,7 +293,7 @@ def test_grid_frontier_matches_forward_with_rational_weights(data):
                   w_hidden=list(map(to_float, p.w_hidden)),
                   w_out=to_float(p.w_out), h0=list(map(to_float, p.h0)))
     fenc = TemplateEncoder(to_float(F))
-    fgrid = build_grid_tensor(q, enc=fenc, T=T).tensor
+    fgrid = build_grid_tensor(q, enc=fenc, T=T)
     assert fgrid.field == FLOAT
     for d in itertools.product(range(1, M + 1), repeat=T):
         idx = tuple(x - 1 for x in d)
@@ -277,8 +305,7 @@ def test_grid_frontier_matches_forward_with_rational_weights(data):
 
 def _weights_rank(p, T, c=1):
     """The start/end rank of the materialized weights tensor."""
-    w = build_weights_tensor(p, c=c, T=T).tensor
-    return rank_exact(matricize(w)).rank
+    return rank_exact(matricize(build_weights_tensor(p, c=c, T=T))).rank
 
 
 @settings(deadline=None, max_examples=150)
@@ -347,9 +374,10 @@ def test_factored_rank_beyond_the_weights_budget():
     assert separation_rank(p, 16).rank == 4
 
 
-def _grid_rank(p, T, rel_tol=1e-12):
-    """The start/end rank of the materialized identity-template grid."""
-    return start_end_rank(build_grid_tensor(p, T=T).tensor, rel_tol)
+def _grid_rank(p, T, rel_tol=1e-12, c=1, enc=None):
+    """The start/end rank of the materialized grid under ``enc``."""
+    m = matricize(build_grid_tensor(p, enc, c, T))
+    return rank_exact(m) if m.field == EXACT else rank_numeric(m, rel_tol)
 
 
 @pytest.mark.parametrize("L,field", [(2, EXACT), (1, FLOAT), (2, FLOAT)])
@@ -367,8 +395,9 @@ def test_separation_rank_is_the_grid_rank_unless_exact_single_layer(L,
 @given(st.data())
 def test_separation_rank_is_the_rank_of_the_materialized_grid(data):
     # one frontier walk for every network: rational weights, an explicit h0
-    # over a possibly singular W_h or the neutral one, L 1-3, both fields
-    # and either class give the whole RankReport of the materialized grid
+    # over a possibly singular W_h or the neutral one, L 1-3, both fields,
+    # either class and identity or rational templates give the whole
+    # RankReport of the materialized grid
     L = data.draw(st.integers(1, 3))
     M = data.draw(st.integers(1, 3))
     R = data.draw(st.integers(1, 3))
@@ -401,8 +430,13 @@ def test_separation_rank_is_the_rank_of_the_materialized_grid(data):
                       w_hidden=list(map(to_float, p.w_hidden)),
                       w_out=to_float(p.w_out), h0=list(map(to_float, p.h0)))
     rel_tol = data.draw(st.sampled_from([1e-12, 1e-6, 1e-3]))
-    assert separation_rank(p, T, c, rel_tol) == start_end_rank(
-        build_grid_tensor(p, c=c, T=T).tensor, rel_tol)
+    enc = None
+    if data.draw(st.booleans()):
+        F = rationals(M, M)
+        assume(rank_exact(F).rank == M)
+        enc = TemplateEncoder(F if p.field == EXACT else F.astype(np.float64))
+    assert separation_rank(p, T, c, rel_tol, enc) == \
+        _grid_rank(p, T, rel_tol, c, enc)
 
 
 @pytest.fixture
@@ -528,18 +562,21 @@ def _refuse(*args, **kwargs):
 
 def test_separation_rank_of_exact_single_layer_builds_no_tensor(monkeypatch):
     # nor of any other network: exact and float, L = 1 and 2, all walk the
-    # frontier, and no racsep module's tensor builder or matricization runs
+    # frontier, and no racsep module's tensor builder or matricization runs;
+    # nor does Claim 1's check, which ranks two walks
     nets = [draw_params(trial_rng(0, 2, 3, 6, L, 0), 2, 3, L=L, field=field)
             for field in (EXACT, FLOAT) for L in (1, 2)]
     want = [_grid_rank(p, 6) for p in nets]
     for module in [m for name, m in sys.modules.items()
                    if name == "racsep" or name.startswith("racsep.")]:
         for name in ("build_grid_tensor", "build_weights_tensor",
-                     "matricize", "start_end_rank"):
+                     "matricize"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
     assert [separation_rank(p, 6) for p in nets] == want
     assert want[0].rank == 3
+    rep = check_claim1_equality(Cell(3, 3, 6), trials=2, seed=0)
+    assert rep.passed and [r.observed for r in rep.rows] == ["3", "3"]
 
 
 @pytest.mark.parametrize("L,field", [(1, EXACT), (2, EXACT), (2, FLOAT)])
@@ -559,4 +596,4 @@ def test_identity_grid_ranks_no_template_matrix(field, monkeypatch):
     monkeypatch.setattr(network, "rank_numeric", _refuse)
     monkeypatch.setattr(network, "rank_exact", _refuse)
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, field=field)
-    assert build_grid_tensor(p, T=4).tensor.dims == (2,) * 4
+    assert build_grid_tensor(p, T=4).dims == (2,) * 4

@@ -252,6 +252,15 @@ def test_shallow_reaches_beyond_the_weights_budget(capsys):
     assert (code, out) == (0, HEADER + "shallow,2,3,24,1,exact,0.0,3,3,true\n")
 
 
+def test_claim1_reaches_beyond_the_grid_budget(capsys):
+    # two 2^24-entry grids, above the default budget of 10^7: both ranks
+    # are read off the 3 x 2^12 mid-sequence states of a frontier walk,
+    # one under the lower-triangular templates, one under the identity
+    code, out, _ = run_cli(["verify", "claim1", "--M", "2", "--R", "3",
+                            "--T", "24", "--trials", "1"], capsys)
+    assert (code, out) == (0, HEADER + "claim1,2,3,24,1,exact,0.0,3,3,true\n")
+
+
 # sha256 of the stdout of the shallow-exact benchmark sweep at seed 7,
 # recorded from the weights-tensor build it replaced: 801 lines, 11 false
 SHALLOW_SWEEP_SHA256 = \

@@ -97,9 +97,9 @@ def test_every_exact_output_is_canonical(data):
 
     q = parse_params(dump_params(p))
     assert all_canonical(*q.w_in, *q.w_hidden, q.w_out, *q.h0)
-    grids = [build_grid_tensor(p, c=c, T=T).tensor for c in (1, 2)]
+    grids = [build_grid_tensor(p, c=c, T=T) for c in (1, 2)]
     if L == 1:
-        grids.append(build_weights_tensor(p, T=T).tensor)
+        grids.append(build_weights_tensor(p, T=T))
     for t in grids:
         assert t.field == EXACT and all_canonical(t.data)
         assert all_canonical(parse_tensor(dump_tensor(t)).data)
@@ -120,8 +120,8 @@ def test_appendix_b_grid_holds_only_ints():
     # integer weights, all-ones h0 and identity templates: one denominator
     # of 1, so the frontier's integers are the grid's entries as they are
     grid = build_grid_tensor(AppendixBAssignment(3, 2, 8).params(), T=8)
-    assert grid.tensor.dims == (3,) * 8
-    assert all(type(x) is int for x in grid.tensor.entries)
+    assert grid.dims == (3,) * 8
+    assert all(type(x) is int for x in grid.entries)
 
 
 def test_exact_params_give_a_float_entry_its_one_form():
@@ -137,7 +137,7 @@ def test_exact_params_give_a_float_entry_its_one_form():
     assert type(score) is Fraction and score == Fraction(1, 2)
     q = parse_params(dump_params(p))
     assert all(np.array_equal(a, b) for a, b in zip(q.w_in, p.w_in))
-    grid = build_grid_tensor(p, T=2).tensor
+    grid = build_grid_tensor(p, T=2)
     assert grid.data.tolist() == [[Fraction(1, 4), Fraction(1, 2)],
                                   [Fraction(1, 2), 1]]
     assert separation_rank(p, 2).rank == 1

@@ -2,6 +2,7 @@
 and package modules import only at module level and only what they use."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,3 +116,36 @@ def test_no_unused_imports_in_package():
                  if path.name != "__init__.py"
                  for line, name in unused_imports(path.read_text())]
     assert offenders == []
+
+
+def traced_functions(source):
+    """The ``(layer, function)`` pairs of the ``FUNCTIONS`` table in the
+    benchmark tracer's source, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "FUNCTIONS"
+                for t in node.targets):
+            table = ast.literal_eval(node.value)
+            return [(layer, fn) for layer, fns in table.items() for fn in fns]
+    return []
+
+
+def test_detector_reads_the_traced_functions():
+    source = ("import sys\n"
+              "FUNCTIONS = {\"cli\": (\"main\",),\n"
+              "             \"tn\": (\"contract\", \"min_cut\")}\n"
+              "OTHER = {\"ranks\": (\"rank_exact\",)}\n")
+    assert traced_functions(source) == [
+        ("cli", "main"), ("tn", "contract"), ("tn", "min_cut")]
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # the tracer getattr's each listed racsep.<layer>.<fn> when it installs,
+    # so deleting or renaming one breaks traced benchmark runs
+    listed = traced_functions(
+        (ROOT / "perfbench" / "tracer.py").read_text())
+    assert len(listed) > 20
+    missing = [f"racsep.{layer}.{fn}" for layer, fn in listed
+               if not callable(getattr(importlib.import_module(
+                   f"racsep.{layer}"), fn, None))]
+    assert missing == []

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from racsep import (EXACT, FLOAT, AppendixBAssignment, Cell,
                     InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
                     ShapeError, TemplateEncoder, attach_inputs, build_mps,
-                    build_weights_tensor, check_bucket_lemma,
+                    check_bucket_lemma,
                     count_basic_units, draw_params, exact_array, forward_deep,
-                    neutral_h0, score_from_tensor, separation_rank,
+                    neutral_h0, separation_rank,
                     step_deep, trial_rng)
 from racsep.network import dump_params, parse_params
+from racsep.ranks import solve_exact
 from scalars import canonical
 
 
@@ -100,6 +101,24 @@ def test_neutral_h0_makes_first_update_all_ones(w):
 def test_neutral_h0_rejects_singular():
     with pytest.raises(ParameterError):
         neutral_h0(exact_array([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("solve,error", [
+    (lambda: neutral_h0(exact_array([[1, 2, 3], [4, 5, 6]])), ParameterError),
+    (lambda: neutral_h0(np.array([[1., 2, 3], [4, 5, 6]])), ParameterError),
+    (lambda: solve_exact(exact_array([[1, 2], [3, 4]]), [1, 1, 1]),
+     ShapeError),
+    (lambda: solve_exact(exact_array([[1, 2], [3, 4]]), [1]), ShapeError),
+    (lambda: solve_exact(exact_array([[1, 2, 3], [4, 5, 6]]), [1, 1]),
+     ShapeError),
+], ids=["h0-exact-2x3", "h0-float-2x3", "b-too-long", "b-too-short",
+        "a-2x3"])
+def test_exact_solves_refuse_mismatched_shapes(solve, error):
+    # an exact 2 x 3 W_h gave h0 = [1 1] while a float one was called
+    # singular; a b of length 3 was cut to 2 and solved, one of length 1
+    # raised IndexError
+    with pytest.raises(error, match="square|n x n"):
+        solve()
 
 
 def test_params_shape_validation():
@@ -196,8 +215,6 @@ _EVALUATE = {
     "forward_deep": lambda p, enc, seq: forward_deep(p, RAC_PRODUCT, enc, seq),
     "attach_inputs": lambda p, enc, seq: attach_inputs(build_mps(p, 2), enc,
                                                        seq),
-    "score_from_tensor": lambda p, enc, seq: score_from_tensor(
-        build_weights_tensor(p, T=2), enc, seq),
 }
 _BAD_SEQUENCES = {"zero": (0, 1), "above-M": (1, 3), "non-integer": (1, 1.5),
                   "too-long": (1, 2, 1)}
@@ -210,8 +227,8 @@ _BAD_SEQUENCES = {"zero": (0, 1), "above-M": (1, 3), "non-integer": (1, 1.5),
     if (name, kind) != ("forward_deep", "too-long")])
 def test_sequence_validation(name, seq):
     # M=2: symbols must be integers in [1..2]; 0 used to wrap to symbol M.
-    # The MPS and the weights tensor take exactly T=2 symbols: a longer
-    # sequence used to be scored on its first two by attach_inputs
+    # The MPS takes exactly T=2 symbols: a longer sequence used to be
+    # scored on its first two by attach_inputs
     p = exact_params(w_in=[[[1, 2], [3, 4]]], w_hidden=[[[1, 0], [0, 1]]],
                      w_out=[[1, 1]])
     with pytest.raises(InvalidInputError):
@@ -295,6 +312,13 @@ def test_parse_params_rejects_short_block(field):
         parse_params("\n".join(lines[:-1]))
     with pytest.raises(InvalidInputError):  # w_in short by one entry
         parse_params("\n".join(lines[:7] + lines[8:]))
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_parse_params_rejects_trailing_lines(field):
+    # a stray line after the h0 blocks used to be ignored
+    with pytest.raises(InvalidInputError, match="garbage"):
+        parse_params(_dumped_params(field) + "garbage 1 2\n")
 
 
 def test_parse_params_rejects_unknown_field():

@@ -58,7 +58,7 @@ APPENDIX_B = [(M, R, T) for M in (2, 3) for R in (2, 3) for T in (4, 6, 8)
 @pytest.mark.parametrize("M,R,T", APPENDIX_B)
 def test_certificate_agrees_with_bareiss_on_appendix_b_grids(M, R, T):
     asg = AppendixBAssignment(M=M, R=R, T=T)
-    grid = build_grid_tensor(asg.params(), T=T).tensor
+    grid = build_grid_tensor(asg.params(), T=T)
     mat = matricize(grid).data
     rank, certified = _check_agrees(mat)
     assert rank == asg.bound
@@ -93,7 +93,7 @@ def test_certificate_agrees_with_bareiss_on_suite_draws(monkeypatch):
 def test_factored_rank_agrees_with_weights_tensor_on_suite_draws():
     for M, R, T in SUITE_CELLS:
         for _, p in draw_trials(7, Cell(M, R, T), 50, "exact"):
-            w = build_weights_tensor(p, T=T).tensor
+            w = build_weights_tensor(p, T=T)
             want = rank_exact(matricize(w)).rank
             assert separation_rank(p, T).rank == want <= R
 

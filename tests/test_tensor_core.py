@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from racsep import (EXACT, FLOAT, DenseTensor, FieldMismatchError,
                     InvalidInputError, ShapeError, exact_array,
                     hadamard_power, matricize, multiset_coefficient,
-                    rank_exact, rank_numeric, start_end_rank)
+                    rank_exact, rank_numeric)
 from racsep.tensor import dump_tensor, parse_tensor
 
 
@@ -64,18 +64,6 @@ def test_matricize_roundtrip():
         assert m.dims == (M ** (T // 2),) * 2 and m.field == field
         for d in itertools.product(range(M), repeat=T):
             assert m[place(d[:T // 2], M), place(d[T // 2:], M)] == t[d]
-
-
-def test_start_end_rank_matches_matricized_rank():
-    rng = np.random.default_rng(3)
-    t = DenseTensor(exact_array(rng.integers(-2, 3, (2,) * 4)), EXACT)
-    mat = matricize(t)
-    assert start_end_rank(t) == rank_exact(mat)
-    f = DenseTensor(rng.uniform(-1, 1, (3,) * 4), FLOAT)
-    mat = matricize(f)
-    assert start_end_rank(f, rel_tol=1e-9) == rank_numeric(mat, rel_tol=1e-9)
-    with pytest.raises(ShapeError):
-        start_end_rank(DenseTensor(np.zeros((2, 2, 2), dtype=int), EXACT))
 
 
 def test_hadamard_power_entrywise():
@@ -173,7 +161,7 @@ def test_exact_oracles_on_numpy_integers(entry):
     # int64 Bareiss would wrap 2^32 * 2^32 to 0 and report rank 1
     diag = np.array([[entry, 0], [0, entry]], dtype=object)
     assert rank_exact(diag).rank == 2
-    assert start_end_rank(DenseTensor(diag, EXACT)).rank == 2
+    assert rank_exact(matricize(DenseTensor(diag, EXACT))).rank == 2
     assert all(type(f.numerator) is int and type(f.denominator) is int
                for f in exact_array(diag).reshape(-1))
 

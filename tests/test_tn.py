@@ -35,49 +35,49 @@ def test_graph_validation():
     w = DenseTensor(np.ones(3, dtype=int), EXACT)
     with pytest.raises(ShapeError):
         TnGraph({"a": t, "b": w}, [Edge("a", 0, "b", 0, 2)],
-                [OpenLeg("a", 1, 2, 1, "start")])
+                [OpenLeg("a", 1, 2, 1)])
     # leg used twice
     with pytest.raises(ShapeError):
         TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
-                [OpenLeg("a", 0, 2, 1, "start"), OpenLeg("a", 1, 2, 2, "end")])
+                [OpenLeg("a", 0, 2, 1), OpenLeg("a", 1, 2, 2)])
     # disconnected
     with pytest.raises(ShapeError):
         TnGraph({"a": v, "b": v}, [],
-                [OpenLeg("a", 0, 2, 1, "start"), OpenLeg("b", 0, 2, 2, "end")])
+                [OpenLeg("a", 0, 2, 1), OpenLeg("b", 0, 2, 2)])
     # edge from a node to itself
     with pytest.raises(ShapeError):
         TnGraph({"a": t}, [Edge("a", 0, "a", 1, 2)], [])
     # a time index that is not an integer >= 1: time 0 used to be fed the
     # last symbol of the sequence, and True was dumped as "True"
     for time in (0, -1, None, 1.0, True):
-        for side in ("start", "end"):
-            with pytest.raises(ShapeError, match="time index"):
-                TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
-                        [OpenLeg("a", 1, 2, time, side)])
-    # a side other than start or end
-    with pytest.raises(ShapeError, match="side"):
-        TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
-                [OpenLeg("a", 1, 2, 1, "output")])
-    # a side that disagrees with the time index: min_cut, which reads only
-    # the sides, returned 2 for this start leg after an end leg
-    with pytest.raises(ShapeError, match="side"):
-        TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 2, "start"),
-                               OpenLeg("t", 1, 2, 1, "end")])
+        with pytest.raises(ShapeError, match="time index"):
+            TnGraph({"a": t, "b": v}, [Edge("a", 0, "b", 0, 2)],
+                    [OpenLeg("a", 1, 2, time)])
     # no nodes: contract raised a bare ValueError, dump_graph StopIteration
     with pytest.raises(ShapeError, match="node"):
         TnGraph({}, [], [])
     # leg of dimension 0
     empty = DenseTensor(np.zeros((2, 0), dtype=int), EXACT)
     with pytest.raises(ShapeError):
-        TnGraph({"e": empty}, [], [OpenLeg("e", 0, 2, 1, "start"),
-                                   OpenLeg("e", 1, 0, 2, "end")])
+        TnGraph({"e": empty}, [], [OpenLeg("e", 0, 2, 1),
+                                   OpenLeg("e", 1, 0, 2)])
+
+
+def test_open_leg_side_comes_from_its_time():
+    # start iff t <= (largest time index) // 2, in any leg order, so a
+    # hand-built graph cannot disagree with itself
+    t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 2), OpenLeg("t", 1, 2, 1)])
+    assert g.steps == 2 and [g.side(o) for o in g.open_legs] == [END, START]
+    assert dump_graph(g).endswith("leg t 0 2 2 end\nleg t 1 2 1 start\n")
+    assert min_cut(g)[0] == 2
 
 
 def test_contract_matrix_vector():
     m = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     v = DenseTensor(np.array([5, 6]), EXACT)
     g = TnGraph({"m": m, "v": v}, [Edge("m", 1, "v", 0, 2)],
-                [OpenLeg("m", 0, 2, 1, "end")])
+                [OpenLeg("m", 0, 2, 1)])
     out = contract(g)
     assert list(out.entries) == [Fraction(17), Fraction(39)]
 
@@ -89,7 +89,7 @@ def test_contract_chain_vs_nested_loops():
     c = exact_array(rng.integers(-3, 4, (2, 2)))
     g = TnGraph({"a": DenseTensor(a), "b": DenseTensor(b), "c": DenseTensor(c)},
                 [Edge("a", 1, "b", 0, 3), Edge("b", 1, "c", 0, 2)],
-                [OpenLeg("a", 0, 2, 1, "start"), OpenLeg("c", 1, 2, 2, "end")])
+                [OpenLeg("a", 0, 2, 1), OpenLeg("c", 1, 2, 2)])
     out = contract(g)
     ref = a @ b @ c
     assert np.all(out.data == ref)
@@ -97,16 +97,16 @@ def test_contract_chain_vs_nested_loops():
 
 def test_contract_single_node():
     t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
-    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start"),
-                               OpenLeg("t", 1, 2, 2, "end")])
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1),
+                               OpenLeg("t", 1, 2, 2)])
     assert contract(g).equals(t)
 
 
 def test_contract_orders_legs_by_time():
     # open legs declared out of order must come back sorted by time index
     t = DenseTensor(np.arange(6).reshape(2, 3), EXACT)
-    g = TnGraph({"t": t}, [], [OpenLeg("t", 1, 3, 2, "end"),
-                               OpenLeg("t", 0, 2, 1, "start")])
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 1, 3, 2),
+                               OpenLeg("t", 0, 2, 1)])
     out = contract(g)
     assert out.dims == (2, 3)
     assert np.all(out.data == t.data)
@@ -185,13 +185,11 @@ def test_contract_matches_einsum_on_cycles_and_parallel_bonds(field, data):
                           leg(b, d, letter), d))
     times = data.draw(st.lists(st.integers(1, 3), min_size=int(n == 1),
                                max_size=3))
-    half = max(times, default=0) // 2
     open_legs, order = [], []
     for i, t in enumerate(times):
         v, d, letter = data.draw(st.integers(0, n - 1)), data.draw(dim), \
             next(letters)
-        side = START if t <= half else END
-        open_legs.append(OpenLeg(f"v{v}", leg(v, d, letter), d, t, side))
+        open_legs.append(OpenLeg(f"v{v}", leg(v, d, letter), d, t))
         order.append(((t, i), letter))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     arrays = []
@@ -215,7 +213,7 @@ def test_contract_matches_einsum_on_cycles_and_parallel_bonds(field, data):
 def test_mps_contracts_to_weights_tensor():
     for seed in range(5):
         p = draw_params(trial_rng(seed, 2, 3, 4, 1, 0), 2, 3, L=1)
-        w = build_weights_tensor(p, T=4).tensor
+        w = build_weights_tensor(p, T=4)
         assert contract(build_mps(p, 4)).equals(w)
 
 
@@ -284,7 +282,7 @@ def test_min_cut_single_edge():
     a = DenseTensor(np.arange(6).reshape(2, 3), EXACT)
     b = DenseTensor(np.arange(6).reshape(3, 2), EXACT)
     g = TnGraph({"a": a, "b": b}, [Edge("a", 1, "b", 0, 3)],
-                [OpenLeg("a", 0, 2, 1, "start"), OpenLeg("b", 1, 2, 2, "end")])
+                [OpenLeg("a", 0, 2, 1), OpenLeg("b", 1, 2, 2)])
     cut, edges = min_cut(g)
     assert cut == 2  # cutting one open leg (dim 2) beats the dim-3 bond
 
@@ -292,15 +290,15 @@ def test_min_cut_single_edge():
 def test_min_cut_requires_both_sides():
     # a graph's last leg is an end leg, so only start legs can be missing
     t = DenseTensor(np.ones(2, dtype=int), EXACT)
-    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "end")])
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1)])
     with pytest.raises(ShapeError, match="both"):
         min_cut(g)
 
 
 def _brute_min_cut(g):
     """The reference cut: every bipartition of the nodes, scored exactly."""
-    starts = [o for o in g.open_legs if o.side == START]
-    ends = [o for o in g.open_legs if o.side == END]
+    starts = [o for o in g.open_legs if g.side(o) == START]
+    ends = [o for o in g.open_legs if g.side(o) == END]
     if not starts or not ends:
         raise ShapeError("min_cut needs both start- and end-tagged open legs")
     node_ids = sorted(g.nodes)
@@ -359,8 +357,7 @@ def test_min_cut_matches_enumeration(data):
     open_legs = []
     for t in range(1, T + 1):
         v, d = names[data.draw(st.integers(0, n - 1))], data.draw(dim)
-        open_legs.append(OpenLeg(v, leg(v, d), d, t,
-                                 START if t <= T // 2 else END))
+        open_legs.append(OpenLeg(v, leg(v, d), d, t))
     # float views of one scalar hold every shape without allocating it
     nodes = {v: DenseTensor(np.broadcast_to(1.0, tuple(legs[v])), FLOAT)
              for v in names}
@@ -429,10 +426,11 @@ def _edit(pos, new):
     _edit(22, "leg cell1 1 2 - start"),
     _edit(25, "leg cell4 1 2 - end"),
     _edit(22, "leg cell1 1 2 1 output"),
+    lambda lines: lines + ["junk"],
 ], ids=["truncated", "unknown-field", "nan-entry", "dims-vs-order",
         "missing-entries", "short-edge", "short-leg", "bad-side",
         "repeated-node", "start-leg-without-time", "end-leg-without-time",
-        "output-side"])
+        "output-side", "trailing-line"])
 def test_parse_graph_rejects_malformed(edit):
     p = draw_params(trial_rng(2, 2, 2, 4, 1, 0), 2, 2, L=1, field=FLOAT)
     lines = dump_graph(build_mps(p, 4)).splitlines()
@@ -464,8 +462,8 @@ leg t 1 2 2 end
 ], ids=["self-loop", "time-index-0", "no-nodes", "side-vs-time"])
 def test_parse_graph_refuses_what_contract_cannot_handle(old, new):
     t = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
-    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1, "start"),
-                               OpenLeg("t", 1, 2, 2, "end")])
+    g = TnGraph({"t": t}, [], [OpenLeg("t", 0, 2, 1),
+                               OpenLeg("t", 1, 2, 2)])
     assert dump_graph(g) == SQUARE_DUMP
     with pytest.raises(ShapeError):
         parse_graph(SQUARE_DUMP.replace(old, new))

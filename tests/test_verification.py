@@ -16,7 +16,7 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell,
                     rank_exact, rows_to_csv, separation_rank, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
-from racsep import builders, verification
+from racsep import builders
 from racsep.verification import bucket_states, bucket_trajectories
 
 
@@ -97,8 +97,7 @@ def test_appendix_b_validation():
 def test_appendix_b_grid_rank(M, R, T, expected):
     # the materialized grid and the frontier walk of separation_rank agree
     p = AppendixBAssignment(M=M, R=R, T=T).params()
-    grid = build_grid_tensor(p, T=T).tensor
-    m = matricize(grid)
+    m = matricize(build_grid_tensor(p, T=T))
     assert rank_exact(m).rank == expected
     assert separation_rank(p, T).rank == expected
 
@@ -135,7 +134,6 @@ def test_verify_shallow_exact_never_builds_the_weights_tensor(monkeypatch):
         return build_grid_tensor(*args, **kwargs)
 
     monkeypatch.setattr(builders, "build_weights_tensor", refuse)
-    monkeypatch.setattr(verification, "build_weights_tensor", refuse)
     monkeypatch.setattr(builders, "build_grid_tensor", spy)
     rep = verify_shallow_rank_law(Cell(3, 2, 6), trials=5, seed=7,
                                   field=EXACT)
@@ -165,23 +163,25 @@ def test_claim1_equality():
 @pytest.mark.parametrize("M", [2, 3])
 def test_claim1_builds_its_grid_under_unimodular_non_identity_templates(
         M, monkeypatch):
-    # with identity templates the grid is the weights tensor itself, and the
-    # check would compare one construction with itself
+    # each draw walks the frontier twice: under the identity (the weights
+    # tensor) and under non-identity templates; with identity templates
+    # both times the check would compare one walk with itself
     seen = []
+    frontier = builders._Frontier
 
-    def spy(p, enc=None, *args, **kwargs):
-        seen.append(enc)
-        return build_grid_tensor(p, enc, *args, **kwargs)
+    def spy(p, F, c):
+        seen.append(F)
+        return frontier(p, F, c)
 
-    monkeypatch.setattr(verification, "build_grid_tensor", spy)
+    monkeypatch.setattr(builders, "_Frontier", spy)
     assert check_claim1_equality(Cell(M, 2, 4), trials=2, seed=3).passed
-    assert len(seen) == 2
-    for enc in seen:
-        F = enc.F
-        assert enc.field == EXACT and F.shape == (M, M)
-        assert not (F == np.eye(M, dtype=int)).all()
+    assert len(seen) == 4
+    eye = np.eye(M, dtype=int)
+    assert [(F == eye).all() for F in seen] == [False, True] * 2
+    for F in seen[::2]:
+        assert F.dtype == object and F.shape == (M, M)
         # integer and triangular with unit diagonal, so det F = 1
-        assert all(x.denominator == 1 for x in F.reshape(-1))
+        assert all(type(x) is int for x in F.reshape(-1))
         assert (np.triu(F, 1) == 0).all() and (np.diag(F) == 1).all()
 
 
