@@ -30,10 +30,18 @@ lifted states when the classes outnumber K; a float network keeps all.
 Every state array a walk builds counts against RACSEP_GRID_BUDGET: R
 entries per prefix it holds, and K per kept start word for the lifted
 array.
+
+An exact single-layer network first walks the frontier mod the prime
+ranks.PRIME (:meth:`_Frontier.mod_p`, int64 arrays): the shallow law makes
+min{R, M^(T/2)} a proven upper bound on rank G, and a rank mod p never
+exceeds the rank over the rationals, so a walk mod p that reaches the bound
+gives the exact rank.  A generic draw does; any other network, or one too
+wide for exact int64 sums, takes the exact walk above.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -44,9 +52,9 @@ from .network import (Cell, RacParams, TemplateEncoder, check_class,
                       check_encoder, check_steps)
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
-from .ranks import (DEFAULT_REL_TOL, RankReport, column_basis,
-                    multiset_coefficient, primitive_row, rank_exact,
-                    rank_numeric)
+from .ranks import (DEFAULT_REL_TOL, PRIME, RankReport, column_basis,
+                    independent_mod_p, multiset_coefficient, primitive_row,
+                    rank_exact, rank_numeric)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -117,9 +125,18 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     mid-sequence states (:func:`_state_classes`), and L = 2 takes the basis
     only when the classes outnumber K (:func:`_start_basis`); a float
     network keeps all start words.  Exact G_S is the frontier's integers: a
-    common denominator does not change a rank."""
+    common denominator does not change a rank.
+
+    An exact network of depth 1 first walks mod p (:func:`_rank_mod_p`),
+    if its products fit int64 (:func:`_int64_safe`); a rank mod p that
+    reaches the upper bound min{R, M^(T/2)} is returned as the exact rank,
+    and any lower one is discarded for the exact walk."""
     cell = Cell(p.M, p.R, T, p.L)
     net = _Frontier(p, _templates(p, enc), c)
+    bound = min(p.R, cell.width)
+    if (p.field == EXACT and p.L == 1 and _int64_safe(p.R)
+            and _rank_mod_p(net.mod_p(), cell) == bound):
+        return RankReport(rank=bound, method="exact")
     S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
     if p.field == EXACT:
         keep = _start_basis(S, cell.half)
@@ -127,6 +144,29 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     S, _ = net.advance(S, D, cell.half, "end-half state array")
     G = (net.out @ S[-1]).reshape(-1, cell.width)
     return rank_exact(G) if p.field == EXACT else rank_numeric(G, rel_tol)
+
+
+def _int64_safe(width):
+    """Whether int64 matrix products of inner width ``width`` are exact on
+    residues mod PRIME: a sum of ``width`` products of two residues stays
+    below 2^63.  numpy's integer matmul wraps around without a warning, so
+    a network wider than this walks in Python integers only."""
+    return width * (PRIME - 1) ** 2 < 2 ** 63
+
+
+def _rank_mod_p(net, cell):
+    """The rank mod PRIME of the start/end matricization G of a single-layer
+    network, walked on its mod-p frontier ``net``: at most R start words
+    whose mid-sequence states are independent mod p are kept and advanced
+    the other T/2 steps, and their rows of G are ranked mod p.
+
+    The walk reduces D G mod p, with D the integer walk's one nonzero
+    denominator, so the result never exceeds rank G over the rationals."""
+    S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
+    keep = independent_mod_p(S[0].T.tolist(), cell.R)
+    S, _ = net.advance([S[0][:, keep]], D, cell.half, "end-half state array")
+    G = (net.out @ S[0]).reshape(-1, cell.width)
+    return len(independent_mod_p(G.tolist()))
 
 
 def _start_basis(S, half):
@@ -202,6 +242,11 @@ def _float_form(a):
     return np.asarray(a, dtype=np.float64), 1
 
 
+def _residues(a):
+    """The integer object array ``a`` reduced mod PRIME, as int64."""
+    return (a % PRIME).astype(np.int64)
+
+
 class _Frontier:
     """A network's weights for class c and encoder matrix F, and the
     level-by-level step on states of many prefixes at once.
@@ -213,35 +258,60 @@ class _Frontier:
         S_l <- ((W_h S_l)[:, :, None] * (W_i S_(l-1)).reshape(R, -1, M))
                .reshape(R, -1),
 
-    where S_(l-1) holds the new states of the layer below and S_(-1) = F^T.
-    Over the exact field the step runs on Python integers: the denominators
-    of every weight matrix, h0 and F are cleared once, layer l's states
-    carry the one denominator D_l <- dh_l * D_l * di_l * D_(l-1)
-    (D_(-1) = dF, D_l starts at den(h0_l)).
+    where S_(l-1) holds the new states of the layer below and S_(-1) = F^T,
+    so layer 0's input term W_i F^T is computed once.  Over the exact field
+    the step runs on Python integers: the denominators of every weight
+    matrix, h0 and F are cleared once, layer l's states carry the one
+    denominator D_l <- dh_l * D_l * di_l * D_(l-1) (D_(-1) = dF, D_l starts
+    at den(h0_l)).  Its mod-p form (:meth:`mod_p`) runs the same step on
+    int64 residues.
     """
+
+    modulus = None  # PRIME on the mod-p form
 
     def __init__(self, p, F, c):
         check_class(p, c)
         form = _integer_form if p.field == EXACT else _float_form
         self.wi, self.di = zip(*map(form, p.w_in))
         self.wh, self.dh = zip(*map(form, p.w_hidden))
-        (self.out, self.do), (F, self.dF) = form(p.w_out[c - 1]), form(F)
-        self.input = F.T
+        (self.out, self.do), (F, dF) = form(p.w_out[c - 1]), form(F)
+        # layer 0's input term W_i F^T is the same at every step
+        self.x0, self.dx0 = self.wi[0] @ F.T, self.di[0] * dF
         h0, D0 = zip(*map(form, p.h0))
         self.h0, self.D0 = [h[:, None] for h in h0], list(D0)
+
+    def mod_p(self):
+        """This exact frontier over the integers mod PRIME: every cleared
+        integer weight reduced into an int64 array, and every product of
+        :meth:`advance` reduced mod p.  The denominators are dropped: the
+        integer walk computes D times the states for one nonzero integer D,
+        and reduction mod p commutes with the walk.  Every int64 matrix
+        product then sums R terms (W_i F^T is reduced after its product in
+        integers), so the caller checks :func:`_int64_safe` on R."""
+        net = copy.copy(self)
+        net.modulus = PRIME
+        net.wi = [_residues(w) for w in self.wi]
+        net.wh = [_residues(w) for w in self.wh]
+        net.out, net.x0 = _residues(self.out), _residues(self.x0)
+        net.h0 = [_residues(h) for h in self.h0]
+        return net
 
     def advance(self, S, D, t, what):
         """The per-layer states ``S`` over denominators ``D`` after t more
         steps: new lists, each R x n array now R x n M^t, which counts as
         ``what`` against RACSEP_GRID_BUDGET before it is built."""
-        R, M = S[0].shape[0], self.input.shape[1]
+        R, M = S[0].shape[0], self.x0.shape[1]
         check_budget(what, S[0].size * M ** t, grid_budget())
-        S, D = list(S), list(D)
+        S, D, mod = list(S), list(D), self.modulus
         for _ in range(t):
-            below, d_below = self.input, self.dF
+            b, d_b = self.x0, self.dx0
             for l in range(len(S)):
-                h = ((self.wh[l] @ S[l])[:, :, None]
-                     * (self.wi[l] @ below).reshape(R, -1, M))
-                S[l] = below = h.reshape(R, -1)
-                D[l] = d_below = self.dh[l] * D[l] * self.di[l] * d_below
+                if l:  # the new states of the layer below
+                    b, d_b = self.wi[l] @ S[l - 1], self.di[l] * D[l - 1]
+                a = self.wh[l] @ S[l]
+                if mod:
+                    a, b = a % mod, b % mod
+                h = a[:, :, None] * b.reshape(R, -1, M)
+                S[l] = (h % mod if mod else h).reshape(R, -1)
+                D[l] = self.dh[l] * D[l] * d_b
         return S, D

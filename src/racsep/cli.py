@@ -7,7 +7,9 @@ error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import io
 import itertools
 import sys
@@ -51,11 +53,13 @@ def _int_list(text):
 
 
 def _add_grid_flags(p, trials):
-    """The parameter-grid flags; ``--trials`` and ``--field`` if trials."""
-    p.add_argument("--M", type=_int_list, default=[2], help="template counts")
-    p.add_argument("--R", type=_int_list, default=[2], help="hidden widths")
-    p.add_argument("--T", type=_int_list, default=[4], help="sequence lengths")
-    p.add_argument("--L", type=_int_list, default=[1], help="depths")
+    """The parameter-grid flags; ``--trials`` and ``--field`` if trials.
+    The list defaults are strings, which argparse parses anew on every
+    parse, so no two parses share a list."""
+    p.add_argument("--M", type=_int_list, default="2", help="template counts")
+    p.add_argument("--R", type=_int_list, default="2", help="hidden widths")
+    p.add_argument("--T", type=_int_list, default="4", help="sequence lengths")
+    p.add_argument("--L", type=_int_list, default="1", help="depths")
     if trials:
         p.add_argument("--trials", type=_positive, default=30)
         p.add_argument("--field", choices=[EXACT, FLOAT])
@@ -114,10 +118,11 @@ SUITE_FLAGS = {"M": (_GRID_SUITES, [2]), "R": (_GRID_SUITES, [2]),
 
 
 def _suite_flags(args):
-    """Fills in SUITE_FLAGS' defaults, refusing a flag its suite won't read."""
+    """Fills in copies of SUITE_FLAGS' defaults, refusing a flag its suite
+    won't read."""
     for flag, (suites, default) in SUITE_FLAGS.items():
         if getattr(args, flag) is None:
-            setattr(args, flag, default)
+            setattr(args, flag, copy.copy(default))
         elif args.suite not in suites:
             raise RacsepError(f"--{flag.replace('_', '-')} applies only to "
                               f"verify {', '.join(sorted(suites))}")
@@ -150,6 +155,12 @@ def build_parser():
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--out", required=True)
     return ap
+
+
+@functools.cache
+def _parser():
+    """The process's one parser, built on the first :func:`main` call."""
+    return build_parser()
 
 
 def _emit(args, text):
@@ -209,7 +220,7 @@ def cmd_export(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -45,7 +45,8 @@ def neutral_h0(w_hidden):
 @dataclass(frozen=True)
 class Cell:
     """A grid point: M templates, width R, depth L and an even T, split into
-    the start and end halves; it iterates as its (M, R, T, L) tuple."""
+    the start and end halves; it iterates as its (M, R, T, L) tuple.  A
+    bool is not an integer here, as in :func:`check_steps`."""
 
     M: int
     R: int
@@ -53,8 +54,9 @@ class Cell:
     L: int = 1
 
     def __post_init__(self):
-        bad = [f"{k} = {v}" for k, v in zip("MRTL", self) if not
-               isinstance(v, numbers.Integral) or v < 1 or k == "T" and v % 2]
+        bad = [f"{k} = {v}" for k, v in zip("MRTL", self)
+               if type(v) is bool or not isinstance(v, numbers.Integral)
+               or v < 1 or k == "T" and v % 2]
         if bad:
             raise ShapeError("a cell needs integers M, R, L >= 1 and an even "
                              f"T >= 2, got {', '.join(bad)}")

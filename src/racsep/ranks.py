@@ -1,23 +1,31 @@
 """Matrix rank oracles: exact fraction-free elimination and SVD-based.
 
+Every computation mod p uses one prime, PRIME = 67108859, the largest
+below 2^26, and one kernel, an incremental row echelon form mod p
+(:class:`_Echelon`, whose ``add`` keeps a vector iff it is independent mod
+p of those kept before; :func:`independent_mod_p` lists the kept ones).
+The vectors it keeps are independent over the rationals too, so a rank mod
+p is a lower bound on the rank, exact where it meets an upper bound.
+
 The exact oracle first clears the matrix of denominators (one common
 denominator) and drops repeated and zero rows, which changes no rank.  It
-then tries a certificate on those rows as they are: row-echelon elimination
-modulo the prime 2147483629 over the shorter side (rows, or columns when
-there are more rows than columns).  If every vector stays independent mod
-p, the rank is min(rows, columns), exactly, since a minor that is nonzero
-mod p is a nonzero integer.  The attempt stops at the first vector that
-reduces to zero mod p.  Only then is every row divided by its content (the
-gcd of its entries, :func:`primitive_row`), so that proportional rows
-collapse, and the certificate is tried again; if it fails once more,
+then tries a certificate on those rows as they are: the echelon over the
+shorter side (rows, or columns when there are more rows than columns).  If
+every vector stays independent mod p, the rank is min(rows, columns),
+exactly, since a minor that is nonzero mod p is a nonzero integer.  The
+attempt stops at the first vector that reduces to zero mod p.  Only then is
+every row divided by its content (the gcd of its entries,
+:func:`primitive_row`), so that proportional rows collapse, and the
+certificate is tried again; if it fails once more,
 Bareiss (division-deferred) elimination with full pivoting over
 arbitrary-precision integers gives the rank, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
 handled without loss.  Each Bareiss pivot is the trailing entry of fewest
 bits (the first in row-major order on a tie), which keeps the cross
 products small, and it runs only on primitive rows.  The same Bareiss
-elimination solves square exact systems (:func:`solve_exact`), such as the
-neutral initial state W_h h0 = 1, and picks a column basis
+elimination solves square exact systems (:func:`solve_exact`, back-
+substituting in integers for det times the solution), such as the neutral
+initial state W_h h0 = 1, and picks a column basis
 (:func:`column_basis`, its pivot columns), from which the builders compute
 a depth <= 2 start/end rank through the mid-sequence states.
 """
@@ -36,8 +44,10 @@ from .tensor import (EXACT, DenseTensor, clear_denominators, exact_array,
                      field_of)
 
 DEFAULT_REL_TOL = 1e-12
-# the word-size prime of the full-rank certificate, just under 2^31
-_PRIME = 2147483629
+# the one prime of every mod-p computation, the largest below 2^26: a
+# product of two residues fits in 52 bits, so int64 sums of up to 2048 of
+# them are exact (Dumas, Giorgi and Pernet, ACM TOMS 2008)
+PRIME = 67108859
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,17 @@ def solve_exact(a, b):
     rank, order = _bareiss(rows, n)
     if rank < n:
         raise ParameterError("singular matrix")
-    x = np.empty(n, dtype=object)
+    # the last Bareiss pivot is det = +-det of the integer system, so by
+    # Cramer's rule y = det x is an integer vector: back-substitute in
+    # integers (each division is exact) and divide by det once per entry
+    det = rows[-1][n - 1] if n else 1
+    y = [0] * n
     for k in reversed(range(n)):
-        rest = sum(rows[k][j] * x[order[j]] for j in range(k + 1, n))
-        x[order[k]] = Fraction(rows[k][n] - rest, rows[k][k])
+        rest = sum(rows[k][j] * y[j] for j in range(k + 1, n))
+        y[k] = (det * rows[k][n] - rest) // rows[k][k]
+    x = np.empty(n, dtype=object)
+    for k in range(n):
+        x[order[k]] = Fraction(y[k], det)
     return exact_array(x)
 
 
@@ -159,27 +176,58 @@ def _smallest_entry(rows, k, ncols):
 
 def _full_rank_mod_p(rows, ncols):
     """Whether the integer ``rows`` (of ``ncols`` columns) have full rank
-    min(len(rows), ncols) modulo _PRIME, which proves it over the rationals.
+    min(len(rows), ncols) modulo PRIME, which proves it over the rationals.
 
-    Row-echelon elimination over the shorter side, vector by vector; it
-    stops at the first vector that reduces to zero mod p, so a matrix of
-    rank r costs at most r + 1 reductions.  False says nothing over the
-    rationals: the caller falls back to Bareiss.
+    One :class:`_Echelon` over the shorter side, vector by vector; it stops
+    at the first vector that reduces to zero mod p, so a matrix of rank r
+    costs at most r + 1 reductions.  False says nothing over the rationals:
+    the caller falls back to Bareiss.
     """
     vectors = zip(*rows) if len(rows) > ncols else rows
-    basis = []  # (pivot position, vector scaled to 1 there)
-    for vec in vectors:
-        v = [x % _PRIME for x in vec]
-        for j, b in basis:
+    return all(map(_Echelon().add, vectors))
+
+
+class _Echelon:
+    """An incremental row echelon form modulo PRIME: the one mod-p kernel.
+
+    :meth:`add` reduces an integer vector against the vectors kept so far
+    and keeps it if it is independent of them mod p.  The vectors it kept
+    are independent over the rationals too, since a minor that is nonzero
+    mod p is a nonzero integer; so the count of kept vectors is a lower
+    bound on the rank over the rationals, exact where it meets an upper
+    bound."""
+
+    def __init__(self):
+        self.basis = []  # (pivot position, vector scaled to 1 there)
+
+    def add(self, vector) -> bool:
+        """Whether ``vector`` (Python or numpy integers) is independent mod
+        p of the vectors added before; if so it is kept."""
+        v = [x % PRIME for x in vector]
+        for j, b in self.basis:
             c = v[j]
             if c:
-                v = [(x - c * y) % _PRIME for x, y in zip(v, b)]
+                v = [(x - c * y) % PRIME for x, y in zip(v, b)]
         j = next((j for j, x in enumerate(v) if x), None)
         if j is None:
             return False
-        inv = pow(v[j], -1, _PRIME)
-        basis.append((j, [x * inv % _PRIME for x in v]))
-    return True
+        inv = pow(v[j], -1, PRIME)
+        self.basis.append((j, [x * inv % PRIME for x in v]))
+        return True
+
+
+def independent_mod_p(vectors, limit=None):
+    """Indices, ascending, of the integer ``vectors`` that one
+    :class:`_Echelon` keeps, each independent mod p of those before it; it
+    stops once it keeps ``limit`` of them.  Without a limit their number is
+    the rank mod p, a lower bound on the rank over the rationals."""
+    echelon, keep = _Echelon(), []
+    for i, vec in enumerate(vectors):
+        if len(keep) == limit:
+            break
+        if echelon.add(vec):
+            keep.append(i)
+    return keep
 
 
 def _integer_rows(values, width):

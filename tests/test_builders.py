@@ -16,9 +16,10 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, DenseTensor,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_grid_tensor,
                     build_mps, build_weights_tensor, check_claim1_equality,
-                    contract, draw_params, exact_array, forward_deep,
-                    grid_budget, matricize, multiset_coefficient, rank_exact,
-                    rank_numeric, separation_rank, step_deep, trial_rng)
+                    contract, draw_params, draw_trials, exact_array,
+                    forward_deep, grid_budget, matricize,
+                    multiset_coefficient, rank_exact, rank_numeric,
+                    separation_rank, step_deep, trial_rng)
 from racsep import builders, network
 from racsep.builders import GRID_BUDGET_ENV
 from scalars import canonical
@@ -597,3 +598,131 @@ def test_identity_grid_ranks_no_template_matrix(field, monkeypatch):
     monkeypatch.setattr(network, "rank_exact", _refuse)
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, field=field)
     assert build_grid_tensor(p, T=4).dims == (2,) * 4
+
+
+def _rank_mod_p(p, T, c=1, enc=None):
+    """The rank mod p of the single-layer network p's start/end
+    matricization, from its mod-p frontier walk alone."""
+    net = builders._Frontier(p, builders._templates(p, enc), c)
+    return builders._rank_mod_p(net.mod_p(), Cell(p.M, p.R, T))
+
+
+@settings(deadline=None, max_examples=100, phases=NO_SHRINK)
+@given(st.data())
+def test_rank_mod_p_never_exceeds_the_exact_rank(data):
+    # rational weights (some with the prime as denominator or numerator),
+    # zero rows, an explicit h0 or the neutral one, and identity or
+    # rational templates: the walk mod p never finds more than the rank
+    # over Q, and where it meets min{R, M^(T/2)} that is the rank
+    P = builders.PRIME
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 4))
+    T = data.draw(st.sampled_from([2, 4, 6] if M <= 2 else [2, 4]))
+    entry = st.one_of(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=5),
+                      st.sampled_from([Fraction(1, P), Fraction(P, 2), P]))
+
+    def rationals(*shape):
+        n = math.prod(shape)
+        a = exact_array(data.draw(st.lists(entry, min_size=n, max_size=n)),
+                        shape=shape)
+        if a.ndim == 2 and data.draw(st.booleans()):
+            a[data.draw(st.integers(0, shape[0] - 1))] = 0  # a zero row
+        return a
+
+    h0 = [rationals(R)] if data.draw(st.booleans()) else None
+    try:
+        p = RacParams(w_in=[rationals(R, M)], w_hidden=[rationals(R, R)],
+                      w_out=rationals(2, R), h0=h0)
+    except ParameterError:  # a singular hidden matrix has no neutral h0
+        assume(False)
+    enc = None
+    if data.draw(st.booleans()):
+        F = rationals(M, M)
+        assume(rank_exact(F).rank == M)
+        enc = TemplateEncoder(F)
+    c = data.draw(st.integers(1, 2))
+    exact = _grid_rank(p, T, c=c, enc=enc)
+    assert _rank_mod_p(p, T, c, enc) <= exact.rank
+    assert separation_rank(p, T, c, enc=enc) == exact
+
+
+def test_int64_guard_is_exact_at_its_boundary():
+    # 2048 products of two residues below p < 2^26 stay below 2^63, 2049
+    # may not; numpy int64 matmul would wrap around without a warning
+    P = builders.PRIME
+    assert 2048 * (P - 1) ** 2 < 2 ** 63 <= 2049 * (P - 1) ** 2
+    assert builders._int64_safe(2048) and not builders._int64_safe(2049)
+    assert builders._int64_safe(1)
+
+
+def _spy_exact_walk(monkeypatch):
+    """Logs each call of the exact walk's rank_exact and column_basis."""
+    calls = []
+    for name in ("rank_exact", "column_basis"):
+        def spy(m, _name=name, _kernel=getattr(builders, name)):
+            calls.append(_name)
+            return _kernel(m)
+        monkeypatch.setattr(builders, name, spy)
+    return calls
+
+
+def test_generic_single_layer_rank_is_certified_mod_p(monkeypatch):
+    # 8 start words, R = 3: the exact walk would take a column basis of
+    # their states and rank G; the walk mod p reaches min{R, M^(T/2)} = 3
+    calls = _spy_exact_walk(monkeypatch)
+    [(_, p)] = draw_trials(7, Cell(2, 3, 6), 1, EXACT)
+    assert separation_rank(p, 6) == _grid_rank(p, 6)
+    assert separation_rank(p, 6).rank == 3 and calls == []
+    # w_out = 0: rank 0 mod p is below the bound, so the exact walk runs
+    zero = RacParams(w_in=p.w_in, w_hidden=p.w_hidden,
+                     w_out=exact_array([[0, 0, 0]]), h0=p.h0)
+    assert separation_rank(zero, 6).rank == 0
+    assert calls == ["column_basis", "rank_exact"]
+
+
+def test_networks_past_the_int64_guard_walk_exactly(monkeypatch):
+    widths = []
+
+    def narrow(width):
+        widths.append(width)
+        return False
+
+    monkeypatch.setattr(builders, "_int64_safe", narrow)
+    calls = _spy_exact_walk(monkeypatch)
+    [(_, p)] = draw_trials(7, Cell(3, 2, 4), 1, EXACT)
+    assert separation_rank(p, 4).rank == 2 == _grid_rank(p, 4).rank
+    # every int64 product sums over R = 2 hidden units; W_i F^T, the one
+    # product over the M = 3 templates, is taken in Python integers
+    assert widths == [2] and calls == ["column_basis", "rank_exact"]
+
+
+@settings(deadline=None, max_examples=60, phases=NO_SHRINK)
+@given(st.data())
+def test_mod_p_walk_is_the_integer_walk_reduced_mod_p(data):
+    # the Python-integer walk is the reference: at every depth, over
+    # rational weights and templates and entries far beyond int64 once
+    # multiplied, the int64 walk's states are its states reduced mod p
+    P = builders.PRIME
+    L, M, R = (data.draw(st.integers(1, 3)) for _ in range(3))
+    T = data.draw(st.integers(1, 4))
+    entry = st.one_of(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=5),
+                      st.integers(-2 ** 70, 2 ** 70),
+                      st.sampled_from([P - 1, -P + 1, Fraction(1, P)]))
+
+    def exact(*shape):
+        n = math.prod(shape)
+        return exact_array(data.draw(st.lists(entry, min_size=n, max_size=n)),
+                           shape=shape)
+
+    p = RacParams(w_in=[exact(R, M if l == 0 else R) for l in range(L)],
+                  w_hidden=[exact(R, R) for _ in range(L)],
+                  w_out=exact(1, R), h0=[exact(R) for _ in range(L)])
+    net = builders._Frontier(p, exact(M, M), 1)
+    S, _ = net.advance(net.h0, net.D0, T, "states")
+    net_p = net.mod_p()
+    mod, _ = net_p.advance(net_p.h0, net_p.D0, T, "states")
+    for s, m in zip(S, mod):
+        assert m.dtype == np.int64
+        assert ((s % P).astype(np.int64) == m).all()

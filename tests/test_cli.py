@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV determinism, exports."""
 
+import copy
 import hashlib
 import importlib
 import itertools
@@ -12,7 +13,7 @@ import pytest
 
 from racsep import (Cell, check_conjecture_bound, load_graph, load_tensor,
                     rows_to_csv, verify_deep_lower_bound)
-from racsep import verification
+from racsep import cli, verification
 from racsep.cli import main
 
 
@@ -509,3 +510,47 @@ def test_export_golden_bytes(what, field, L, digest, tmp_path, capsys):
                     "--L", str(L), "--field", field, "--seed", "7",
                     "--out", str(out)], capsys)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_main_builds_one_parser_and_shares_no_default(monkeypatch, capsys):
+    # the parser is built once per process; every call still gets its own
+    # default lists, SUITE_FLAGS' among them, so mutating one call's
+    # arguments leaks into no later call
+    built, seen = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+
+    def spy(args):
+        seen.append(vars(args).copy())
+        for value in vars(args).values():
+            if isinstance(value, list):
+                value.append(99)
+        return []
+
+    monkeypatch.setitem(cli.SUITES, "shallow", spy)
+    monkeypatch.setattr(cli, "cmd_scan", spy)
+    flags = copy.deepcopy(
+        {flag: default for flag, (_, default) in cli.SUITE_FLAGS.items()})
+    assert main(["verify", "shallow", "--M", "3", "--R", "1,4", "--T", "6",
+                 "--field", "float", "--rel-tol", "1e-3"]) == 0
+    for _ in range(2):
+        assert main(["verify", "shallow"]) == 0
+    assert main(["scan", "--M", "3", "--L", "2"]) == []
+    for _ in range(2):
+        assert main(["scan"]) == []
+    capsys.readouterr()
+    first, *defaults = seen[:3]
+    assert (first["M"], first["R"], first["T"], first["field"],
+            first["rel_tol"]) == ([3, 99], [1, 4, 99], [6, 99], "float", 1e-3)
+    for args in defaults:
+        assert {flag: args[flag] for flag in flags} == {
+            flag: default + [99] if isinstance(default, list) else default
+            for flag, default in flags.items()}
+    assert [[a[k] for k in "MRTL"] for a in seen[3:]] == [
+        [[3, 99], [2, 99], [4, 99], [2, 99]]] + [
+        [[2, 99], [2, 99], [4, 99], [1, 99]]] * 2
+    assert {flag: default for flag, (_, default)
+            in cli.SUITE_FLAGS.items()} == flags
+    assert built == [1]

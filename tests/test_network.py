@@ -164,6 +164,18 @@ def test_cell_refuses_a_bad_size_with_one_message(args, got):
                              f"T >= 2, got {got}")
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("k", range(4), ids=list("MRTL"))
+def test_cell_refuses_a_bool_size(k, flag):
+    # bool is an Integral, but not a size: Cell(True, 2, 4) is refused as
+    # check_steps refuses T=True
+    args = [2, 2, 4, 1]
+    args[k] = flag
+    with pytest.raises(ShapeError) as ei:
+        Cell(*args)
+    assert str(ei.value).endswith(f"got {'MRTL'[k]} = {flag}")
+
+
 @pytest.mark.parametrize("T", [3, 0])
 def test_every_site_refuses_a_bad_T_with_the_cell_message(T):
     with pytest.raises(ShapeError) as ei:

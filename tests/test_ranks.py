@@ -25,7 +25,7 @@ from racsep.ranks import solve_exact
 from scalars import canonical
 
 # the private kernels under test, reached through the module
-P = ranks._PRIME
+P = ranks.PRIME
 _bareiss, _full_rank_mod_p = ranks._bareiss, ranks._full_rank_mod_p
 
 
@@ -238,3 +238,56 @@ def test_solve_exact_on_int64_matrix():
     assert list(exact @ x) == [1, 1]
     with pytest.raises(ParameterError):
         solve_exact(np.array([[2 ** 40, 2 ** 40]] * 2, dtype=np.int64), [1, 2])
+
+
+def test_echelon_keeps_vectors_independent_mod_p():
+    echelon = ranks._Echelon()
+    assert echelon.add([1, 1]) and echelon.add([0, 3])
+    assert not echelon.add([2, 5])  # 2 [1, 1] + [0, 3]
+    # [1, 1] and [1, 1 + P] are independent over Q but equal mod p
+    echelon = ranks._Echelon()
+    assert echelon.add([1, 1]) and not echelon.add([1, 1 + P])
+    assert not echelon.add([0, 0]) and not echelon.add([P, -P])
+    assert rank_exact(exact_array([[1, 1], [1, 1 + P]])).rank == 2
+    # numpy integers and huge Python ints reduce alike
+    assert ranks._Echelon().add(np.array([P, 2 ** 70], dtype=object))
+
+
+def test_independent_mod_p_keeps_the_first_independent_vectors():
+    vectors = [[0, 0], [1, 2], [2, 4], [1, 2 + P], [0, 1], [1, 0]]
+    assert ranks.independent_mod_p(vectors) == [1, 4]
+    assert ranks.independent_mod_p(vectors, 1) == [1]
+    assert ranks.independent_mod_p([]) == []
+    assert ranks.independent_mod_p(iter(vectors), 0) == []
+
+
+def _square_systems():
+    """(a, b): an n x n matrix and n right-hand sides, n 0-4, with integer
+    or rational entries (some with a large prime denominator)."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(0, 4))
+        entry = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70),
+                          st.fractions(max_denominator=7),
+                          st.sampled_from([Fraction(1, P), Fraction(P, 3)]))
+        if draw(st.booleans()):
+            entry = st.integers(-9, 9)
+        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        return a, draw(st.lists(entry, min_size=n, max_size=n))
+    return build()
+
+
+@settings(deadline=None, max_examples=200)
+@given(_square_systems())
+def test_solve_exact_solves_the_system_exactly(system):
+    a, b = system
+    n = len(b)
+    a = exact_array(a, shape=(n, n))
+    if rank_exact(a).rank < n:
+        with pytest.raises(ParameterError):
+            solve_exact(a, b)
+        return
+    x = solve_exact(a, b)
+    assert x.shape == (n,) and all(map(canonical, x))
+    assert list(a @ x) == b
