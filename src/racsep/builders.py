@@ -12,31 +12,27 @@ the weights tensor is the grid tensor under identity templates, and for a
 non-singular F the two have one start/end rank.
 
 A network's start/end rank, the Start-End separation rank of its output,
-has one entry point (:func:`separation_rank`), which builds no tensor.
-It walks the frontier, under identity or given templates, in two halves:
-every start word's state is advanced T/2 steps, the start words whose rows
-span the start/end matricization G are kept, and only their states are
-advanced the other T/2 steps.  An exact network of depth L <= 2 factors
-G = Phi C through the lifted mid-sequence states Phi: the hidden state h
-itself at L = 1 (the tensor-train view of Khrulkov, Novikov and Oseledets,
-ICLR 2018), and h2 (x) Sym^(T/2)(h1) at L = 2 (the weighted-automaton view
-of Rabusseau, Li and Precup, AISTATS 2019), K = R multiset(R, T/2)
-coordinates, whatever the templates.  Start words whose lifted states span
-Phi's columns have rows that span G's rows, so an exact column basis of at
-most K of them keeps rank G.  An exact deep network first keeps one start
-word per class of projectively equal mid-sequence states, and none whose
-state is zero in some layer, and at L = 2 only a column basis of their
-lifted states when the classes outnumber K; a float network keeps all.
-Every state array a walk builds counts against RACSEP_GRID_BUDGET: R
-entries per prefix it holds, and K per kept start word for the lifted
-array.
-
-An exact single-layer network first walks the frontier mod the prime
-ranks.PRIME (:meth:`_Frontier.mod_p`, int64 arrays): the shallow law makes
-min{R, M^(T/2)} a proven upper bound on rank G, and a rank mod p never
-exceeds the rank over the rationals, so a walk mod p that reaches the bound
-gives the exact rank.  A generic draw does; any other network, or one too
-wide for exact int64 sums, takes the exact walk above.
+has one entry point (:func:`separation_rank`), which builds no tensor.  Row
+s of the start/end matricization G holds the outputs, over every end word,
+of start word s's states after T/2 steps, so one walk
+(:meth:`_Frontier.walk`) advances every start word T/2 steps, keeps start
+words S whose rows G_S span G's rows (so rank G = rank G_S) and advances
+only theirs T/2 more.  Start words whose mid-sequence states are, layer by
+layer, nonzero multiples of each other have proportional rows
+(:func:`_state_classes`).  An exact network of depth L <= 2 factors
+G = Phi C, with column s of Phi the lifted mid-sequence state of start
+word s and C depending on the end words only: the hidden state h itself at
+L = 1 (the tensor-train view of Khrulkov, Novikov and Oseledets, ICLR
+2018), and h2 (x) Sym^(T/2)(h1) at L = 2 (the weighted-automaton view of
+Rabusseau, Li and Precup, AISTATS 2019), K = R multiset(R, T/2)
+coordinates, whatever the templates.  Start words whose lifted states
+span Phi's columns therefore have rows that span G's, and an exact column
+basis keeps at most K of them.  A rank mod the prime ranks.PRIME (the
+walk on :meth:`_Frontier.mod_p`, int64 arrays) never exceeds the rank over
+the rationals, so one that meets a proven upper bound is exact.  Every
+state array a walk builds counts against RACSEP_GRID_BUDGET, read once per
+frontier: R entries per prefix it holds, and K per kept start word for the
+lifted array.
 """
 
 from __future__ import annotations
@@ -113,37 +109,27 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     with ``rel_tol`` for the float field.  A T that is odd or below 2 is
     refused by :class:`Cell`.
 
-    Neither tensor is built.  Row s of G holds the outputs, over every end
-    word, of start word s's states after T/2 steps.  The walk advances all
-    start words T/2 steps, keeps start words S whose rows G_S span G's rows
-    (so rank G = rank G_S) and advances only theirs T/2 more.  An exact
-    network of depth L <= 2 has G = Phi C, with column s of Phi the lifted
-    mid-sequence state of start word s (:func:`_lifted_states`; its hidden
-    state at L = 1) and C depending on the end words only, so S may be an
-    exact column basis of Phi: r <= K words, K = R at L = 1.  An exact deep
-    network first keeps one start word per class of projectively equal
-    mid-sequence states (:func:`_state_classes`), and L = 2 takes the basis
-    only when the classes outnumber K (:func:`_start_basis`); a float
-    network keeps all start words.  Exact G_S is the frontier's integers: a
-    common denominator does not change a rank.
-
-    An exact network of depth 1 first walks mod p (:func:`_rank_mod_p`),
-    if its products fit int64 (:func:`_int64_safe`); a rank mod p that
-    reaches the upper bound min{R, M^(T/2)} is returned as the exact rank,
-    and any lower one is discarded for the exact walk."""
+    The oracle is chosen here, and each takes one frontier walk.  A float
+    network keeps every start word.  An exact single-layer network whose
+    products fit int64 (:func:`_int64_safe`) first walks mod p, keeping at
+    most R start words whose states are independent mod p; a rank mod p
+    that meets the shallow law's upper bound min{R, M^(T/2)} is returned as
+    the exact rank, and any lower one is discarded.  Every other exact
+    network keeps the start words of :func:`_start_basis` and ranks G_S
+    with :func:`rank_exact` on the frontier's integers: a common
+    denominator does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
     net = _Frontier(p, _templates(p, enc), c)
-    bound = min(p.R, cell.width)
-    if (p.field == EXACT and p.L == 1 and _int64_safe(p.R)
-            and _rank_mod_p(net.mod_p(), cell) == bound):
-        return RankReport(rank=bound, method="exact")
-    S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
-    if p.field == EXACT:
-        keep = _start_basis(S, cell.half)
-        S = [s[:, keep] for s in S]
-    S, _ = net.advance(S, D, cell.half, "end-half state array")
-    G = (net.out @ S[-1]).reshape(-1, cell.width)
-    return rank_exact(G) if p.field == EXACT else rank_numeric(G, rel_tol)
+    if p.field != EXACT:
+        return rank_numeric(net.walk(cell), rel_tol)
+    if p.L == 1 and _int64_safe(p.R):
+        G = net.mod_p().walk(
+            cell, lambda S: independent_mod_p(S[0].T.tolist(), p.R))
+        rank = len(independent_mod_p(G.tolist()))
+        if rank == min(p.R, cell.width):
+            return RankReport(rank=rank, method="exact")
+    return rank_exact(net.walk(
+        cell, lambda S: _start_basis(S, cell.half, net.budget)))
 
 
 def _int64_safe(width):
@@ -154,39 +140,22 @@ def _int64_safe(width):
     return width * (PRIME - 1) ** 2 < 2 ** 63
 
 
-def _rank_mod_p(net, cell):
-    """The rank mod PRIME of the start/end matricization G of a single-layer
-    network, walked on its mod-p frontier ``net``: at most R start words
-    whose mid-sequence states are independent mod p are kept and advanced
-    the other T/2 steps, and their rows of G are ranked mod p.
-
-    The walk reduces D G mod p, with D the integer walk's one nonzero
-    denominator, so the result never exceeds rank G over the rationals."""
-    S, D = net.advance(net.h0, net.D0, cell.half, "mid-sequence state array")
-    keep = independent_mod_p(S[0].T.tolist(), cell.R)
-    S, _ = net.advance([S[0][:, keep]], D, cell.half, "end-half state array")
-    G = (net.out @ S[0]).reshape(-1, cell.width)
-    return len(independent_mod_p(G.tolist()))
-
-
-def _start_basis(S, half):
+def _start_basis(S, half, budget):
     """Indices, ascending, of the start words an exact walk keeps, given
-    their per-layer mid-sequence states ``S`` (R x n integer arrays): every
-    start word at L = 1, one per state class (:func:`_state_classes`) at
-    L >= 2.  At L <= 2, if these outnumber the K rows of their lifted
-    states Phi (:func:`_lifted_states`), only the start words of an exact
-    column basis of Phi are kept: their rows of G = Phi C span the others.
-    Phi counts against RACSEP_GRID_BUDGET as the "lifted mid-sequence state
-    array" before it is built."""
-    keep = _state_classes(S) if len(S) > 1 else range(S[0].shape[1])
+    their per-layer mid-sequence states ``S`` (R x n integer arrays): one
+    per state class (:func:`_state_classes`), and at L <= 2, if these
+    outnumber the K rows of their lifted states Phi (:func:`_lifted_states`),
+    only those of an exact column basis of Phi: their rows of G = Phi C span
+    the others.  Phi counts against ``budget`` as the "lifted mid-sequence
+    state array" before it is built."""
+    keep = _state_classes(S)
     if len(S) > 2:
         return keep
     R, degree = S[0].shape[0], half if len(S) == 2 else 0
     K = R * multiset_coefficient(R, degree)
     if len(keep) <= K:
         return keep
-    check_budget("lifted mid-sequence state array", K * len(keep),
-                 grid_budget())
+    check_budget("lifted mid-sequence state array", K * len(keep), budget)
     lifted = _lifted_states([s[:, keep] for s in S], degree)
     return [keep[j] for j in column_basis(lifted)]
 
@@ -249,7 +218,8 @@ def _residues(a):
 
 class _Frontier:
     """A network's weights for class c and encoder matrix F, and the
-    level-by-level step on states of many prefixes at once.
+    level-by-level step on states of many prefixes at once, under the
+    RACSEP_GRID_BUDGET value read when the frontier is built.
 
     Layer l keeps the states of n prefixes, in row-major order, as one
     R x n array S_l, and one step extends every prefix by every symbol with
@@ -271,6 +241,7 @@ class _Frontier:
 
     def __init__(self, p, F, c):
         check_class(p, c)
+        self.budget = grid_budget()
         form = _integer_form if p.field == EXACT else _float_form
         self.wi, self.di = zip(*map(form, p.w_in))
         self.wh, self.dh = zip(*map(form, p.w_hidden))
@@ -299,9 +270,9 @@ class _Frontier:
     def advance(self, S, D, t, what):
         """The per-layer states ``S`` over denominators ``D`` after t more
         steps: new lists, each R x n array now R x n M^t, which counts as
-        ``what`` against RACSEP_GRID_BUDGET before it is built."""
+        ``what`` against the frontier's grid budget before it is built."""
         R, M = S[0].shape[0], self.x0.shape[1]
-        check_budget(what, S[0].size * M ** t, grid_budget())
+        check_budget(what, S[0].size * M ** t, self.budget)
         S, D, mod = list(S), list(D), self.modulus
         for _ in range(t):
             b, d_b = self.x0, self.dx0
@@ -315,3 +286,17 @@ class _Frontier:
                 S[l] = (h % mod if mod else h).reshape(R, -1)
                 D[l] = self.dh[l] * D[l] * d_b
         return S, D
+
+    def walk(self, cell, select=None):
+        """The rows G_S of the start/end matricization G of the kept start
+        words S, as an |S| x M^(T/2) array: every start word's states are
+        advanced T/2 steps, ``select`` picks the indices S from their
+        per-layer mid-sequence states (every start word when None), and only
+        theirs are advanced the other T/2 steps."""
+        S, D = self.advance(self.h0, self.D0, cell.half,
+                            "mid-sequence state array")
+        if select is not None:
+            keep = select(S)
+            S = [s[:, keep] for s in S]
+        S, _ = self.advance(S, D, cell.half, "end-half state array")
+        return (self.out @ S[-1]).reshape(-1, cell.width)

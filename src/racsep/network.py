@@ -212,9 +212,12 @@ def check_encoder(enc: TemplateEncoder, M, field):
 
 
 def check_class(p: RacParams, c):
-    """Raises ParameterError unless c indexes one of p's C output classes."""
-    if not 1 <= c <= p.C:
-        raise ParameterError(f"class index {c} out of range [1..{p.C}]")
+    """Raises ParameterError unless c, an integer (a bool is not), indexes
+    one of p's C output classes."""
+    if (type(c) is bool or not isinstance(c, numbers.Integral)
+            or not 1 <= c <= p.C):
+        raise ParameterError(
+            f"class index must be an integer in [1..{p.C}], got {c!r}")
 
 
 def step_deep(p: RacParams, g, states, encoded):
@@ -230,13 +233,15 @@ def step_deep(p: RacParams, g, states, encoded):
 
 
 def forward_deep(p: RacParams, g, enc: TemplateEncoder, seq):
-    """Class scores after the final time-step of an L-layer network."""
+    """Class scores after the final time-step of an L-layer network, exact
+    ones in their one form (:func:`exact_array`)."""
     check_encoder(enc, p.M, p.field)
     symbols = as_symbols(seq, p.M)
     states = list(p.h0)
     for s in symbols:
         states = step_deep(p, g, states, enc.row(s))
-    return p.w_out @ states[-1]
+    scores = p.w_out @ states[-1]
+    return exact_array(scores) if p.field == EXACT else scores
 
 
 # ---------------------------------------------------------------------------

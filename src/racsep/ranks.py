@@ -9,25 +9,24 @@ p is a lower bound on the rank, exact where it meets an upper bound.
 
 The exact oracle first clears the matrix of denominators (one common
 denominator) and drops repeated and zero rows, which changes no rank.  It
-then tries a certificate on those rows as they are: the echelon over the
+then tries one certificate on those rows as they are: the echelon over the
 shorter side (rows, or columns when there are more rows than columns).  If
 every vector stays independent mod p, the rank is min(rows, columns),
 exactly, since a minor that is nonzero mod p is a nonzero integer.  The
 attempt stops at the first vector that reduces to zero mod p.  Only then is
 every row divided by its content (the gcd of its entries,
-:func:`primitive_row`), so that proportional rows collapse, and the
-certificate is tried again; if it fails once more,
-Bareiss (division-deferred) elimination with full pivoting over
-arbitrary-precision integers gives the rank, so rationals with wildly
-different magnitudes (entries spanning thousands of binary digits) are
-handled without loss.  Each Bareiss pivot is the trailing entry of fewest
-bits (the first in row-major order on a tie), which keeps the cross
-products small, and it runs only on primitive rows.  The same Bareiss
-elimination solves square exact systems (:func:`solve_exact`, back-
-substituting in integers for det times the solution), such as the neutral
-initial state W_h h0 = 1, and picks a column basis
-(:func:`column_basis`, its pivot columns), from which the builders compute
-a depth <= 2 start/end rank through the mid-sequence states.
+:func:`primitive_row`), so that proportional rows collapse, and Bareiss
+(division-deferred) elimination with full pivoting over arbitrary-precision
+integers gives the rank, so rationals with wildly different magnitudes
+(entries spanning thousands of binary digits) are handled without loss.
+Each Bareiss pivot is the trailing entry of fewest bits (the first in
+row-major order on a tie), which keeps the cross products small, and it
+runs only on primitive rows.  The same Bareiss elimination solves square
+exact systems (:func:`solve_exact`, back-substituting in integers for det
+times the solution), such as the neutral initial state W_h h0 = 1, and
+picks a column basis (:func:`column_basis`, its pivot columns), from which
+the builders compute a depth <= 2 start/end rank through the mid-sequence
+states.
 """
 
 from __future__ import annotations
@@ -68,19 +67,19 @@ def _as_matrix(m):
 
 def rank_exact(m) -> RankReport:
     """Exact rank: full rank certified modulo a prime on the distinct rows,
-    then on the primitive rows, else fraction-free Gaussian elimination
-    with full pivoting."""
+    else fraction-free Gaussian elimination with full pivoting on the
+    primitive rows."""
     arr, fld = _as_matrix(m)
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
     ncols = arr.shape[1]
     rows = [list(row) for row in dict.fromkeys(
         _integer_rows(arr.reshape(-1), ncols)) if any(row)]
-    if not _full_rank_mod_p(rows, ncols):
-        rows = _primitive_rows(rows)
-        if not _full_rank_mod_p(rows, ncols):
-            return RankReport(rank=_bareiss(rows, ncols)[0], method="exact")
-    return RankReport(rank=min(len(rows), ncols), method="exact")
+    if _full_rank_mod_p(rows, ncols):
+        rank = min(len(rows), ncols)
+    else:
+        rank = _bareiss(_primitive_rows(rows), ncols)[0]
+    return RankReport(rank=rank, method="exact")
 
 
 def column_basis(m) -> list:

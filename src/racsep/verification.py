@@ -318,6 +318,8 @@ def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
     """Vector rearrangement inequality: for pairwise-distinct non-negative
     vectors v_1..v_N and any permutation s != id,
     sum_i <v_i, v_{s(i)}> < sum_i ||v_i||^2, strictly."""
+    if N < 1 or Rbar < 1:
+        raise InvalidInputError(f"N and Rbar must be >= 1, got {N}, {Rbar}")
     if N > 6:
         raise InvalidInputError("N must be <= 6 (factorial enumeration)")
     rep = Report("rearrangement", (Rbar, Rbar, 0, 1))

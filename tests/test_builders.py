@@ -22,6 +22,8 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, DenseTensor,
                     separation_rank, step_deep, trial_rng)
 from racsep import builders, network
 from racsep.builders import GRID_BUDGET_ENV
+from racsep.errors import env_budget
+from racsep.ranks import independent_mod_p
 from scalars import canonical
 
 # a failing exact L = 3 example grows big integers, and shrinking it took
@@ -180,6 +182,29 @@ def test_grid_budget_refuses_a_malformed_value(value, monkeypatch):
         separation_rank(p, 2)
     monkeypatch.delenv(GRID_BUDGET_ENV)
     assert grid_budget() == 10 ** 7
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+@pytest.mark.parametrize("L,T", [(1, 8), (2, 8), (3, 6)])
+def test_grid_budget_is_read_once_per_call(L, T, field, monkeypatch):
+    # every stage of a call checks one reading: with w_out = 0 the exact
+    # L = 1 rank walks mod p and then exactly, and this exact L = 2 draw's
+    # 16 state classes outnumber K = 10, so its lifted states are checked
+    reads = []
+
+    def spy(name, default):
+        reads.append(name)
+        return env_budget(name, default)
+
+    monkeypatch.setattr(builders, "env_budget", spy)
+    p = draw_params(trial_rng(1, 2, 2, T, L, 0), 2, 2, L=L, field=field)
+    zero = RacParams(w_in=p.w_in, w_hidden=p.w_hidden, w_out=0 * p.w_out,
+                     h0=p.h0)
+    for net in (p, zero):
+        for call in (separation_rank, build_grid_tensor):
+            reads.clear()
+            call(net, T=T)
+            assert reads == [GRID_BUDGET_ENV]
 
 
 def test_weights_budget_enforced(monkeypatch):
@@ -602,9 +627,12 @@ def test_identity_grid_ranks_no_template_matrix(field, monkeypatch):
 
 def _rank_mod_p(p, T, c=1, enc=None):
     """The rank mod p of the single-layer network p's start/end
-    matricization, from its mod-p frontier walk alone."""
+    matricization, from its mod-p frontier walk alone: at most R start
+    words whose mid-sequence states are independent mod p are kept."""
     net = builders._Frontier(p, builders._templates(p, enc), c)
-    return builders._rank_mod_p(net.mod_p(), Cell(p.M, p.R, T))
+    G = net.mod_p().walk(Cell(p.M, p.R, T),
+                         lambda S: independent_mod_p(S[0].T.tolist(), p.R))
+    return len(independent_mod_p(G.tolist()))
 
 
 @settings(deadline=None, max_examples=100, phases=NO_SHRINK)

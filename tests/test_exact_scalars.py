@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from racsep import (EXACT, AppendixBAssignment, DenseTensor, InvalidInputError,
                     ParameterError, RAC_PRODUCT, RacParams, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_grid_tensor,
-                    build_weights_tensor, contract, draw_params, exact_array,
-                    forward_deep, hadamard_power, neutral_h0,
+                    build_mps, build_weights_tensor, contract, draw_params,
+                    exact_array, forward_deep, hadamard_power, neutral_h0,
                     separation_rank, trial_rng)
 from racsep.network import dump_params, parse_params
 from racsep.ranks import solve_exact
@@ -110,10 +110,20 @@ def test_every_exact_output_is_canonical(data):
     enc = TemplateEncoder.identity(M)
     seq = data.draw(st.lists(st.integers(1, M), min_size=T, max_size=T))
     scores = forward_deep(p, RAC_PRODUCT, enc, seq)
-    assert all(map(arithmetic, scores))
+    assert all_canonical(scores)
     [got] = contract(attach_inputs(g, enc, seq)).entries
     assert arithmetic(got) and got == scores[0]
     assert all_canonical(hadamard_power(grids[0], 2).data)
+
+
+def test_forward_pass_of_a_drawn_network_is_canonical():
+    # the neutral h0 is rational, and Fraction products stay Fractions:
+    # this draw's score was Fraction(594, 1), where contract gave 594
+    p = draw_params(trial_rng(7, 2, 2, 4, 1, 0), 2, 2)
+    enc, seq = TemplateEncoder.identity(2), (1, 2)
+    scores = forward_deep(p, RAC_PRODUCT, enc, seq)
+    [got] = contract(attach_inputs(build_mps(p, 2), enc, seq)).entries
+    assert all_canonical(scores) and scores[0] == got
 
 
 def test_appendix_b_grid_holds_only_ints():

@@ -149,3 +149,57 @@ def test_every_function_the_benchmark_traces_exists():
                if not callable(getattr(importlib.import_module(
                    f"racsep.{layer}"), fn, None))]
     assert missing == []
+
+
+def _defined(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
+def dead_helpers(sources):
+    """(module, name) of every underscore name that a module-level statement
+    of ``sources`` (module name -> source) defines and that no other
+    statement of any of them references, by name or as an attribute."""
+    defs, refs = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            defs += [(module, name, node) for name in _defined(node)
+                     if _private(name)]
+            refs.append((node, {n.id if isinstance(n, ast.Name) else n.attr
+                                for n in ast.walk(node)
+                                if isinstance(n, (ast.Name, ast.Attribute))}))
+    return [(module, name) for module, name, node in defs
+            if not any(name in used for other, used in refs
+                       if other is not node)]
+
+
+def test_detector_flags_dead_helpers():
+    sources = {"a": ("def _used():\n"
+                     "    return 1\n"
+                     "def _dead(n):\n"
+                     "    return _dead(n - 1)\n"
+                     "_TABLE = {}\n"
+                     "class _Kept:\n"
+                     "    def _method(self):\n"
+                     "        pass\n"
+                     "def public():\n"
+                     "    return _used() + len(_TABLE)\n"),
+               "b": ("from . import a\n"
+                     "x = a._Kept\n"
+                     "_unused: int = 3\n"
+                     "__all__ = ['x']\n")}
+    assert dead_helpers(sources) == [("a", "_dead"), ("b", "_unused")]
+
+
+def test_no_dead_helpers_in_package():
+    # a private helper that no other statement of the package uses is dead
+    # code, even when tests still call it
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert dead_helpers(sources) == []

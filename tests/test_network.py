@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, AppendixBAssignment, Cell,
                     InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
-                    ShapeError, TemplateEncoder, attach_inputs, build_mps,
-                    check_bucket_lemma,
+                    ShapeError, TemplateEncoder, attach_inputs,
+                    build_grid_tensor, build_mps, check_bucket_lemma,
                     count_basic_units, draw_params, exact_array, forward_deep,
                     neutral_h0, separation_rank,
                     step_deep, trial_rng)
@@ -191,6 +191,20 @@ def test_every_site_refuses_a_bad_T_with_the_cell_message(T):
         with pytest.raises(ShapeError) as ei:
             call()
         assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("c", [1.0, True, 0, 2])
+@pytest.mark.parametrize("site", [
+    lambda p, c: separation_rank(p, 4, c=c),
+    lambda p, c: build_grid_tensor(p, c=c, T=4),
+    lambda p, c: build_mps(p, 4, c=c)],
+    ids=["separation_rank", "build_grid_tensor", "build_mps"])
+def test_every_site_refuses_a_class_that_is_not_an_index(site, c):
+    # a single-class draw: 1.0 used to raise a bare numpy IndexError, and
+    # True was taken as class 1
+    p = draw_params(trial_rng(7, 2, 2, 4, 1, 0), 2, 2)
+    with pytest.raises(ParameterError, match="class index"):
+        site(p, c)
 
 
 @pytest.mark.parametrize("key", ["w_in", "w_out"])

@@ -1,9 +1,9 @@
 """The exact rank oracle's mod-p full-rank certificate against Bareiss.
 
-``rank_exact`` reports min(rows, columns) when the distinct rows, or else
-the primitive rows, have full rank modulo a prime, and runs Bareiss on the
-primitive rows otherwise.  Every certificate test here compares that
-answer with Bareiss on the primitive rows.  The Bareiss pivot rule, the
+``rank_exact`` reports min(rows, columns) when the distinct rows have full
+rank modulo a prime, and runs Bareiss on the primitive rows otherwise.
+Every certificate test here compares that answer with Bareiss on the
+primitive rows.  The Bareiss pivot rule, the
 column basis read off its pivots, and the factored single-layer start/end
 rank built on that basis are checked here too.
 """
@@ -162,12 +162,13 @@ KERNELS = ("_full_rank_mod_p", "_primitive_rows", "_bareiss")
     # full rank once a repeat and a zero row are dropped, with no content
     # divided out (the three columns are dependent)
     ([[2, 4, 6], [1, 3, 5], [2, 4, 6], [0, 0, 0]], 2, ["_full_rank_mod_p"]),
-    # proportional rows: certified once their contents are divided out
+    # proportional rows: one certificate fails, and Bareiss ranks the
+    # primitive rows, in which the two collapse
     ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 2,
-     ["_full_rank_mod_p", "_primitive_rows", "_full_rank_mod_p"]),
+     ["_full_rank_mod_p", "_primitive_rows", "_bareiss"]),
     # equal mod p but not proportional: only Bareiss finds rank 2
     ([[1, 1], [1, 1 + P]], 2,
-     ["_full_rank_mod_p", "_primitive_rows", "_full_rank_mod_p", "_bareiss"]),
+     ["_full_rank_mod_p", "_primitive_rows", "_bareiss"]),
 ])
 def test_rank_exact_certifies_before_dividing_out_contents(m, rank, calls,
                                                            monkeypatch):

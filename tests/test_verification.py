@@ -242,6 +242,13 @@ def test_rearrangement_lemma():
         check_rearrangement_lemma(7, 2, trials=1)
 
 
+@pytest.mark.parametrize("N,Rbar", [(3, 0), (0, 3), (3, -1)])
+def test_rearrangement_lemma_refuses_an_empty_size(N, Rbar):
+    # (3, 0) used to redraw forever, waiting for 3 distinct empty vectors
+    with pytest.raises(InvalidInputError, match="N and Rbar"):
+        check_rearrangement_lemma(N, Rbar, trials=1)
+
+
 def test_rearrangement_orthogonal_pair_by_hand():
     # {(1,0),(0,1)} swapped: 0 < 2
     v = [(1, 0), (0, 1)]
