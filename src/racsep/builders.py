@@ -29,10 +29,10 @@ coordinates, whatever the templates.  Start words whose lifted states
 span Phi's columns therefore have rows that span G's, and an exact column
 basis keeps at most K of them.  A rank mod the prime ranks.PRIME (the
 walk on :meth:`_Frontier.mod_p`, int64 arrays) never exceeds the rank over
-the rationals, so one that meets a proven upper bound is exact.  Every
-state array a walk builds counts against RACSEP_GRID_BUDGET, read once per
-frontier: R entries per prefix it holds, and K per kept start word for the
-lifted array.
+the rationals, so one that meets a proven upper bound is exact
+(ranks.full_rank_mod_p certifies it).  Every state array a walk builds
+counts against RACSEP_GRID_BUDGET, read once per frontier: R entries per
+prefix it holds, and K per kept start word for the lifted array.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .network import (Cell, RacParams, TemplateEncoder, check_class,
 # perfbench/selftest.py checks that its tracer patches this importer by name
 from .network import step_deep  # noqa: F401
 from .ranks import (DEFAULT_REL_TOL, PRIME, RankReport, column_basis,
-                    independent_mod_p, multiset_coefficient, primitive_row,
-                    rank_exact, rank_numeric)
+                    full_rank_mod_p, independent_mod_p, multiset_coefficient,
+                    primitive_row, rank_exact, rank_numeric)
 from .tensor import EXACT, DenseTensor, clear_denominators
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
@@ -112,12 +112,13 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     The oracle is chosen here, and each takes one frontier walk.  A float
     network keeps every start word.  An exact single-layer network whose
     products fit int64 (:func:`_int64_safe`) first walks mod p, keeping at
-    most R start words whose states are independent mod p; a rank mod p
-    that meets the shallow law's upper bound min{R, M^(T/2)} is returned as
-    the exact rank, and any lower one is discarded.  Every other exact
-    network keeps the start words of :func:`_start_basis` and ranks G_S
-    with :func:`rank_exact` on the frontier's integers: a common
-    denominator does not change a rank."""
+    most R start words whose states are independent mod p; if it keeps
+    min{R, M^(T/2)}, the shallow law's proven upper bound, and their rows
+    of G pass :func:`full_rank_mod_p` (as in :func:`rank_exact`), that is
+    the exact rank.  Otherwise, as for every other exact network, the walk
+    keeps the start words of :func:`_start_basis` and ranks G_S with
+    :func:`rank_exact` on the frontier's integers: a common denominator
+    does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
     net = _Frontier(p, _templates(p, enc), c)
     if p.field != EXACT:
@@ -125,9 +126,9 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     if p.L == 1 and _int64_safe(p.R):
         G = net.mod_p().walk(
             cell, lambda S: independent_mod_p(S[0].T.tolist(), p.R))
-        rank = len(independent_mod_p(G.tolist()))
-        if rank == min(p.R, cell.width):
-            return RankReport(rank=rank, method="exact")
+        if len(G) == min(p.R, cell.width) and full_rank_mod_p(G.tolist(),
+                                                              cell.width):
+            return RankReport(rank=len(G), method="exact")
     return rank_exact(net.walk(
         cell, lambda S: _start_basis(S, cell.half, net.budget)))
 

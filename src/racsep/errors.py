@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the size budgets."""
+"""Exception types shared across the toolkit, size budgets and counts."""
 
+import numbers
 import os
 
 
@@ -30,6 +31,19 @@ class ResourceBudgetError(RacsepError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+def is_integer(x):
+    """Whether ``x`` is an integer (Python or numpy); a bool is not."""
+    return type(x) is not bool and isinstance(x, numbers.Integral)
+
+
+def check_count(name, value, least):
+    """Raises InvalidInputError unless ``value`` is an integer >= ``least``."""
+    if not is_integer(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
 
 
 def env_budget(name, default):

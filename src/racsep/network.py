@@ -9,14 +9,12 @@ Biases are omitted throughout.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, ParameterError, ShapeError
+from .errors import InvalidInputError, ParameterError, ShapeError, is_integer
 from .ranks import rank_exact, rank_numeric, solve_exact
 from .tensor import (EXACT, DenseTensor, exact_array, field_of,
                      format_scalars, header_field, header_ints, header_words,
@@ -55,8 +53,7 @@ class Cell:
 
     def __post_init__(self):
         bad = [f"{k} = {v}" for k, v in zip("MRTL", self)
-               if type(v) is bool or not isinstance(v, numbers.Integral)
-               or v < 1 or k == "T" and v % 2]
+               if not is_integer(v) or v < 1 or k == "T" and v % 2]
         if bad:
             raise ShapeError("a cell needs integers M, R, L >= 1 and an even "
                              f"T >= 2, got {', '.join(bad)}")
@@ -76,7 +73,7 @@ class Cell:
 def check_steps(T):
     """Raises ShapeError unless ``T``, a number of time-steps, is an integer
     >= 1 (a bool is not)."""
-    if type(T) is bool or not isinstance(T, numbers.Integral) or T < 1:
+    if not is_integer(T) or T < 1:
         raise ShapeError(f"T must be an integer >= 1, got {T!r}")
 
 
@@ -86,7 +83,8 @@ class RacParams:
 
     w_in[0] is R x M; deeper w_in are R x R.  Every w_hidden is R x R and
     w_out is C x R.  h0 defaults to the neutral choice W_h^-1 1 per layer
-    (requires invertible hidden matrices).
+    (requires invertible hidden matrices).  Exact parameters hold copies of
+    the given arrays, every entry in its one form (:func:`_exact_forms`).
     """
 
     w_in: list
@@ -106,10 +104,7 @@ class RacParams:
         if len(fields) != 1 or None in fields:
             raise ParameterError("weights and h0 must be arrays of one scalar field")
         (self.field,) = fields
-        if self.field == EXACT and not all(
-                type(x) is int or type(x) is Fraction and x.denominator != 1
-                and type(x.numerator) is type(x.denominator) is int
-                for m in mats for x in m.flat):
+        if self.field == EXACT:
             self.w_in = _exact_forms(self.w_in)
             self.w_hidden = _exact_forms(self.w_hidden)
             [self.w_out] = _exact_forms([self.w_out])
@@ -196,8 +191,7 @@ def as_symbols(seq, M):
     """The symbols of ``seq`` as a tuple of ints; each must be an integer in
     [1..M], one per time-step."""
     symbols = tuple(seq)
-    if not all(isinstance(s, numbers.Integral) and 1 <= s <= M
-               for s in symbols):
+    if not all(is_integer(s) and 1 <= s <= M for s in symbols):
         raise InvalidInputError(
             f"symbols must be integers in [1..{M}], got {symbols}")
     return tuple(map(int, symbols))
@@ -214,8 +208,7 @@ def check_encoder(enc: TemplateEncoder, M, field):
 def check_class(p: RacParams, c):
     """Raises ParameterError unless c, an integer (a bool is not), indexes
     one of p's C output classes."""
-    if (type(c) is bool or not isinstance(c, numbers.Integral)
-            or not 1 <= c <= p.C):
+    if not is_integer(c) or not 1 <= c <= p.C:
         raise ParameterError(
             f"class index must be an integer in [1..{p.C}], got {c!r}")
 

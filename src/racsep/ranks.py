@@ -2,23 +2,24 @@
 
 Every computation mod p uses one prime, PRIME = 67108859, the largest
 below 2^26, and one kernel, an incremental row echelon form mod p
-(:class:`_Echelon`, whose ``add`` keeps a vector iff it is independent mod
-p of those kept before; :func:`independent_mod_p` lists the kept ones).
-The vectors it keeps are independent over the rationals too, so a rank mod
-p is a lower bound on the rank, exact where it meets an upper bound.
+(:func:`_echelon_mod_p`, which says of each vector in turn whether it is
+independent mod p of those before it).  Vectors independent mod p are
+independent over the rationals too, so a rank mod p is a lower bound on
+the rank, exact where it meets an upper bound.  :func:`independent_mod_p`
+lists the kept vectors; :func:`full_rank_mod_p`, the one certificate,
+runs the kernel over a matrix's shorter side (rows, or columns when there
+are more rows than columns) and stops at the first dependent vector.
 
 The exact oracle first clears the matrix of denominators (one common
-denominator) and drops repeated and zero rows, which changes no rank.  It
-then tries one certificate on those rows as they are: the echelon over the
-shorter side (rows, or columns when there are more rows than columns).  If
-every vector stays independent mod p, the rank is min(rows, columns),
-exactly, since a minor that is nonzero mod p is a nonzero integer.  The
-attempt stops at the first vector that reduces to zero mod p.  Only then is
-every row divided by its content (the gcd of its entries,
-:func:`primitive_row`), so that proportional rows collapse, and Bareiss
-(division-deferred) elimination with full pivoting over arbitrary-precision
-integers gives the rank, so rationals with wildly different magnitudes
-(entries spanning thousands of binary digits) are handled without loss.
+denominator) and drops repeated and zero rows, which changes no rank.  If
+the certificate holds on those rows as they are, the rank is
+min(rows, columns), exactly, since a minor that is nonzero mod p is a
+nonzero integer.  Only if it fails is every row divided by its content
+(the gcd of its entries, :func:`primitive_row`), so that proportional rows
+collapse, and Bareiss (division-deferred) elimination with full pivoting
+over arbitrary-precision integers gives the rank, so rationals with wildly
+different magnitudes (entries spanning thousands of binary digits) are
+handled without loss.
 Each Bareiss pivot is the trailing entry of fewest bits (the first in
 row-major order on a tie), which keeps the cross products small, and it
 runs only on primitive rows.  The same Bareiss elimination solves square
@@ -31,6 +32,7 @@ states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,16 +68,16 @@ def _as_matrix(m):
 
 
 def rank_exact(m) -> RankReport:
-    """Exact rank: full rank certified modulo a prime on the distinct rows,
-    else fraction-free Gaussian elimination with full pivoting on the
-    primitive rows."""
+    """Exact rank: full rank certified modulo a prime on the distinct rows
+    (:func:`full_rank_mod_p`), else fraction-free Gaussian elimination with
+    full pivoting on the primitive rows."""
     arr, fld = _as_matrix(m)
     if fld != EXACT:
         raise FieldMismatchError("rank_exact requires the exact scalar field")
     ncols = arr.shape[1]
     rows = [list(row) for row in dict.fromkeys(
         _integer_rows(arr.reshape(-1), ncols)) if any(row)]
-    if _full_rank_mod_p(rows, ncols):
+    if full_rank_mod_p(rows, ncols):
         rank = min(len(rows), ncols)
     else:
         rank = _bareiss(_primitive_rows(rows), ncols)[0]
@@ -173,60 +175,45 @@ def _smallest_entry(rows, k, ncols):
     return piv
 
 
-def _full_rank_mod_p(rows, ncols):
+def full_rank_mod_p(rows, ncols):
     """Whether the integer ``rows`` (of ``ncols`` columns) have full rank
-    min(len(rows), ncols) modulo PRIME, which proves it over the rationals.
-
-    One :class:`_Echelon` over the shorter side, vector by vector; it stops
-    at the first vector that reduces to zero mod p, so a matrix of rank r
-    costs at most r + 1 reductions.  False says nothing over the rationals:
-    the caller falls back to Bareiss.
-    """
+    min(len(rows), ncols) modulo PRIME, which proves it over the rationals:
+    the one certificate of every exact rank.  :func:`_echelon_mod_p` runs
+    over the shorter side and stops at the first vector that reduces to
+    zero, so a matrix of rank r costs at most r + 1 reductions.  False says
+    nothing over the rationals."""
     vectors = zip(*rows) if len(rows) > ncols else rows
-    return all(map(_Echelon().add, vectors))
+    return all(_echelon_mod_p(vectors))
 
 
-class _Echelon:
-    """An incremental row echelon form modulo PRIME: the one mod-p kernel.
+def independent_mod_p(vectors, limit=None):
+    """Indices, ascending, of the integer ``vectors`` that
+    :func:`_echelon_mod_p` keeps, each independent mod p of those before
+    it; it reduces no vector once it keeps ``limit`` of them.  Without a
+    limit their number is the rank mod p, a lower bound on the rank over
+    the rationals."""
+    kept = itertools.compress(itertools.count(), _echelon_mod_p(vectors))
+    return list(itertools.islice(kept, limit))
 
-    :meth:`add` reduces an integer vector against the vectors kept so far
-    and keeps it if it is independent of them mod p.  The vectors it kept
-    are independent over the rationals too, since a minor that is nonzero
-    mod p is a nonzero integer; so the count of kept vectors is a lower
-    bound on the rank over the rationals, exact where it meets an upper
-    bound."""
 
-    def __init__(self):
-        self.basis = []  # (pivot position, vector scaled to 1 there)
-
-    def add(self, vector) -> bool:
-        """Whether ``vector`` (Python or numpy integers) is independent mod
-        p of the vectors added before; if so it is kept."""
+def _echelon_mod_p(vectors):
+    """Yields, for each integer vector (Python or numpy integers) in turn,
+    whether it is independent mod PRIME of those before it: an incremental
+    row echelon form mod p, the one mod-p kernel.  The vectors it keeps are
+    independent over the rationals too, since a minor that is nonzero mod p
+    is a nonzero integer."""
+    basis = []  # (pivot position, vector scaled to 1 there)
+    for vector in vectors:
         v = [x % PRIME for x in vector]
-        for j, b in self.basis:
+        for j, b in basis:
             c = v[j]
             if c:
                 v = [(x - c * y) % PRIME for x, y in zip(v, b)]
         j = next((j for j, x in enumerate(v) if x), None)
-        if j is None:
-            return False
-        inv = pow(v[j], -1, PRIME)
-        self.basis.append((j, [x * inv % PRIME for x in v]))
-        return True
-
-
-def independent_mod_p(vectors, limit=None):
-    """Indices, ascending, of the integer ``vectors`` that one
-    :class:`_Echelon` keeps, each independent mod p of those before it; it
-    stops once it keeps ``limit`` of them.  Without a limit their number is
-    the rank mod p, a lower bound on the rank over the rationals."""
-    echelon, keep = _Echelon(), []
-    for i, vec in enumerate(vectors):
-        if len(keep) == limit:
-            break
-        if echelon.add(vec):
-            keep.append(i)
-    return keep
+        if j is not None:
+            inv = pow(v[j], -1, PRIME)
+            basis.append((j, [x * inv % PRIME for x in v]))
+        yield j is not None
 
 
 def _integer_rows(values, width):

@@ -12,12 +12,11 @@ first and the last T/2, is a reshape.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError, is_integer
 
 EXACT = "exact"
 FLOAT = "float"
@@ -130,7 +129,7 @@ def matricize(t: DenseTensor) -> DenseTensor:
 
 def hadamard_power(m: DenseTensor, p: int) -> DenseTensor:
     """Raise every entry to the integer power p, shape preserved."""
-    if not isinstance(p, numbers.Integral) or p < 1:
+    if not is_integer(p) or p < 1:
         raise InvalidInputError(f"power must be a positive integer, got {p}")
     return DenseTensor(m.data ** int(p), m.field)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
-                     ShapeError, check_budget, env_budget)
+                     ShapeError, check_budget, check_count, env_budget,
+                     is_integer)
 from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder, check_steps)
 from .ranks import multiset_coefficient
@@ -102,7 +102,7 @@ class TnGraph:
             claim(e.node_b, e.leg_b, e.dim)
         for o in self.open_legs:
             t = o.time_index
-            if type(t) is bool or not isinstance(t, numbers.Integral) or t < 1:
+            if not is_integer(t) or t < 1:
                 raise ShapeError(f"leg {o.node!r}[{o.leg}] needs a time index "
                                  f">= 1, got {t!r}")
             claim(o.node, o.leg, o.dim)
@@ -415,9 +415,8 @@ def no_clone_counterexample(P: int) -> NoCloneReport:
     """Checks that the super-diagonal tensor clones every standard basis
     vector yet fails to clone the all-ones vector (for P >= 2), which is the
     computational core of why vector duplication is impossible inside a
-    tensor network."""
-    if P < 1:
-        raise InvalidInputError("P must be >= 1")
+    tensor network.  P must be an integer >= 1 (InvalidInputError)."""
+    check_count("P", P, 1)
     d = delta_tensor(P, EXACT).data
 
     def cloned(v):

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .builders import separation_rank
-from .errors import InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError, check_count, is_integer
 from .network import Cell, RacParams, TemplateEncoder, neutral_h0
 from .ranks import DEFAULT_REL_TOL, multiset_coefficient, rank_exact
 from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
@@ -90,8 +90,8 @@ def rows_to_csv(rows) -> str:
 # a per-(cell, trial) spawn key, so trials are reproducible independently.
 
 def trial_rng(seed: int, M: int, R: int, T: int, L: int, trial: int):
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    """The random stream of one trial of one cell, from an integer seed >= 0."""
+    check_count("seed", seed, 0)
     cell = ((M * 100 + R) * 100 + T) * 10 + L
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(cell, trial)))
@@ -101,7 +101,8 @@ def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
                 C: int = 1) -> RacParams:
     """Random network weights: integer entries in [-9, 9] (exact field) or
     uniform on [-1, 1] (float field); singular hidden matrices redrawn."""
-    sample = ((lambda shape: exact_array(rng.integers(-9, 10, shape)))
+    # Python ints (an object array); RacParams puts them in the one form
+    sample = ((lambda shape: rng.integers(-9, 10, shape).astype(object))
               if field == EXACT else (lambda shape: rng.uniform(-1, 1, shape)))
     for _ in range(100):
         w_in = [sample((R, M if l == 0 else R)) for l in range(L)]
@@ -116,12 +117,12 @@ def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
 
 
 def draw_trials(seed, cell: Cell, trials, field):
-    """``(seed label, params)`` of each trial of one cell, each drawn by
-    :func:`draw_params` from the trial's own :func:`trial_rng` stream."""
-    for trial in range(trials):
-        yield f"{seed}.{trial}", draw_params(
-            trial_rng(seed, *cell, trial), cell.M, cell.R, L=cell.L,
-            field=field)
+    """``(seed label, params)`` of each of ``trials`` >= 0 trials of one cell,
+    each drawn by :func:`draw_params` from its own :func:`trial_rng`."""
+    check_count("trials", trials, 0)
+    return ((f"{seed}.{trial}", draw_params(
+        trial_rng(seed, *cell, trial), cell.M, cell.R, L=cell.L, field=field))
+        for trial in range(trials))
 
 
 def _report(check, cell: Cell, L):
@@ -318,8 +319,10 @@ def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
     """Vector rearrangement inequality: for pairwise-distinct non-negative
     vectors v_1..v_N and any permutation s != id,
     sum_i <v_i, v_{s(i)}> < sum_i ||v_i||^2, strictly."""
-    if N < 1 or Rbar < 1:
-        raise InvalidInputError(f"N and Rbar must be >= 1, got {N}, {Rbar}")
+    if not (is_integer(N) and is_integer(Rbar)) or N < 1 or Rbar < 1:
+        raise InvalidInputError(
+            f"N and Rbar must be integers >= 1, got {N!r}, {Rbar!r}")
+    check_count("trials", trials, 0)
     if N > 6:
         raise InvalidInputError("N must be <= 6 (factorial enumeration)")
     rep = Report("rearrangement", (Rbar, Rbar, 0, 1))
@@ -373,6 +376,7 @@ def check_bucket_lemma(Rbar, T) -> Report:
 def check_hadamard_power_bound(trials, seed=0) -> Report:
     """Entrywise p-th powers obey rank(m^(op)) <= multiset(rank(m), p), on
     random 4 x 4 integer matrices and powers p in 1..3."""
+    check_count("trials", trials, 0)
     n = 4
     rep = Report("hadamard", (n, n, 0, 1))
     for trial in range(trials):

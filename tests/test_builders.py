@@ -555,8 +555,11 @@ def test_deep_state_classes_keep_the_rank_of_the_materialized_grid(data):
                   h0=[ints(R, lo=-1, hi=1) for _ in range(L)])
     rank = separation_rank(p, T)
     assert rank == _grid_rank(p, T)
-    if L == 2:  # G = Phi C through K = R multiset(R, T/2) lifted states
-        assert rank.rank <= R * multiset_coefficient(R, T // 2)
+    # the proven prefix bound: G = Phi C through the U_L coordinates of the
+    # lifted mid-sequence state, U_2 = K = R multiset(R, T/2)
+    assert rank.rank <= math.prod(
+        multiset_coefficient(R, multiset_coefficient(T // 2, k))
+        for k in range(L))
 
 
 @settings(deadline=None, max_examples=40, phases=NO_SHRINK)

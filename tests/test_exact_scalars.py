@@ -168,6 +168,16 @@ def test_exact_params_give_a_fraction_entry_its_one_form(entry, form):
     assert type(score) is type(form) and score == form
 
 
+def test_exact_params_hold_copies_of_the_given_arrays():
+    # arrays already in the one form used to be kept as given, so a later
+    # write to the caller's array changed the network
+    w_in, h0 = exact_array([[1, 2]]), exact_array([1])
+    p = RacParams(w_in=[w_in], w_hidden=[exact_array([[1]])],
+                  w_out=exact_array([[1]]), h0=[h0])
+    w_in[0, 0] = h0[0] = 5
+    assert p.w_in[0].tolist() == [[1, 2]] and p.h0[0].tolist() == [1]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "x"])
 def test_exact_params_refuse_an_entry_that_is_not_rational(bad):
     with pytest.raises(ParameterError, match="rational"):
@@ -175,10 +185,10 @@ def test_exact_params_refuse_an_entry_that_is_not_rational(bad):
                   w_hidden=[exact_array([[1]])], w_out=exact_array([[1]]))
 
 
-@pytest.mark.parametrize("power", [2.5, 2.0, "2", 0, -1])
+@pytest.mark.parametrize("power", [2.5, 2.0, "2", 0, -1, True])
 def test_hadamard_power_refuses_a_power_that_is_not_a_positive_integer(power):
     # 2.5 used to give an exact tensor of floats, refused much later by
-    # rank_exact
+    # rank_exact, and True returned the tensor itself
     m = DenseTensor(np.array([[1, 2], [3, 4]]), EXACT)
     with pytest.raises(InvalidInputError, match="positive integer"):
         hadamard_power(m, power)

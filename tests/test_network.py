@@ -243,7 +243,7 @@ _EVALUATE = {
                                                        seq),
 }
 _BAD_SEQUENCES = {"zero": (0, 1), "above-M": (1, 3), "non-integer": (1, 1.5),
-                  "too-long": (1, 2, 1)}
+                  "too-long": (1, 2, 1), "bool": (True, 2)}
 
 
 @pytest.mark.parametrize("name,seq", [
@@ -252,9 +252,9 @@ _BAD_SEQUENCES = {"zero": (0, 1), "above-M": (1, 3), "non-integer": (1, 1.5),
     # forward_deep scores a sequence of any length
     if (name, kind) != ("forward_deep", "too-long")])
 def test_sequence_validation(name, seq):
-    # M=2: symbols must be integers in [1..2]; 0 used to wrap to symbol M.
-    # The MPS takes exactly T=2 symbols: a longer sequence used to be
-    # scored on its first two by attach_inputs
+    # M=2: symbols must be integers in [1..2]; 0 used to wrap to symbol M,
+    # and True was read as symbol 1.  The MPS takes exactly T=2 symbols: a
+    # longer sequence used to be scored on its first two by attach_inputs
     p = exact_params(w_in=[[[1, 2], [3, 4]]], w_hidden=[[[1, 0], [0, 1]]],
                      w_out=[[1, 1]])
     with pytest.raises(InvalidInputError):

@@ -24,9 +24,9 @@ from racsep import ranks
 from racsep.ranks import solve_exact
 from scalars import canonical
 
-# the private kernels under test, reached through the module
+# the kernels under test, reached through the module
 P = ranks.PRIME
-_bareiss, _full_rank_mod_p = ranks._bareiss, ranks._full_rank_mod_p
+_bareiss, full_rank_mod_p = ranks._bareiss, ranks.full_rank_mod_p
 
 
 def _rows(m):
@@ -42,7 +42,7 @@ def _check_agrees(m):
     certificate decided it."""
     m = np.asarray(m, dtype=object)
     rows = _rows(m)
-    certified = _full_rank_mod_p(rows, m.shape[1])
+    certified = full_rank_mod_p(rows, m.shape[1])
     rank, _ = _bareiss(rows, m.shape[1])
     if certified:
         assert rank == min(len(rows), m.shape[1])
@@ -74,14 +74,14 @@ def test_certificate_agrees_with_bareiss_on_suite_draws(monkeypatch):
     verdicts = []
 
     def checked(rows, ncols):
-        certified = _full_rank_mod_p(rows, ncols)
+        certified = full_rank_mod_p(rows, ncols)
         if certified:
             rank, _ = _bareiss([row[:] for row in rows], ncols)
             assert rank == min(len(rows), ncols)
         verdicts.append(certified)
         return certified
 
-    monkeypatch.setattr(ranks, "_full_rank_mod_p", checked)
+    monkeypatch.setattr(ranks, "full_rank_mod_p", checked)
     for M, R, T in SUITE_CELLS:
         verify_shallow_rank_law(Cell(M, R, T), 50, seed=7)
         check_claim1_equality(Cell(M, R, T), 50, seed=7)
@@ -140,7 +140,7 @@ def test_certificate_agrees_with_bareiss_on_random_matrices(rows):
 
 def test_singular_mod_p_falls_back_to_bareiss():
     m = [[1, 1], [1, 1 + P]]  # det = p: singular mod p, rank 2 over Q
-    assert not _full_rank_mod_p(_rows(m), 2)
+    assert not full_rank_mod_p(_rows(m), 2)
     assert rank_exact(exact_array(m)).rank == 2
 
 
@@ -155,20 +155,20 @@ def _record_calls(monkeypatch, names):
     return calls
 
 
-KERNELS = ("_full_rank_mod_p", "_primitive_rows", "_bareiss")
+KERNELS = ("full_rank_mod_p", "_primitive_rows", "_bareiss")
 
 
 @pytest.mark.parametrize("m,rank,calls", [
     # full rank once a repeat and a zero row are dropped, with no content
     # divided out (the three columns are dependent)
-    ([[2, 4, 6], [1, 3, 5], [2, 4, 6], [0, 0, 0]], 2, ["_full_rank_mod_p"]),
+    ([[2, 4, 6], [1, 3, 5], [2, 4, 6], [0, 0, 0]], 2, ["full_rank_mod_p"]),
     # proportional rows: one certificate fails, and Bareiss ranks the
     # primitive rows, in which the two collapse
     ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 2,
-     ["_full_rank_mod_p", "_primitive_rows", "_bareiss"]),
+     ["full_rank_mod_p", "_primitive_rows", "_bareiss"]),
     # equal mod p but not proportional: only Bareiss finds rank 2
     ([[1, 1], [1, 1 + P]], 2,
-     ["_full_rank_mod_p", "_primitive_rows", "_bareiss"]),
+     ["full_rank_mod_p", "_primitive_rows", "_bareiss"]),
 ])
 def test_rank_exact_certifies_before_dividing_out_contents(m, rank, calls,
                                                            monkeypatch):
@@ -182,17 +182,17 @@ def test_certified_appendix_b_rank_divides_no_row(monkeypatch):
     log = _record_calls(monkeypatch, KERNELS)
     asg = AppendixBAssignment(3, 3, 6)
     assert separation_rank(asg.params(), 6).rank == asg.bound == 10
-    assert log == ["_full_rank_mod_p"]
+    assert log == ["full_rank_mod_p"]
 
 
 def test_more_rows_than_columns_checks_columns():
     # dependent rows, independent columns: certified through the columns
     m = [[1, 0], [0, 1], [1, 1], [2, 3]]
-    assert _full_rank_mod_p(_rows(m), 2)
+    assert full_rank_mod_p(_rows(m), 2)
     assert rank_exact(exact_array(m)).rank == 2
     # the columns are dependent mod p only
     m = [[1, 1], [1, 1 + P], [2, 2 + P]]
-    assert len(_rows(m)) == 3 and not _full_rank_mod_p(_rows(m), 2)
+    assert len(_rows(m)) == 3 and not full_rank_mod_p(_rows(m), 2)
     assert rank_exact(exact_array(m)).rank == 2
     assert rank_exact(exact_array([[1], [2], [Fraction(1, 3)]])).rank == 1
 
@@ -242,16 +242,15 @@ def test_solve_exact_on_int64_matrix():
 
 
 def test_echelon_keeps_vectors_independent_mod_p():
-    echelon = ranks._Echelon()
-    assert echelon.add([1, 1]) and echelon.add([0, 3])
-    assert not echelon.add([2, 5])  # 2 [1, 1] + [0, 3]
+    verdicts = ranks._echelon_mod_p
+    # [2, 5] = 2 [1, 1] + [0, 3]
+    assert list(verdicts([[1, 1], [0, 3], [2, 5]])) == [True, True, False]
     # [1, 1] and [1, 1 + P] are independent over Q but equal mod p
-    echelon = ranks._Echelon()
-    assert echelon.add([1, 1]) and not echelon.add([1, 1 + P])
-    assert not echelon.add([0, 0]) and not echelon.add([P, -P])
+    assert list(verdicts([[1, 1], [1, 1 + P], [0, 0], [P, -P]])) == [
+        True, False, False, False]
     assert rank_exact(exact_array([[1, 1], [1, 1 + P]])).rank == 2
     # numpy integers and huge Python ints reduce alike
-    assert ranks._Echelon().add(np.array([P, 2 ** 70], dtype=object))
+    assert list(verdicts([np.array([P, 2 ** 70], dtype=object)])) == [True]
 
 
 def test_independent_mod_p_keeps_the_first_independent_vectors():
@@ -260,6 +259,21 @@ def test_independent_mod_p_keeps_the_first_independent_vectors():
     assert ranks.independent_mod_p(vectors, 1) == [1]
     assert ranks.independent_mod_p([]) == []
     assert ranks.independent_mod_p(iter(vectors), 0) == []
+
+
+class _Unreadable:
+    """A vector that fails the test if a kernel ever reads it."""
+
+    def __iter__(self):
+        raise AssertionError("reduced a vector past the answer")
+
+
+def test_mod_p_kernels_reduce_nothing_past_their_answer():
+    # independent_mod_p stops at its limit, and the certificate at the
+    # first vector that reduces to zero
+    assert ranks.independent_mod_p([[1, 0], [0, 1], _Unreadable()], 2) == [
+        0, 1]
+    assert not full_rank_mod_p([[1, 0, 0], [2, 0, 0], _Unreadable()], 3)
 
 
 def _square_systems():

@@ -12,11 +12,11 @@ from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell,
                     check_conjecture_bound, check_decomposition_identity,
                     check_hadamard_power_bound, check_no_cloning,
                     check_rearrangement_lemma, conjectured_bound,
-                    draw_params, matricize,
+                    draw_params, draw_trials, matricize,
                     rank_exact, rows_to_csv, separation_rank, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
-from racsep import builders
+from racsep import builders, verification
 from racsep.verification import bucket_states, bucket_trajectories
 
 
@@ -247,6 +247,43 @@ def test_rearrangement_lemma_refuses_an_empty_size(N, Rbar):
     # (3, 0) used to redraw forever, waiting for 3 distinct empty vectors
     with pytest.raises(InvalidInputError, match="N and Rbar"):
         check_rearrangement_lemma(N, Rbar, trials=1)
+
+
+@pytest.mark.parametrize("N,Rbar,trials", [
+    (2.5, 2, 1), (True, 2, 1), (3, True, 1), (3, 2.0, 1),
+    (3, 2, 1.5), (3, 2, True), (3, 2, -1)])
+def test_rearrangement_lemma_refuses_a_size_or_count_that_is_not_an_integer(
+        N, Rbar, trials, monkeypatch):
+    # each used to raise a bare TypeError, or (3, 2, -1) to return an empty
+    # report that fails; the refusal comes before any draw
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(verification, "trial_rng", no_draw)
+    with pytest.raises(InvalidInputError):
+        check_rearrangement_lemma(N, Rbar, trials)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: trial_rng(1.5, 2, 2, 4, 1, 0), id="trial_rng-1.5"),
+    pytest.param(lambda: trial_rng(True, 2, 2, 4, 1, 0), id="trial_rng-True"),
+    *(pytest.param(lambda bad=bad: draw_trials(7, Cell(2, 2, 4), bad, EXACT),
+                   id=f"draw_trials-{bad}") for bad in (2.5, True, -1)),
+    *(pytest.param(lambda bad=bad: check_hadamard_power_bound(bad),
+                   id=f"hadamard-{bad}") for bad in (2.5, True, -1)),
+    *(pytest.param(lambda bad=bad: check_no_cloning(bad),
+                   id=f"noclone-{bad}") for bad in (2.5, True))])
+def test_entry_points_refuse_a_seed_count_or_size_that_is_not_an_integer(call):
+    # 1.5, 2.5 and True used to raise bare TypeErrors (or label rows
+    # "True.0"), and -1 trials gave an empty report that fails
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_zero_trials_draw_nothing():
+    assert list(draw_trials(7, Cell(2, 2, 4), 0, EXACT)) == []
+    assert check_hadamard_power_bound(0).rows == []
+    assert check_rearrangement_lemma(3, 2, 0).rows == []
 
 
 def test_rearrangement_orthogonal_pair_by_hand():
