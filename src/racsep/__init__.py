@@ -17,11 +17,10 @@ from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,
                     rank_numeric)
 from .tensor import (EXACT, FLOAT, DenseTensor, exact_array, hadamard_power,
                      load_tensor, matricize, save_tensor)
-from .tn import (BasicUnitCount, Edge, NoCloneReport, OpenLeg, TnGraph,
-                 attach_inputs, build_deep_tn, build_mps, contract,
-                 count_basic_units, delta_tensor, load_graph, min_cut,
-                 no_clone_counterexample, save_graph)
-from .verification import (AppendixBAssignment, Report, ReportRow,
+from .tn import (Edge, OpenLeg, TnGraph, attach_inputs, build_deep_tn,
+                 build_mps, contract, count_basic_units, delta_tensor,
+                 load_graph, min_cut, no_clone_counterexample, save_graph)
+from .verification import (Report, ReportRow, appendix_b_params,
                            bucket_states, bucket_trajectories,
                            check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,

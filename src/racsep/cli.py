@@ -18,10 +18,9 @@ from .builders import (build_grid_tensor, build_weights_tensor,
                        separation_rank)
 from .errors import RacsepError, ResourceBudgetError
 from .network import Cell
-from .ranks import DEFAULT_REL_TOL, check_rel_tol
+from .ranks import DEFAULT_REL_TOL, check_rel_tol, multiset_coefficient
 from .tensor import EXACT, FLOAT, save_tensor
-from .tn import (build_deep_tn, build_mps, count_basic_units, min_cut,
-                 save_graph)
+from .tn import build_deep_tn, build_mps, min_cut, save_graph
 from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,
                            check_decomposition_identity,
@@ -199,7 +198,7 @@ def cmd_scan(args):
         else:
             ref = f"conjecture={conjectured_bound(cell)}"
             cut = ""
-        units = count_basic_units(cell).closed_form
+        units = multiset_coefficient(cell.half, cell.L - 1)
         w.writerow([*cell, fld, label, rank, ref, cut, units])
     _emit(args, buf.getvalue())
     return EXIT_PASS

@@ -154,7 +154,7 @@ def _exact_forms(arrays):
     is not rational raises ParameterError."""
     try:
         return [exact_array(m) for m in arrays]
-    except (TypeError, ValueError, OverflowError) as e:
+    except InvalidInputError as e:
         raise ParameterError(f"exact weights must be rational: {e}") from None
 
 

@@ -61,7 +61,10 @@ class RankReport:
 
 def _as_matrix(m):
     """A DenseTensor's or array's entries as a matrix, and their field."""
-    arr = m.data if isinstance(m, DenseTensor) else np.asarray(m)
+    try:
+        arr = m.data if isinstance(m, DenseTensor) else np.asarray(m)
+    except ValueError as e:  # a ragged nested list
+        raise ShapeError(f"rank expects a matrix: {e}") from None
     if arr.ndim != 2:
         raise ShapeError(f"rank expects a matrix, got order {arr.ndim}")
     return arr, field_of(arr)

@@ -28,17 +28,23 @@ def exact_array(values, shape=None):
     integer, else a Fraction of Python ints; every array enters the exact
     field here.
 
-    Numpy integers become Python ints, which do not wrap.
+    Numpy integers become Python ints, which do not wrap.  An entry that is
+    not a rational number (NaN, inf, None, "x", "1/0") raises
+    InvalidInputError naming it.
     """
     arr = np.array(values, dtype=object)
     flat = arr.reshape(-1)
-    for i, v in enumerate(flat):
-        if type(v) is not int:
-            f = v if type(v) is Fraction else Fraction(v)
-            n, d = f.numerator, f.denominator
-            if d == 1 or type(n) is not int or type(d) is not int:
-                f = int(n) if d == 1 else Fraction(int(n), int(d))
-            flat[i] = f
+    try:
+        for i, v in enumerate(flat):
+            if type(v) is not int:
+                f = v if type(v) is Fraction else Fraction(v)
+                n, d = f.numerator, f.denominator
+                if d == 1 or type(n) is not int or type(d) is not int:
+                    f = int(n) if d == 1 else Fraction(int(n), int(d))
+                flat[i] = f
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
+        raise InvalidInputError(
+            f"exact entry {v!r} is not a rational number: {e}") from None
     return flat.reshape(arr.shape if shape is None else shape)
 
 
@@ -189,11 +195,11 @@ def parse_scalars(raw, field, shape):
     if len(raw) != math.prod(shape):
         raise InvalidInputError(f"a block of shape {shape} needs "
                                 f"{math.prod(shape)} entries, got {len(raw)}")
+    if field == EXACT:
+        return exact_array(raw, shape)
     try:
-        if field == EXACT:
-            return exact_array(raw, shape)
         arr = np.array([float(s) for s in raw], dtype=np.float64)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise InvalidInputError(f"bad {field} entry: {e}") from None
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("float entries must be finite")

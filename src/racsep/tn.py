@@ -4,10 +4,11 @@ A graph node holds a concrete tensor; edges contract matching legs; open
 legs carry the input modes, each with its time-step t >= 1, which puts it
 on one side of the start/end split: start iff t <= T // 2, for T the
 graph's largest time index.  The single-layer network is a
-matrix-product-state chain.  Deeper networks cannot duplicate intermediate vectors inside a
-network (see :func:`no_clone_counterexample`), so their graphs duplicate the
+matrix-product-state chain.  Deeper networks cannot duplicate intermediate
+vectors (:func:`no_clone_counterexample`), so their graphs duplicate the
 *inputs*: each layer-(l-1) sub-network is rebuilt once per time-step of
-layer l, and the graph grows exponentially with depth.  These graphs are
+layer l, the start/end-bridging units repeat :func:`count_basic_units`
+times, and the graph grows exponentially with depth.  These graphs are
 analysis tools, not an execution scheme.
 """
 
@@ -27,7 +28,6 @@ from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      is_integer)
 from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
                       check_class, check_encoder, check_steps)
-from .ranks import multiset_coefficient
 from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
                      header_field, header_ints, header_words, parse_scalars)
 
@@ -381,39 +381,20 @@ def min_cut(g: TnGraph):
     return val, tuple(cut)
 
 
-@dataclass(frozen=True)
-class BasicUnitCount:
-    enumerated: int
-    closed_form: int
-
-    @property
-    def match(self):
-        return self.enumerated == self.closed_form
-
-
-def count_basic_units(cell: Cell) -> BasicUnitCount:
-    """Number of start/end-bridging unit repetitions in a cell's graph.
-
-    Counts non-decreasing tuples (t_2 <= ... <= t_L) drawn from the second
-    half {T/2+1, ..., T}; the closed form is the multiset coefficient
-    (T/2 choose-with-repetition L-1).
+def count_basic_units(cell: Cell) -> int:
+    """Number of start/end-bridging unit repetitions in a cell's graph,
+    enumerated: the non-decreasing tuples (t_2 <= ... <= t_L) drawn from the
+    second half {T/2+1, ..., T}.  The count has the closed form
+    multiset_coefficient(T/2, L-1).
     """
-    count = sum(1 for _ in itertools.combinations_with_replacement(
+    return sum(1 for _ in itertools.combinations_with_replacement(
         range(cell.half + 1, cell.T + 1), cell.L - 1))
-    return BasicUnitCount(enumerated=count, closed_form=multiset_coefficient(
-        cell.half, cell.L - 1))
 
 
-@dataclass(frozen=True)
-class NoCloneReport:
-    dim: int
-    basis_cloned: bool
-    ones_cloned: bool
-
-
-def no_clone_counterexample(P: int) -> NoCloneReport:
-    """Checks that the super-diagonal tensor clones every standard basis
-    vector yet fails to clone the all-ones vector (for P >= 2), which is the
+def no_clone_counterexample(P: int):
+    """``(basis_cloned, ones_cloned)``: whether the super-diagonal tensor
+    clones every standard basis vector, and whether it clones the all-ones
+    vector.  For P >= 2 the first holds and the second fails, which is the
     computational core of why vector duplication is impossible inside a
     tensor network.  P must be an integer >= 1 (InvalidInputError)."""
     check_count("P", P, 1)
@@ -424,8 +405,7 @@ def no_clone_counterexample(P: int) -> NoCloneReport:
                            == np.multiply.outer(v, v)))
 
     basis, ones = exact_array(np.eye(P, dtype=int)), exact_array([1] * P)
-    return NoCloneReport(dim=P, basis_cloned=all(map(cloned, basis)),
-                         ones_cloned=cloned(ones))
+    return all(map(cloned, basis)), cloned(ones)
 
 
 # ---------------------------------------------------------------------------

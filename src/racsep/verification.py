@@ -6,7 +6,7 @@ constructions) must each pass, and at least a ``DEFAULT_THRESHOLD`` share of
 sampled rows (random draws) must pass, which tolerates the measure-zero
 parameter sets on which generic rank statements are allowed to fail.
 Every network's start/end rank comes from :func:`separation_rank`, which
-picks the oracle.
+picks the oracle.  :func:`appendix_b_params` builds the Appendix B network.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .builders import separation_rank
 from .errors import InvalidInputError, ParameterError, check_count, is_integer
 from .network import Cell, RacParams, TemplateEncoder, neutral_h0
 from .ranks import DEFAULT_REL_TOL, multiset_coefficient, rank_exact
-from .tensor import EXACT, FLOAT, DenseTensor, exact_array, hadamard_power
+from .tensor import (EXACT, FLOAT, DenseTensor, check_field, exact_array,
+                     hadamard_power)
 from .tn import build_mps, min_cut, no_clone_counterexample
 
 DEFAULT_THRESHOLD = 0.95
@@ -90,17 +90,23 @@ def rows_to_csv(rows) -> str:
 # a per-(cell, trial) spawn key, so trials are reproducible independently.
 
 def trial_rng(seed: int, M: int, R: int, T: int, L: int, trial: int):
-    """The random stream of one trial of one cell, from an integer seed >= 0."""
+    """The random stream of one trial of one cell, from an integer seed >= 0.
+
+    A cell with R < 100, T < 100 and L < 10 is keyed on the number
+    ((M*100 + R)*100 + T)*10 + L, which is one-to-one there; any other cell
+    on (M, R, T, L) itself, so no two cells share a stream."""
     check_count("seed", seed, 0)
-    cell = ((M * 100 + R) * 100 + T) * 10 + L
+    cell = ((((M * 100 + R) * 100 + T) * 10 + L,)
+            if R < 100 and T < 100 and L < 10 else (M, R, T, L))
     return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(cell, trial)))
+        np.random.SeedSequence(seed, spawn_key=(*cell, trial)))
 
 
 def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
                 C: int = 1) -> RacParams:
     """Random network weights: integer entries in [-9, 9] (exact field) or
     uniform on [-1, 1] (float field); singular hidden matrices redrawn."""
+    check_field(field)
     # Python ints (an object array); RacParams puts them in the one form
     sample = ((lambda shape: rng.integers(-9, 10, shape).astype(object))
               if field == EXACT else (lambda shape: rng.uniform(-1, 1, shape)))
@@ -118,8 +124,10 @@ def draw_params(rng, M: int, R: int, L: int = 1, field: str = EXACT,
 
 def draw_trials(seed, cell: Cell, trials, field):
     """``(seed label, params)`` of each of ``trials`` >= 0 trials of one cell,
-    each drawn by :func:`draw_params` from its own :func:`trial_rng`."""
+    each drawn by :func:`draw_params` from its own :func:`trial_rng`; a bad
+    ``trials`` or ``field`` is refused here, before the first draw."""
     check_count("trials", trials, 0)
+    check_field(field)
     return ((f"{seed}.{trial}", draw_params(
         trial_rng(seed, *cell, trial), cell.M, cell.R, L=cell.L, field=field))
         for trial in range(trials))
@@ -135,10 +143,9 @@ def _report(check, cell: Cell, L):
 # ---------------------------------------------------------------------------
 # The explicit depth-2 assignment attaining the deep lower bound.
 
-@dataclass(frozen=True)
-class AppendixBAssignment:
-    """Depth-2 network whose grid matricization has exact rank
-    multiset(min{M, R}, T/2).
+def appendix_b_params(M: int, R: int, T: int) -> RacParams:
+    """The depth-2 network whose grid matricization has exact rank
+    multiset(min{M, R}, T/2); (M, R, T) must make a depth-2 Cell.
 
     The first-layer input matrix Z has Z[i, j] = z^(Omega^i) on the diagonal
     (i = j <= M), 1 elsewhere in rows i <= M, and 0 in rows i > M; both
@@ -146,36 +153,16 @@ class AppendixBAssignment:
     single row of ones, the output row picks the first coordinate, and the
     initial states are all-ones, with z = 2 and Omega = (T/2)^2 + 1.
     """
-
-    M: int
-    R: int
-    T: int
-    z: ClassVar[int] = 2
-
-    def __post_init__(self):
-        Cell(self.M, self.R, self.T, 2)
-
-    @property
-    def omega(self):
-        return (self.T // 2) ** 2 + 1
-
-    @property
-    def Z(self):
-        return exact_array([[self.z ** self.omega ** (i + 1) if i == j
-                             else int(i < self.M) for j in range(self.M)]
-                            for i in range(self.R)])
-
-    @property
-    def bound(self):
-        return multiset_coefficient(min(self.M, self.R), self.T // 2)
-
-    def params(self) -> RacParams:
-        first = np.eye(1, self.R, dtype=int)  # the row (1, 0, ..., 0)
-        ones = np.ones(self.R, dtype=int)
-        eye, w_in2, w_out, h0 = map(exact_array, (
-            np.eye(self.R, dtype=int), first.T * ones, first, ones))
-        return RacParams(w_in=[self.Z, w_in2], w_hidden=[eye, eye],
-                         w_out=w_out, h0=[h0, h0])
+    Cell(M, R, T, 2)
+    omega = (T // 2) ** 2 + 1
+    Z = exact_array([[2 ** omega ** (i + 1) if i == j else int(i < M)
+                      for j in range(M)] for i in range(R)])
+    first = np.eye(1, R, dtype=int)  # the row (1, 0, ..., 0)
+    ones = np.ones(R, dtype=int)
+    eye, w_in2, w_out, h0 = map(exact_array, (
+        np.eye(R, dtype=int), first.T * ones, first, ones))
+    return RacParams(w_in=[Z, w_in2], w_hidden=[eye, eye], w_out=w_out,
+                     h0=[h0, h0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +191,13 @@ def verify_deep_lower_bound(cell: Cell, trials=30, seed=0,
     """Depth-2 lower bound multiset(min{M,R}, T/2): attained exactly by the
     explicit assignment, and met or exceeded by random float draws."""
     rep = _report("deep", cell, 2)
-    asg = AppendixBAssignment(M=cell.M, R=cell.R, T=cell.T)
-    observed = separation_rank(asg.params(), cell.T).rank
-    rep.add(EXACT, "-", observed, asg.bound, observed == asg.bound)
+    bound = multiset_coefficient(min(cell.M, cell.R), cell.half)
+    observed = separation_rank(appendix_b_params(cell.M, cell.R, cell.T),
+                               cell.T).rank
+    rep.add(EXACT, "-", observed, bound, observed == bound)
     for label, p in draw_trials(seed, cell, trials, FLOAT):
         r = separation_rank(p, cell.T, rel_tol=rel_tol).rank
-        rep.add(FLOAT, label, r, f">={asg.bound}", r >= asg.bound,
-                required=False)
+        rep.add(FLOAT, label, r, f">={bound}", r >= bound, required=False)
     return rep
 
 
@@ -411,10 +398,9 @@ def verify_min_cut(cell: Cell, trials=30, seed=0) -> Report:
 
 def check_no_cloning(P) -> Report:
     """Super-diagonal duplication works on basis vectors only (P >= 2)."""
-    r = no_clone_counterexample(P)
+    basis, ones = no_clone_counterexample(P)
     rep = Report("noclone", (P, P, 0, 1))
     expect_ones = P == 1
-    rep.add(EXACT, "-", f"basis={r.basis_cloned} ones={r.ones_cloned}",
-            f"basis=True ones={expect_ones}",
-            r.basis_cloned and r.ones_cloned == expect_ones)
+    rep.add(EXACT, "-", f"basis={basis} ones={ones}",
+            f"basis=True ones={expect_ones}", basis and ones == expect_ones)
     return rep

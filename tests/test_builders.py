@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell, DenseTensor,
+from racsep import (EXACT, FLOAT, Cell, DenseTensor, appendix_b_params,
                     InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
                     ResourceBudgetError, ShapeError, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_grid_tensor,
@@ -483,11 +483,11 @@ def test_separation_rank_of_the_appendix_b_network(advance_widths):
     # 81 start words carry 15 classes of mid-sequence states, but their
     # lifted states h2 (x) Sym^4(h1) have K = 2 * 5 = 10 coordinates and
     # rank 5: the end half advances 5 start words
-    asg = AppendixBAssignment(3, 2, 8)
-    rank = separation_rank(asg.params(), 8)
+    p = appendix_b_params(3, 2, 8)
+    rank = separation_rank(p, 8)
     assert advance_widths == [1, 5]
-    assert rank == _grid_rank(asg.params(), 8)
-    assert rank.rank == asg.bound == 5
+    assert rank == _grid_rank(p, 8)
+    assert rank.rank == multiset_coefficient(2, 4) == 5
 
 
 @pytest.mark.parametrize("T,bound", [(10, 6), (12, 7)])
@@ -495,8 +495,8 @@ def test_separation_rank_of_the_appendix_b_network_at_longer_t(
         T, bound, advance_widths):
     # a grid of 3^T entries is too large to rank here; the bound is the
     # depth-2 law's, and the end half advances one start word per unit
-    asg = AppendixBAssignment(3, 2, T)
-    assert separation_rank(asg.params(), T).rank == asg.bound == bound
+    assert (separation_rank(appendix_b_params(3, 2, T), T).rank
+            == multiset_coefficient(2, T // 2) == bound)
     assert advance_widths == [1, bound]
 
 
@@ -505,8 +505,8 @@ def test_separation_rank_of_the_appendix_b_network_at_3_3_8(advance_widths):
     # multiset of symbols: 81 start words of length 4 over 3 symbols carry
     # multiset(3, 4) = 15 states, fewer than K = 3 * 15 = 45, so the end
     # half advances one word each and no lifted array is built
-    asg = AppendixBAssignment(3, 3, 8)
-    assert separation_rank(asg.params(), 8).rank == 15 == asg.bound
+    assert (separation_rank(appendix_b_params(3, 3, 8), 8).rank == 15
+            == multiset_coefficient(3, 4))
     assert advance_widths == [1, 15]
 
 

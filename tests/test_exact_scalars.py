@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, AppendixBAssignment, DenseTensor, InvalidInputError,
-                    ParameterError, RAC_PRODUCT, RacParams, TemplateEncoder,
-                    attach_inputs, build_deep_tn, build_grid_tensor,
-                    build_mps, build_weights_tensor, contract, draw_params,
+from racsep import (EXACT, DenseTensor, InvalidInputError, ParameterError,
+                    RAC_PRODUCT, RacParams, TemplateEncoder,
+                    appendix_b_params, attach_inputs, build_deep_tn,
+                    build_grid_tensor, build_mps, build_weights_tensor, contract, draw_params,
                     exact_array, forward_deep, hadamard_power, neutral_h0,
                     separation_rank, trial_rng)
 from racsep.network import dump_params, parse_params
@@ -129,7 +129,7 @@ def test_forward_pass_of_a_drawn_network_is_canonical():
 def test_appendix_b_grid_holds_only_ints():
     # integer weights, all-ones h0 and identity templates: one denominator
     # of 1, so the frontier's integers are the grid's entries as they are
-    grid = build_grid_tensor(AppendixBAssignment(3, 2, 8).params(), T=8)
+    grid = build_grid_tensor(appendix_b_params(3, 2, 8), T=8)
     assert grid.dims == (3,) * 8
     assert all(type(x) is int for x in grid.entries)
 

@@ -203,3 +203,81 @@ def test_no_dead_helpers_in_package():
     # code, even when tests still call it
     sources = {path.name: path.read_text() for path in PACKAGE}
     assert dead_helpers(sources) == []
+
+
+def benchmark_names(source):
+    """Every dotted racsep path a benchmark source uses: what it imports
+    from racsep, what it reads off a racsep name it imported, and the
+    ``("racsep.<module>", name)`` string pairs it looks up."""
+    tree = ast.parse(source)
+    bound, names = {}, set()  # local name -> the racsep path it binds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names
+                         if a.name.split(".")[0] == "racsep")
+        elif isinstance(node, ast.ImportFrom) and not node.level and (
+                node.module.split(".")[0] == "racsep"):
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+                names.add(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            names.add(f"{bound[node.value.id]}.{node.attr}")
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in node.elts):
+            module, attr = (e.value for e in node.elts)
+            if module.split(".")[0] == "racsep":
+                names.add(f"{module}.{attr}")
+    return names
+
+
+def resolves(path):
+    """Whether a dotted path names a module, or an attribute chain read off
+    the longest importable module prefix of it."""
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_detector_reads_the_benchmark_names():
+    source = ("import racsep\n"
+              "import numpy as np\n"
+              "from racsep import cli, network as net\n"
+              "from racsep.verification import CSV_COLUMNS\n"
+              "from tracer import FUNCTIONS\n"
+              "def f(p):\n"
+              "    np.zeros(2)\n"
+              "    racsep.draw_params(p).x\n"
+              "    net.forward_deep(cli.main(FUNCTIONS.keys()))\n"
+              "    return [('racsep.ranks', 'rank_exact'), ('os', 'sep'),\n"
+              "            ('racsep', 'x', 'y')]\n")
+    assert benchmark_names(source) == {
+        "racsep.cli", "racsep.network", "racsep.verification.CSV_COLUMNS",
+        "racsep.draw_params", "racsep.network.forward_deep",
+        "racsep.cli.main", "racsep.ranks.rank_exact"}
+    assert resolves("racsep.cli.main") and resolves("racsep.DenseTensor.dims")
+    assert not resolves("racsep.tn.NoSuchName")
+    assert not resolves("racsep.no_such_module.main")
+
+
+def test_every_name_the_benchmark_uses_exists():
+    # the benchmark imports these names or reads them off racsep modules,
+    # so deleting or renaming one fails every benchmark run
+    sources = sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(benchmark_names(path.read_text())
+                         for path in sources))
+    assert {"racsep.network.RAC_PRODUCT", "racsep.verification.draw_params",
+            "racsep.builders.step_deep", "racsep.tn.min_cut"} <= used
+    assert sorted(path for path in used if not resolves(path)) == []

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, AppendixBAssignment, Cell,
-                    InvalidInputError, ParameterError, RAC_PRODUCT, RacParams,
-                    ShapeError, TemplateEncoder, attach_inputs,
-                    build_grid_tensor, build_mps, check_bucket_lemma,
+from racsep import (EXACT, FLOAT, Cell, InvalidInputError, ParameterError,
+                    RAC_PRODUCT, RacParams, ShapeError, TemplateEncoder,
+                    appendix_b_params, attach_inputs, build_grid_tensor,
+                    build_mps, check_bucket_lemma,
                     count_basic_units, draw_params, exact_array, forward_deep,
                     neutral_h0, separation_rank,
                     step_deep, trial_rng)
@@ -185,7 +185,7 @@ def test_every_site_refuses_a_bad_T_with_the_cell_message(T):
     deep = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2, field=FLOAT)
     for call in (lambda: separation_rank(shallow, T),
                  lambda: separation_rank(deep, T),
-                 lambda: AppendixBAssignment(2, 2, T),
+                 lambda: appendix_b_params(2, 2, T),
                  lambda: check_bucket_lemma(2, T),
                  lambda: count_basic_units(Cell(2, 2, T, 3))):
         with pytest.raises(ShapeError) as ei:

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (AppendixBAssignment, Cell, FieldMismatchError,
-                    ParameterError, build_grid_tensor, build_weights_tensor,
+from racsep import (Cell, FieldMismatchError, ParameterError,
+                    appendix_b_params, build_grid_tensor, build_weights_tensor,
                     check_claim1_equality, column_basis, draw_trials,
-                    exact_array, matricize, rank_exact, separation_rank,
-                    verify_min_cut, verify_shallow_rank_law)
+                    exact_array, matricize, multiset_coefficient, rank_exact,
+                    separation_rank, verify_min_cut, verify_shallow_rank_law)
 from racsep import ranks
 from racsep.ranks import solve_exact
 from scalars import canonical
@@ -57,11 +57,10 @@ APPENDIX_B = [(M, R, T) for M in (2, 3) for R in (2, 3) for T in (4, 6, 8)
 
 @pytest.mark.parametrize("M,R,T", APPENDIX_B)
 def test_certificate_agrees_with_bareiss_on_appendix_b_grids(M, R, T):
-    asg = AppendixBAssignment(M=M, R=R, T=T)
-    grid = build_grid_tensor(asg.params(), T=T)
+    grid = build_grid_tensor(appendix_b_params(M, R, T), T=T)
     mat = matricize(grid).data
     rank, certified = _check_agrees(mat)
-    assert rank == asg.bound
+    assert rank == multiset_coefficient(min(M, R), T // 2)
     # the bound is full rank of the primitive rows exactly when M <= R
     assert certified == (M <= R)
 
@@ -180,8 +179,8 @@ def test_rank_exact_certifies_before_dividing_out_contents(m, rank, calls,
 
 def test_certified_appendix_b_rank_divides_no_row(monkeypatch):
     log = _record_calls(monkeypatch, KERNELS)
-    asg = AppendixBAssignment(3, 3, 6)
-    assert separation_rank(asg.params(), 6).rank == asg.bound == 10
+    p = appendix_b_params(3, 3, 6)
+    assert separation_rank(p, 6).rank == multiset_coefficient(3, 3) == 10
     assert log == ["full_rank_mod_p"]
 
 

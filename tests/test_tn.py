@@ -377,22 +377,19 @@ def test_min_cut_past_the_enumeration_limit():
 
 
 def test_count_basic_units():
-    assert count_basic_units(Cell(2, 2, 6, 3)).enumerated == 6
-    assert count_basic_units(Cell(2, 2, 4, 1)).enumerated == 1
-    assert count_basic_units(Cell(2, 2, 8, 2)).enumerated == 4
+    assert count_basic_units(Cell(2, 2, 6, 3)) == 6
+    assert count_basic_units(Cell(2, 2, 4, 1)) == 1
+    assert count_basic_units(Cell(2, 2, 8, 2)) == 4
     for L in range(1, 5):
         for T in (2, 4, 6, 8):
-            r = count_basic_units(Cell(2, 2, T, L))
-            assert r.match
-            assert r.closed_form == multiset_coefficient(T // 2, L - 1)
+            assert (count_basic_units(Cell(2, 2, T, L))
+                    == multiset_coefficient(T // 2, L - 1))
 
 
 def test_no_clone():
     for P in (2, 3, 4):
-        r = no_clone_counterexample(P)
-        assert r.basis_cloned and not r.ones_cloned
-    r1 = no_clone_counterexample(1)
-    assert r1.basis_cloned and r1.ones_cloned
+        assert no_clone_counterexample(P) == (True, False)
+    assert no_clone_counterexample(1) == (True, True)
 
 
 @pytest.mark.parametrize("field", [EXACT, FLOAT])

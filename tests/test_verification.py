@@ -1,23 +1,25 @@
 """Verification suites: rank laws, explicit assignment, lemma checks."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from racsep import (AppendixBAssignment, EXACT, FLOAT, Cell,
-                    InvalidInputError, ParameterError, ShapeError,
-                    build_grid_tensor,
+from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
+                    ParameterError, RacParams, RankReport, ShapeError,
+                    appendix_b_params, build_grid_tensor,
                     check_bucket_lemma, check_claim1_equality,
                     check_conjecture_bound, check_decomposition_identity,
                     check_hadamard_power_bound, check_no_cloning,
                     check_rearrangement_lemma, conjectured_bound,
-                    draw_params, draw_trials, matricize,
+                    draw_params, draw_trials, exact_array, matricize,
                     rank_exact, rows_to_csv, separation_rank, trial_rng,
                     verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
 from racsep import builders, verification
-from racsep.verification import bucket_states, bucket_trajectories
+from racsep.cli import main
+from racsep.verification import Report, bucket_states, bucket_trajectories
 
 
 def test_trial_rng_deterministic_and_independent():
@@ -26,6 +28,26 @@ def test_trial_rng_deterministic_and_independent():
     c = trial_rng(7, 2, 3, 4, 1, 6).integers(0, 1000, 8)
     assert np.all(a == b)
     assert not np.all(a == c)
+
+
+@pytest.mark.parametrize("a,b", [((2, 150, 4, 1), (3, 50, 4, 1)),
+                                 ((2, 2, 4, 21), (2, 2, 6, 1))])
+def test_trial_rng_gives_every_valid_cell_its_own_stream(a, b):
+    # the packed key ((M*100+R)*100+T)*10+L gave each pair one stream
+    for cell in (a, b):
+        Cell(*cell)
+    draw = [trial_rng(7, *cell, 0).integers(0, 2 ** 62, 4) for cell in (a, b)]
+    assert not np.array_equal(*draw)
+
+
+@pytest.mark.parametrize("M,R,T,L", [(2, 2, 4, 1), (3, 99, 98, 9),
+                                     (500, 4, 6, 2), (2, 2, 0, 1)])
+def test_trial_rng_keeps_the_packed_key_inside_its_range(M, R, T, L):
+    # every recorded draw (README digests, goldens, benchmark) lies here
+    old = ((M * 100 + R) * 100 + T) * 10 + L
+    want = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(old, 3)))
+    assert np.array_equal(trial_rng(7, M, R, T, L, 3).integers(0, 2 ** 62, 4),
+                          want.integers(0, 2 ** 62, 4))
 
 
 def test_trial_rng_refuses_a_negative_seed():
@@ -65,13 +87,11 @@ def test_draw_params_empty_size_reason(M, R, field):
 
 
 def test_appendix_b_assignment_structure():
-    a = AppendixBAssignment(M=2, R=3, T=4)
-    assert a.omega == 5
-    Z = a.Z
+    p = appendix_b_params(M=2, R=3, T=4)
+    Z = p.w_in[0]  # Omega = (T/2)^2 + 1 = 5
     assert Z[0, 0] == Fraction(2) ** 5 and Z[1, 1] == Fraction(2) ** 25
     assert Z[0, 1] == Fraction(1) and Z[1, 0] == Fraction(1)
     assert Z[2, 0] == Fraction(0) and Z[2, 1] == Fraction(0)  # row > M
-    p = a.params()
     assert p.L == 2
     assert np.all(p.w_hidden[0] == p.w_hidden[1])
     assert all(p.w_hidden[0][i, j] == Fraction(int(i == j))
@@ -83,7 +103,7 @@ def test_appendix_b_assignment_structure():
 
 def test_appendix_b_validation():
     with pytest.raises(ShapeError):
-        AppendixBAssignment(M=2, R=2, T=3)
+        appendix_b_params(M=2, R=2, T=3)
 
 
 @pytest.mark.parametrize("M,R,T,expected", [
@@ -96,7 +116,7 @@ def test_appendix_b_validation():
 ])
 def test_appendix_b_grid_rank(M, R, T, expected):
     # the materialized grid and the frontier walk of separation_rank agree
-    p = AppendixBAssignment(M=M, R=R, T=T).params()
+    p = appendix_b_params(M=M, R=R, T=T)
     m = matricize(build_grid_tensor(p, T=T))
     assert rank_exact(m).rank == expected
     assert separation_rank(p, T).rank == expected
@@ -280,6 +300,35 @@ def test_entry_points_refuse_a_seed_count_or_size_that_is_not_an_integer(call):
         call()
 
 
+def _params_with(entry):
+    one = np.ones((1, 1), dtype=object)
+    return RacParams(w_in=[np.array([[entry]], dtype=object)],
+                     w_hidden=[one], w_out=one)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2,
+                                     field="real"),
+                 InvalidInputError, "'real'", id="draw_params-real"),
+    # refused when called, not when first iterated
+    pytest.param(lambda: draw_trials(7, Cell(2, 2, 4), 1, "real"),
+                 InvalidInputError, "'real'", id="draw_trials-real"),
+    *(pytest.param(lambda bad=bad: exact_array([[1, bad]]), InvalidInputError,
+                   repr(bad), id=f"exact_array-{bad!r}")
+      for bad in (float("nan"), float("inf"), None, "x", "1/0")),
+    pytest.param(lambda: DenseTensor(np.array(["a"]), EXACT),
+                 InvalidInputError, "'a'", id="DenseTensor-a"),
+    pytest.param(lambda: _params_with("1/0"), ParameterError, "'1/0'",
+                 id="RacParams-1/0"),
+    pytest.param(lambda: rank_exact([[1, 2], [3]]), ShapeError, "matrix",
+                 id="rank_exact-ragged")])
+def test_entry_points_refuse_bad_input_with_a_typed_error(call, error, match):
+    # a float network drawn silently, and bare ValueError, OverflowError,
+    # TypeError and ZeroDivisionError, before
+    with pytest.raises(error, match=re.escape(match)):
+        call()
+
+
 def test_zero_trials_draw_nothing():
     assert list(draw_trials(7, Cell(2, 2, 4), 0, EXACT)) == []
     assert check_hadamard_power_bound(0).rows == []
@@ -308,6 +357,54 @@ def test_no_cloning_reports():
 def test_min_cut_verification():
     rep = verify_min_cut(Cell(2, 2, 4), trials=5, seed=0)
     assert rep.passed
+
+
+def test_a_report_without_rows_fails():
+    assert not Report("shallow", Cell(2, 2, 4)).passed
+
+
+def _rank_of(rank):
+    return lambda p, T, **kwargs: RankReport(rank=rank, method="exact")
+
+
+def test_a_rank_above_the_shallow_law_is_a_required_failure(monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(verification, "separation_rank", _rank_of(3))
+    rep = verify_shallow_rank_law(Cell(2, 2, 4), trials=2, seed=7)
+    assert [(r.observed, r.expected, r.passed, r.required)
+            for r in rep.rows] == [("3", "<=2", False, True)] * 2
+    assert not rep.passed
+    assert main(["verify", "shallow", "--seed", "7", "--trials", "2"]) == 1
+    assert ",3,<=2,false" in capsys.readouterr().out
+
+
+def test_a_cut_off_the_structural_value_is_a_required_failure(monkeypatch,
+                                                              capsys):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("ranked a draw whose cut is off")
+
+    monkeypatch.setattr(verification, "min_cut", lambda g: (5, ()))
+    monkeypatch.setattr(verification, "separation_rank", no_rank)
+    rep = verify_min_cut(Cell(2, 2, 4), trials=2, seed=7)
+    assert [(r.observed, r.expected, r.passed, r.required)
+            for r in rep.rows] == [("cut=5", "cut=2", False, True)] * 2
+    assert not rep.passed
+    assert main(["verify", "mincut", "--seed", "7", "--trials", "2"]) == 1
+    assert ",cut=5,cut=2,false" in capsys.readouterr().out
+
+
+def test_an_appendix_b_rank_off_the_bound_is_a_required_failure(monkeypatch,
+                                                                capsys):
+    # every draw meets the bound 3, the Appendix B network's rank misses it
+    monkeypatch.setattr(verification, "separation_rank", _rank_of(4))
+    rep = verify_deep_lower_bound(Cell(2, 2, 4, 2), trials=2, seed=7)
+    row = rep.rows[0]
+    assert (row.field, row.observed, row.expected, row.passed,
+            row.required) == (EXACT, "4", "3", False, True)
+    assert all(r.passed and not r.required for r in rep.rows[1:])
+    assert not rep.passed
+    assert main(["verify", "deep", "--seed", "7", "--trials", "2"]) == 1
+    assert "deep,2,2,4,2,exact,-,4,3,false" in capsys.readouterr().out
 
 
 def test_csv_format():
