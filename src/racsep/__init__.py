@@ -16,10 +16,10 @@ from .network import (RAC_PRODUCT, Cell, RacParams, TemplateEncoder,
 from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,
                     rank_numeric)
 from .tensor import (EXACT, FLOAT, DenseTensor, exact_array, hadamard_power,
-                     load_tensor, matricize, save_tensor)
+                     matricize)
 from .tn import (Edge, OpenLeg, TnGraph, attach_inputs, build_deep_tn,
-                 build_mps, contract, count_basic_units, delta_tensor,
-                 load_graph, min_cut, no_clone_counterexample, save_graph)
+                 build_mps, contract, delta_tensor, min_cut,
+                 no_clone_counterexample)
 from .verification import (Report, ReportRow, appendix_b_params,
                            bucket_states, bucket_trajectories,
                            check_bucket_lemma, check_claim1_equality,
@@ -27,8 +27,8 @@ from .verification import (Report, ReportRow, appendix_b_params,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
                            check_rearrangement_lemma, conjectured_bound,
-                           draw_params, draw_trials, rows_to_csv, trial_rng,
-                           verify_deep_lower_bound, verify_min_cut,
-                           verify_shallow_rank_law)
+                           draw_params, draw_trials, rows_to_csv,
+                           suffix_bound, trial_rng, verify_deep_lower_bound,
+                           verify_min_cut, verify_shallow_rank_law)
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from .builders import (build_grid_tensor, build_weights_tensor,
 from .errors import RacsepError, ResourceBudgetError
 from .network import Cell
 from .ranks import DEFAULT_REL_TOL, check_rel_tol, multiset_coefficient
-from .tensor import EXACT, FLOAT, save_tensor
-from .tn import build_deep_tn, build_mps, min_cut, save_graph
+from .tensor import EXACT, FLOAT, dump_tensor
+from .tn import build_deep_tn, build_mps, dump_graph, min_cut
 from .verification import (check_bucket_lemma, check_claim1_equality,
                            check_conjecture_bound,
                            check_decomposition_identity,
@@ -127,6 +127,13 @@ def _suite_flags(args):
                               f"verify {', '.join(sorted(suites))}")
 
 
+# export target -> its text, from params and T
+EXPORTS = {"weights": lambda p, T: dump_tensor(build_weights_tensor(p, T=T)),
+           "grid": lambda p, T: dump_tensor(build_grid_tensor(p, T=T)),
+           "mps": lambda p, T: dump_graph(build_mps(p, T)),
+           "deep-tn": lambda p, T: dump_graph(build_deep_tn(p, T))}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="racsep",
@@ -145,7 +152,7 @@ def build_parser():
     _add_grid_flags(sp, trials=False)
 
     ep = sub.add_parser("export", help="write a tensor or graph as text")
-    ep.add_argument("what", choices=["weights", "grid", "mps", "deep-tn"])
+    ep.add_argument("what", choices=list(EXPORTS))
     ep.add_argument("--M", type=_positive, default=2)
     ep.add_argument("--R", type=_positive, default=2)
     ep.add_argument("--T", type=_positive, default=4)
@@ -163,7 +170,8 @@ def _parser():
 
 
 def _emit(args, text):
-    """Writes a CSV report to --out, or to stdout without one."""
+    """Writes a CSV report or an export to --out, or to stdout without one;
+    the one place racsep writes a file."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -207,14 +215,7 @@ def cmd_scan(args):
 def cmd_export(args):
     cell = Cell(args.M, args.R, args.T, args.L)
     [(_, p)] = draw_trials(args.seed, cell, 1, args.field)
-    if args.what == "weights":
-        save_tensor(build_weights_tensor(p, T=args.T), args.out)
-    elif args.what == "grid":
-        save_tensor(build_grid_tensor(p, T=args.T), args.out)
-    elif args.what == "mps":
-        save_graph(build_mps(p, args.T), args.out)
-    else:
-        save_graph(build_deep_tn(p, args.T), args.out)
+    _emit(args, EXPORTS[args.what](p, args.T))
     return EXIT_PASS
 
 

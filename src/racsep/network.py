@@ -8,7 +8,6 @@ Biases are omitted throughout.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -16,9 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError, ParameterError, ShapeError, is_integer
 from .ranks import rank_exact, rank_numeric, solve_exact
-from .tensor import (EXACT, DenseTensor, exact_array, field_of,
-                     format_scalars, header_field, header_ints, header_words,
-                     parse_scalars)
+from .tensor import (EXACT, DenseTensor, TextReader, exact_array, field_of,
+                     format_scalars, header_ints)
 
 
 # the merge of hidden-state and input terms: the element-wise product
@@ -263,34 +261,24 @@ def dump_params(p: RacParams) -> str:
 
 
 def parse_params(text: str) -> RacParams:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != PARAMS_TAG:
-        raise InvalidInputError("not a parameters file (bad header)")
-    (L,) = header_ints(header_words(lines, 1, "L", 1))
-    sizes = [header_ints(header_words(lines, pos, key, 1))[0]
-             for pos, key in enumerate(("R", "M", "C"), 2)]
-    fld = header_field(lines, 5)
-    pos = 6
+    r = TextReader(text, PARAMS_TAG, "parameters")
+    L, *sizes = (header_ints(r.words(key, 1))[0] for key in "LRMC")
+    r.field()
 
-    def read_block(key, *index):
-        """The block headed ``key *index dims...`` at lines[pos]."""
-        nonlocal pos
-        nums = header_ints(header_words(lines, pos, key))
+    def block(key, *index):
+        """The block headed ``key *index dims...``."""
+        nums = header_ints(r.words(key))
         if nums[:len(index)] != index:
             raise InvalidInputError(
                 f"expected a {' '.join(map(str, (key,) + index))} block, "
-                f"got {lines[pos]!r}")
-        shape = nums[len(index):]
-        start, pos = pos + 1, pos + 1 + math.prod(shape)
-        return parse_scalars(lines[start:pos], fld, shape)
+                f"got {' '.join(map(str, (key,) + nums))!r}")
+        return r.block(nums[len(index):])
 
-    w_in = [read_block("w_in", l) for l in range(L)]
-    w_hidden = [read_block("w_hidden", l) for l in range(L)]
-    w_out = read_block("w_out")
-    h0 = [read_block("h0", l) for l in range(L)]
-    if pos != len(lines):
-        raise InvalidInputError(
-            f"unexpected line after the h0 blocks: {lines[pos]!r}")
+    w_in = [block("w_in", l) for l in range(L)]
+    w_hidden = [block("w_hidden", l) for l in range(L)]
+    w_out = block("w_out")
+    h0 = [block("h0", l) for l in range(L)]
+    r.end("the h0 blocks")
     p = RacParams(w_in=w_in, w_hidden=w_hidden, w_out=w_out, h0=h0)
     if [p.R, p.M, p.C] != sizes:
         raise InvalidInputError(

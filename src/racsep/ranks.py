@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
-                     ShapeError)
+                     ShapeError, check_count)
 from .tensor import (EXACT, DenseTensor, clear_denominators, exact_array,
                      field_of)
 
@@ -281,9 +281,10 @@ def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
 
 
 def multiset_coefficient(n: int, k: int) -> int:
-    """Number of size-k multisets over n symbols: C(n+k-1, k)."""
-    if n < 0 or k < 0:
-        raise InvalidInputError("multiset_coefficient needs non-negative args")
+    """Number of size-k multisets over n symbols: C(n+k-1, k); n and k must
+    be integers >= 0 (InvalidInputError)."""
+    check_count("n", n, 0)
+    check_count("k", k, 0)
     if k == 0:
         return 1
     if n == 0:

@@ -7,10 +7,16 @@ else a ``fractions.Fraction`` over Python ints with a denominator > 1.  A
 tensor never mixes fields.  Entries are kept in row-major order (last index
 fastest), so the start/end matricization, which splits the T modes into the
 first and the last T/2, is a reshape.
+
+Tensors, parameter files and graphs share one portable text format, written
+by ``dump_*`` functions and read by one :class:`TextReader`.  The functions
+here turn text into objects and back; only the command line reads or writes
+files.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -161,15 +167,61 @@ def dump_tensor(t: DenseTensor) -> str:
     return "\n".join(lines + format_scalars(t.entries, t.field)) + "\n"
 
 
-def header_words(lines, pos, key, count=None):
-    """The words after ``key`` on lines[pos] of a text file (exactly
-    ``count`` of them when given)."""
-    words = lines[pos].split() if pos < len(lines) else []
-    if not words or words[0] != key or (
-            count is not None and len(words) != count + 1):
-        got = repr(lines[pos]) if pos < len(lines) else "end of file"
-        raise InvalidInputError(f"expected a {key!r} line, got {got}")
-    return words[1:]
+class TextReader:
+    """One pass over a text file: the ``tag`` line, then ``key value...``
+    header lines and blocks of scalars, in file order.  A missing, extra or
+    malformed line raises InvalidInputError; ``kind`` names the file."""
+
+    def __init__(self, text, tag, kind):
+        self._lines = iter(text.strip().splitlines())
+        if next(self._lines, "").strip() != tag:
+            raise InvalidInputError(f"not a {kind} file (bad header)")
+
+    def words(self, key, count=None):
+        """The words after ``key`` on the next line (exactly ``count`` of them
+        when given)."""
+        line = next(self._lines, None)
+        words = (line or "").split()
+        if not words or words[0] != key or (
+                count is not None and len(words) != count + 1):
+            got = "end of file" if line is None else repr(line)
+            raise InvalidInputError(f"expected a {key!r} line, got {got}")
+        return words[1:]
+
+    def field(self):
+        """The scalar field named on the next line; later blocks hold it."""
+        (field,) = self.words("field", 1)
+        self._field = check_field(field)
+        return self._field
+
+    def block(self, shape, one_line=False):
+        """The next block of entries as an array of the field shaped
+        ``shape``, one entry per line or all on ``one_line``: ``num/den``
+        entries through :func:`exact_array`, or finite float64 values."""
+        if not all(shape):
+            raise InvalidInputError(f"all dims must be >= 1, got {shape}")
+        n = math.prod(shape)
+        raw = (next(self._lines, "").split() if one_line
+               else list(itertools.islice(self._lines, n)))
+        if len(raw) != n:
+            raise InvalidInputError(
+                f"a block of shape {shape} needs {n} entries, got {len(raw)}")
+        if self._field == EXACT:
+            return exact_array(raw, shape)
+        try:
+            arr = np.array([float(s) for s in raw], dtype=np.float64)
+        except ValueError as e:
+            raise InvalidInputError(f"bad {self._field} entry: {e}") from None
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("float entries must be finite")
+        return arr.reshape(shape)
+
+    def end(self, after):
+        """InvalidInputError unless every line has been read; ``after``
+        names what was read last."""
+        line = next(self._lines, None)
+        if line is not None:
+            raise InvalidInputError(f"unexpected line after {after}: {line!r}")
 
 
 def header_ints(words):
@@ -180,51 +232,15 @@ def header_ints(words):
     return tuple(int(w) for w in words)
 
 
-def header_field(lines, pos):
-    """The scalar field named on the ``field`` line lines[pos]."""
-    (field,) = header_words(lines, pos, "field", 1)
-    return check_field(field)
-
-
-def parse_scalars(raw, field, shape):
-    """One block of text entries as an array of the field shaped ``shape``:
-    ``num/den`` entries through :func:`exact_array`, or finite float64
-    values."""
-    if not all(shape):
-        raise InvalidInputError(f"all dims must be >= 1, got {shape}")
-    if len(raw) != math.prod(shape):
-        raise InvalidInputError(f"a block of shape {shape} needs "
-                                f"{math.prod(shape)} entries, got {len(raw)}")
-    if field == EXACT:
-        return exact_array(raw, shape)
-    try:
-        arr = np.array([float(s) for s in raw], dtype=np.float64)
-    except ValueError as e:
-        raise InvalidInputError(f"bad {field} entry: {e}") from None
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("float entries must be finite")
-    return arr.reshape(shape)
-
-
 def parse_tensor(text: str) -> DenseTensor:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != FORMAT_TAG:
-        raise InvalidInputError("not a tensor file (bad header)")
-    (order,) = header_ints(header_words(lines, 1, "order", 1))
+    r = TextReader(text, FORMAT_TAG, "tensor")
+    (order,) = header_ints(r.words("order", 1))
     if order == 0:
         raise InvalidInputError("a tensor has order >= 1, got order 0")
-    dims = header_ints(header_words(lines, 2, "dims"))
+    dims = header_ints(r.words("dims"))
     if len(dims) != order:
         raise InvalidInputError("dims line does not match order")
-    field = header_field(lines, 3)
-    return DenseTensor(parse_scalars(lines[4:], field, dims), field)
-
-
-def save_tensor(t: DenseTensor, path):
-    with open(path, "w") as fh:
-        fh.write(dump_tensor(t))
-
-
-def load_tensor(path) -> DenseTensor:
-    with open(path) as fh:
-        return parse_tensor(fh.read())
+    field = r.field()
+    data = r.block(dims)
+    r.end("the entries")
+    return DenseTensor(data, field)

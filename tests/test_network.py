@@ -13,7 +13,7 @@ from racsep import (EXACT, FLOAT, Cell, InvalidInputError, ParameterError,
                     RAC_PRODUCT, RacParams, ShapeError, TemplateEncoder,
                     appendix_b_params, attach_inputs, build_grid_tensor,
                     build_mps, check_bucket_lemma,
-                    count_basic_units, draw_params, exact_array, forward_deep,
+                    draw_params, exact_array, forward_deep,
                     neutral_h0, separation_rank,
                     step_deep, trial_rng)
 from racsep.network import dump_params, parse_params
@@ -186,8 +186,7 @@ def test_every_site_refuses_a_bad_T_with_the_cell_message(T):
     for call in (lambda: separation_rank(shallow, T),
                  lambda: separation_rank(deep, T),
                  lambda: appendix_b_params(2, 2, T),
-                 lambda: check_bucket_lemma(2, T),
-                 lambda: count_basic_units(Cell(2, 2, T, 3))):
+                 lambda: check_bucket_lemma(2, T)):
         with pytest.raises(ShapeError) as ei:
             call()
         assert str(ei.value) == message

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, DenseTensor, FieldMismatchError,
-                    InvalidInputError, ShapeError, exact_array,
-                    hadamard_power, matricize, multiset_coefficient,
-                    rank_exact, rank_numeric)
+                    InvalidInputError, RacsepError, ShapeError, build_mps,
+                    draw_params, exact_array, hadamard_power, matricize,
+                    multiset_coefficient, rank_exact, rank_numeric,
+                    trial_rng)
+from racsep.network import dump_params, parse_params
 from racsep.tensor import dump_tensor, parse_tensor
+from racsep.tn import dump_graph, parse_graph
 
 
 def test_exact_tensor_holds_fractions():
@@ -133,6 +136,45 @@ def test_parse_refuses_order_0():
 def test_parse_rejects_non_finite(bad):
     with pytest.raises(InvalidInputError):
         parse_tensor(f"racsep-tensor v1\norder 1\ndims 2\nfield float\n1.0\n{bad}\n")
+
+
+def _edits(text):
+    """Every dump with one line deleted, one line doubled, or one word of a
+    line dropped."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+        words = line.split()
+        for j in range(len(words)):
+            yield lines[:i] + [" ".join(words[:j] + words[j + 1:])] \
+                + lines[i + 1:]
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_every_edited_dump_is_refused_with_a_typed_error(field):
+    # a tensor, a two-layer parameter file and a T = 4 MPS graph: no edit
+    # parses, and none escapes as a bare IndexError, ValueError or TypeError
+    p = draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2, field=field)
+    shallow = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, field=field)
+    dumps = [(parse_tensor, dump_tensor(
+                 DenseTensor(np.arange(1, 7).reshape(2, 3), field))),
+             (parse_params, dump_params(p)),
+             (parse_graph, dump_graph(build_mps(shallow, 4)))]
+    tried, untyped = 0, []
+    for parse, text in dumps:
+        parse(text)
+        for lines in _edits(text):
+            tried += 1
+            try:
+                parse("\n".join(lines) + "\n")
+            except RacsepError:
+                continue
+            except Exception as e:
+                untyped.append((lines, repr(e)))
+            else:
+                untyped.append((lines, "parsed"))
+    assert tried > 300 and untyped == []
 
 
 # --- rank oracles ----------------------------------------------------------

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
+from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
                     ParameterError, RAC_PRODUCT, ResourceBudgetError, ShapeError, TemplateEncoder, attach_inputs, build_deep_tn,
                     build_mps, build_weights_tensor, contract,
-                    count_basic_units, delta_tensor, draw_params, exact_array,
+                    delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
                     no_clone_counterexample, trial_rng)
 from racsep.tn import (CONTRACT_BUDGET_ENV, END, START, Edge, OpenLeg, TnGraph,
@@ -377,13 +377,16 @@ def test_min_cut_past_the_enumeration_limit():
 
 
 def test_count_basic_units():
-    assert count_basic_units(Cell(2, 2, 6, 3)) == 6
-    assert count_basic_units(Cell(2, 2, 4, 1)) == 1
-    assert count_basic_units(Cell(2, 2, 8, 2)) == 4
+    # the start/end-bridging unit repetitions of a depth-L graph, enumerated:
+    # the non-decreasing tuples (t_2 <= ... <= t_L) from {T/2+1, ..., T}
+    def units(T, L):
+        return sum(1 for _ in itertools.combinations_with_replacement(
+            range(T // 2 + 1, T + 1), L - 1))
+
+    assert (units(6, 3), units(4, 1), units(8, 2)) == (6, 1, 4)
     for L in range(1, 5):
         for T in (2, 4, 6, 8):
-            assert (count_basic_units(Cell(2, 2, T, L))
-                    == multiset_coefficient(T // 2, L - 1))
+            assert units(T, L) == multiset_coefficient(T // 2, L - 1)
 
 
 def test_no_clone():
@@ -424,10 +427,11 @@ def _edit(pos, new):
     _edit(25, "leg cell4 1 2 - end"),
     _edit(22, "leg cell1 1 2 1 output"),
     lambda lines: lines + ["junk"],
+    _edit(3, "node"),
 ], ids=["truncated", "unknown-field", "nan-entry", "dims-vs-order",
         "missing-entries", "short-edge", "short-leg", "bad-side",
         "repeated-node", "start-leg-without-time", "end-leg-without-time",
-        "output-side", "trailing-line"])
+        "output-side", "trailing-line", "bare-node-line"])
 def test_parse_graph_rejects_malformed(edit):
     p = draw_params(trial_rng(2, 2, 2, 4, 1, 0), 2, 2, L=1, field=FLOAT)
     lines = dump_graph(build_mps(p, 4)).splitlines()

@@ -1,10 +1,13 @@
 """Verification suites: rank laws, explicit assignment, lemma checks."""
 
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
                     ParameterError, RacParams, RankReport, ShapeError,
@@ -14,8 +17,9 @@ from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
                     check_hadamard_power_bound, check_no_cloning,
                     check_rearrangement_lemma, conjectured_bound,
                     draw_params, draw_trials, exact_array, matricize,
-                    rank_exact, rows_to_csv, separation_rank, trial_rng,
-                    verify_deep_lower_bound, verify_min_cut,
+                    multiset_coefficient, rank_exact, rows_to_csv,
+                    separation_rank, suffix_bound, TemplateEncoder,
+                    trial_rng, verify_deep_lower_bound, verify_min_cut,
                     verify_shallow_rank_law)
 from racsep import builders, verification
 from racsep.cli import main
@@ -212,6 +216,59 @@ def test_conjectured_bound():
     assert conjectured_bound(Cell(3, 2, 6, 1)) == 2
 
 
+def test_suffix_bound():
+    # prod_j min{M, multiset(R, multiset(j, L-1))}: min{M, R} times 3 = M
+    assert suffix_bound(Cell(3, 2, 4, 6)) == 6
+    assert suffix_bound(Cell(4, 3, 4, 4)) == 12
+    # depth 1: min{M, R}^(T/2); M <= R: M^(T/2) at every depth
+    assert suffix_bound(Cell(3, 2, 6, 1)) == 8
+    assert suffix_bound(Cell(2, 3, 6, 3)) == 8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cell", [Cell(3, 2, 4, 6), Cell(4, 3, 4, 4)],
+                         ids=str)
+def test_wide_exact_draws_attain_the_suffix_bound_below_the_conjecture(
+        cell, seed):
+    # with R < M the proven suffix bound sits below the coded conjecture,
+    # and wide integer weights (neutral h0) attain it
+    M, R, T, L = cell
+    rng = np.random.default_rng(seed)
+
+    def wide(*shape):
+        return rng.integers(-10**6, 10**6 + 1, shape).astype(object)
+
+    p = RacParams(w_in=[wide(R, M if l == 0 else R) for l in range(L)],
+                  w_hidden=[wide(R, R) for _ in range(L)], w_out=wide(1, R))
+    assert (separation_rank(p, T).rank == suffix_bound(cell)
+            < conjectured_bound(cell))
+
+
+@settings(deadline=None, max_examples=100,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(st.data())
+def test_rank_never_exceeds_the_suffix_bound(data):
+    # any depth, any initial state, any non-singular templates; hidden
+    # matrices may be singular, as h0 is explicit
+    L = data.draw(st.integers(1, 4))
+    M = data.draw(st.integers(1, 3))
+    R = data.draw(st.integers(1, 3))
+    T = data.draw(st.sampled_from([2, 4, 6]))
+
+    def ints(*shape):
+        n = math.prod(shape)
+        return exact_array(data.draw(st.lists(
+            st.integers(-3, 3), min_size=n, max_size=n)), shape=shape)
+
+    F = ints(M, M)
+    assume(rank_exact(F).rank == M and (F != np.eye(M, dtype=int)).any())
+    p = RacParams(w_in=[ints(R, M if l == 0 else R) for l in range(L)],
+                  w_hidden=[ints(R, R) for _ in range(L)], w_out=ints(1, R),
+                  h0=[ints(R) for _ in range(L)])
+    rank = separation_rank(p, T, enc=TemplateEncoder(F)).rank
+    assert rank <= suffix_bound(Cell(M, R, T, L))
+
+
 def test_conjecture_report_only():
     rep = check_conjecture_bound(Cell(2, 2, 4, 3), trials=3, seed=0)
     # the cap M^(T/2) is asserted; the conjectured bound is only reported
@@ -237,6 +294,20 @@ def test_bucket_states_and_trajectories():
     assert trajs == [((0, 1),), ((1, 0),)]
     # number of trajectories from (k, 0, ...) is 1
     assert len(list(bucket_trajectories((3, 0)))) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: multiset_coefficient(2.5, 1), lambda: multiset_coefficient(2, 1.5),
+    lambda: multiset_coefficient("2", 1), lambda: multiset_coefficient(True, 2),
+    lambda: multiset_coefficient(-1, 2), lambda: list(bucket_states(0, 2)),
+    lambda: list(bucket_states(2, -1)), lambda: list(bucket_states(1.5, 2))],
+    ids=["n-float", "k-float", "n-str", "n-bool", "n-negative", "Rbar-0",
+         "k-negative", "Rbar-float"])
+def test_counting_helpers_refuse_bad_counts_with_a_typed_error(call):
+    # a bare TypeError, a bool counted as 1, a RecursionError and a silently
+    # empty sweep before
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_bucket_lemma():
