@@ -51,7 +51,7 @@ from .network import step_deep  # noqa: F401
 from .ranks import (DEFAULT_REL_TOL, PRIME, RankReport, column_basis,
                     full_rank_mod_p, independent_mod_p, multiset_coefficient,
                     primitive_row, rank_exact, rank_numeric)
-from .tensor import EXACT, DenseTensor, clear_denominators
+from .tensor import EXACT, DenseTensor, float_form, integer_form
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
 DEFAULT_GRID_BUDGET = 10 ** 7
@@ -201,17 +201,6 @@ def _state_classes(S):
     return list(first.values())
 
 
-def _integer_form(a):
-    """(n, d): an object array n of Python ints and an int d with a == n / d."""
-    ints, den = clear_denominators(a.reshape(-1))
-    return np.array(ints, dtype=object).reshape(a.shape), den
-
-
-def _float_form(a):
-    """(a as float64, 1): the float counterpart of :func:`_integer_form`."""
-    return np.asarray(a, dtype=np.float64), 1
-
-
 def _residues(a):
     """The integer object array ``a`` reduced mod PRIME, as int64."""
     return (a % PRIME).astype(np.int64)
@@ -243,7 +232,7 @@ class _Frontier:
     def __init__(self, p, F, c):
         check_class(p, c)
         self.budget = grid_budget()
-        form = _integer_form if p.field == EXACT else _float_form
+        form = integer_form if p.field == EXACT else float_form
         self.wi, self.di = zip(*map(form, p.w_in))
         self.wh, self.dh = zip(*map(form, p.w_hidden))
         (self.out, self.do), (F, dF) = form(p.w_out[c - 1]), form(F)

@@ -35,7 +35,9 @@ class ResourceBudgetError(RacsepError):
 
 def is_integer(x):
     """Whether ``x`` is an integer (Python or numpy); a bool is not."""
-    return type(x) is not bool and isinstance(x, numbers.Integral)
+    # a plain int first: the ABC check is slow, and graphs check every leg
+    return type(x) is int or (
+        type(x) is not bool and isinstance(x, numbers.Integral))
 
 
 def check_count(name, value, least):

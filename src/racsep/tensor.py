@@ -70,6 +70,17 @@ def clear_denominators(values):
     return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
+def integer_form(a):
+    """(n, d): an object array n of Python ints and an int d with a == n / d."""
+    ints, den = clear_denominators(a.reshape(-1))
+    return np.array(ints, dtype=object).reshape(a.shape), den
+
+
+def float_form(a):
+    """(a as float64, 1): the float counterpart of :func:`integer_form`."""
+    return np.asarray(a, dtype=np.float64), 1
+
+
 def field_of(array):
     return EXACT if array.dtype == object else FLOAT
 
@@ -194,14 +205,19 @@ class TextReader:
         self._field = check_field(field)
         return self._field
 
-    def block(self, shape, one_line=False):
+    def line(self):
+        """The next line, or "" at the end of the text."""
+        return next(self._lines, "")
+
+    def block(self, shape, line=None):
         """The next block of entries as an array of the field shaped
-        ``shape``, one entry per line or all on ``one_line``: ``num/den``
-        entries through :func:`exact_array`, or finite float64 values."""
+        ``shape``: one entry per line, or all of them on ``line``, one line
+        already read by :meth:`line`: ``num/den`` entries through
+        :func:`exact_array`, or finite float64 values."""
         if not all(shape):
             raise InvalidInputError(f"all dims must be >= 1, got {shape}")
         n = math.prod(shape)
-        raw = (next(self._lines, "").split() if one_line
+        raw = (line.split() if line is not None
                else list(itertools.islice(self._lines, n)))
         if len(raw) != n:
             raise InvalidInputError(
@@ -226,10 +242,10 @@ class TextReader:
 
 def header_ints(words):
     """Non-negative integers from header words."""
-    if not all(w.isdecimal() for w in words):
+    if not all(map(str.isdecimal, words)):
         raise InvalidInputError(
             f"expected non-negative integers, got {' '.join(words)!r}")
-    return tuple(int(w) for w in words)
+    return tuple(map(int, words))
 
 
 def parse_tensor(text: str) -> DenseTensor:

@@ -9,8 +9,11 @@ vectors (:func:`no_clone_counterexample`), so their graphs duplicate the
 *inputs*: each layer-(l-1) sub-network is rebuilt once per time-step of
 layer l, the start/end-bridging units repeat multiset(T/2, L-1) times, and
 the graph grows exponentially with depth.  These graphs are analysis tools,
-not an execution scheme.  :func:`dump_graph` and :func:`parse_graph` turn a
-graph into text and back through the tensor module's :class:`TextReader`.
+not an execution scheme.  Their nodes share one tensor per parameter array,
+and no function here writes into a node's tensor.  :func:`dump_graph` and
+:func:`parse_graph` turn a graph into text and back through the tensor
+module's :class:`TextReader`, formatting and parsing each distinct tensor
+once.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      is_integer)
 from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
                       check_encoder, check_steps)
-from .tensor import (EXACT, DenseTensor, TextReader, exact_array,
-                     format_scalars, header_ints)
+from .tensor import (EXACT, DenseTensor, TextReader, exact_array, float_form,
+                     format_scalars, header_ints, integer_form)
 
 CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
 DEFAULT_CONTRACT_BUDGET = 10 ** 7
@@ -59,7 +62,13 @@ class OpenLeg:
 
 class TnGraph:
     """Weighted graph of tensors; every tensor leg is used exactly once.
-    ``steps`` is the largest time index of an open leg (0 if none)."""
+    ``steps`` is the largest time index of an open leg (0 if none).
+
+    Node ids are non-empty strings without whitespace, and leg indices,
+    dims and time indices are integers (a bool is not), so that every graph
+    has a text form; anything else is refused with ShapeError.  Several
+    nodes may hold one DenseTensor: a node's tensor is read, never written.
+    """
 
     def __init__(self, nodes, edges, open_legs):
         self.nodes = dict(nodes)
@@ -76,22 +85,28 @@ class TnGraph:
     def _validate(self):
         if not self.nodes:
             raise ShapeError("a tensor-network graph needs at least one node")
+        for nid in self.nodes:
+            if not isinstance(nid, str) or nid.split() != [nid]:
+                raise ShapeError(f"node id {nid!r} is not a non-empty string "
+                                 "without whitespace")
         used = {nid: set() for nid in self.nodes}
+        dims = {nid: t.dims for nid, t in self.nodes.items()}
         fields = {t.field for t in self.nodes.values()}
         if len(fields) > 1:
             raise ShapeError("all node tensors must share one scalar field")
 
         def claim(nid, leg, dim):
-            t = self.nodes.get(nid)
-            if t is None:
+            shape = dims.get(nid) if isinstance(nid, str) else None
+            if shape is None:
                 raise ShapeError(f"unknown node {nid!r}")
-            if not 0 <= leg < t.order:
-                raise ShapeError(f"node {nid!r} has no leg {leg}")
-            if t.dims[leg] != dim:
+            if not is_integer(leg) or not 0 <= leg < len(shape):
+                raise ShapeError(f"node {nid!r} has no leg {leg!r}")
+            if not is_integer(dim) or dim < 1:
+                raise ShapeError(f"leg {nid!r}[{leg}] has dim {dim!r}, not an "
+                                 "integer >= 1")
+            if shape[leg] != dim:
                 raise ShapeError(
-                    f"leg dim mismatch at {nid!r}[{leg}]: {t.dims[leg]} != {dim}")
-            if dim < 1:
-                raise ShapeError(f"leg {nid!r}[{leg}] has dim {dim} < 1")
+                    f"leg dim mismatch at {nid!r}[{leg}]: {shape[leg]} != {dim}")
             if leg in used[nid]:
                 raise ShapeError(f"leg {nid!r}[{leg}] used more than once")
             used[nid].add(leg)
@@ -108,7 +123,7 @@ class TnGraph:
                                  f">= 1, got {t!r}")
             claim(o.node, o.leg, o.dim)
         for nid, legs in used.items():
-            if len(legs) != self.nodes[nid].order:
+            if len(legs) != len(dims[nid]):
                 raise ShapeError(f"node {nid!r} has unused legs")
         adj = {nid: [] for nid in self.nodes}
         for e in self.edges:
@@ -146,11 +161,11 @@ def build_mps(p: RacParams, T: int, c: int = 1) -> TnGraph:
     check_class(p, c)
     wi, wh = p.w_in[0], p.w_hidden[0]
     R, M = p.R, p.M
-    cell = wh.T[:, None, :] * wi.T[None, :, :]
+    cell = DenseTensor(wh.T[:, None, :] * wi.T[None, :, :], p.field)
     nodes = {"h0": DenseTensor(p.h0[0], p.field)}
     edges, open_legs = [], []
     for t in range(1, T + 1):
-        nodes[f"cell{t}"] = DenseTensor(cell, p.field)
+        nodes[f"cell{t}"] = cell
         left = ("h0", 0) if t == 1 else (f"cell{t-1}", 2)
         edges.append(Edge(left[0], left[1], f"cell{t}", 0, R))
         open_legs.append(OpenLeg(f"cell{t}", 1, M, time_index=t))
@@ -166,7 +181,8 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     lower leg is a fresh copy of the layer-(l-1) sub-network of length t;
     each input time-step therefore appears once per duplication path.
     Contraction (with inputs attached) equals the forward evaluation exactly.
-    The graph is capped at L <= DEEP_TN_MAX_L and T <= DEEP_TN_MAX_T.
+    Every copy of a layer's h0, W_h or W_i is one shared tensor.  The graph
+    is capped at L <= DEEP_TN_MAX_L and T <= DEEP_TN_MAX_T.
     """
     check_steps(T)
     if p.L > DEEP_TN_MAX_L or T > DEEP_TN_MAX_T:
@@ -176,6 +192,9 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     check_class(p, c)
     R, M = p.R, p.M
     delta = delta_tensor(R, p.field)
+    h0 = [DenseTensor(a, p.field) for a in p.h0]
+    w_hidden = [DenseTensor(a, p.field) for a in p.w_hidden]
+    w_in = [DenseTensor(a, p.field) for a in p.w_in]
     nodes, edges, open_legs = {}, [], []
     counter = itertools.count()
 
@@ -187,11 +206,11 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
     def fragment(l, t):
         """Returns (node, leg) exposing the layer-l state after t steps."""
         if t == 0:
-            return add(f"h0l{l}_", DenseTensor(p.h0[l - 1], p.field)), 0
+            return add(f"h0l{l}_", h0[l - 1]), 0
         prev = fragment(l, t - 1)
-        wh = add("wh", DenseTensor(p.w_hidden[l - 1], p.field))
+        wh = add("wh", w_hidden[l - 1])
         edges.append(Edge(wh, 1, prev[0], prev[1], R))
-        wi = add("wi", DenseTensor(p.w_in[l - 1], p.field))
+        wi = add("wi", w_in[l - 1])
         if l == 1:
             open_legs.append(OpenLeg(wi, 1, M, time_index=t))
         else:
@@ -210,19 +229,36 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
 
 def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     """Contract every input leg with its time-step's encoded template vector;
-    ``seq`` holds one symbol per time-step of g, no fewer and no more."""
+    ``seq`` holds one symbol per time-step of g, no fewer and no more.  The
+    input nodes of one symbol share one tensor."""
     symbols = as_symbols(seq, enc.M)
     if len(symbols) != g.steps:
         raise InvalidInputError(
             f"sequence has {len(symbols)} symbols, graph has {g.steps} steps")
+    for dim in dict.fromkeys(o.dim for o in g.open_legs):
+        check_encoder(enc, dim, g.field)
+    rows = {s: DenseTensor(enc.row(s), g.field) for s in set(symbols)}
     nodes = dict(g.nodes)
     edges = list(g.edges)
     for k, o in enumerate(g.open_legs):
-        check_encoder(enc, o.dim, g.field)
         nid = f"in{k}"
-        nodes[nid] = DenseTensor(enc.row(symbols[o.time_index - 1]), g.field)
+        nodes[nid] = rows[symbols[o.time_index - 1]]
         edges.append(Edge(o.node, o.leg, nid, 0, o.dim))
     return TnGraph(nodes, edges, [])
+
+
+def _pair_product(a, b, axes_a, axes_b):
+    """``np.tensordot(a, b, (axes_a, axes_b))`` by the same transpose,
+    reshape, ``np.dot`` and reshape, without its argument handling, so a
+    float result is the same to the bit: a's free axes, then b's."""
+    free_a = [k for k in range(a.ndim) if k not in axes_a]
+    free_b = [k for k in range(b.ndim) if k not in axes_b]
+    dims_a = [a.shape[k] for k in free_a]
+    dims_b = [b.shape[k] for k in free_b]
+    n = math.prod(a.shape[k] for k in axes_a)
+    at = a.transpose(free_a + axes_a).reshape(math.prod(dims_a), n)
+    bt = b.transpose(axes_b + free_b).reshape(n, math.prod(dims_b))
+    return np.dot(at, bt).reshape(dims_a + dims_b)
 
 
 def contract(g: TnGraph) -> DenseTensor:
@@ -234,9 +270,14 @@ def contract(g: TnGraph) -> DenseTensor:
     pushes only the new tensor's pairs with its neighbours, so on a graph of
     N nodes and E bonds whose tensors keep a bounded number of neighbours
     scheduling costs O(E log E), not the O(N E) of rescanning every bond per
-    merge.  Open legs are ordered by time index; a fully closed network
-    yields a single-entry tensor.  The entry budget is read from the
-    RACSEP_CONTRACT_BUDGET environment variable.
+    merge.  Each merge is ``np.tensordot``'s own transpose, reshape and
+    ``np.dot`` (:func:`_pair_product`).  Exact nodes are contracted as
+    integer arrays over one common denominator, the product of their own,
+    which is divided out once at the end; each distinct node tensor is
+    cleared once, and none is written.  Open legs are ordered by
+    time index; a fully closed network yields a single-entry tensor.  The
+    entry budget is read from the RACSEP_CONTRACT_BUDGET environment
+    variable.
     """
     budget = env_budget(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET)
     total_open = math.prod(o.dim for o in g.open_legs)
@@ -248,10 +289,19 @@ def contract(g: TnGraph) -> DenseTensor:
         label[e.node_a, e.leg_a] = label[e.node_b, e.leg_b] = b
     for i, o in enumerate(g.open_legs):
         label[o.node, o.leg] = (o.time_index, i)
+    # id of a node tensor -> (n, d), its integer or float form; den is the
+    # product of every node's d
+    form = integer_form if g.field == EXACT else float_form
+    cleared, den = {}, 1
+    for t in g.nodes.values():
+        if id(t) not in cleared:
+            cleared[id(t)] = form(t.data)
+        den *= cleared[id(t)][1]
     # the pool: key -> (array, axis labels); keys count up in pool order
     keys = itertools.count()
     node_key = {nid: next(keys) for nid in g.nodes}
-    pool = {node_key[nid]: (t.data, [label[nid, ax] for ax in range(t.order)])
+    pool = {node_key[nid]: (cleared[id(t)][0],
+                            [label[nid, ax] for ax in range(t.order)])
             for nid, t in g.nodes.items()}
     # bond -> the keys of its two holders, ascending
     holders = {b: tuple(sorted((node_key[e.node_a], node_key[e.node_b])))
@@ -277,8 +327,8 @@ def contract(g: TnGraph) -> DenseTensor:
         check_budget("intermediate tensor", size, budget)
         (ax, lx), (ay, ly) = pool.pop(x), pool.pop(y)
         common = [l for l in lx if l in ly]
-        arr = np.tensordot(ax, ay, axes=([lx.index(l) for l in common],
-                                         [ly.index(l) for l in common]))
+        arr = _pair_product(ax, ay, [lx.index(l) for l in common],
+                            [ly.index(l) for l in common])
         legs = [l for l in lx + ly if l not in common]
         z = next(keys)
         pool[z] = (arr, legs)
@@ -294,10 +344,11 @@ def contract(g: TnGraph) -> DenseTensor:
             heapq.heappush(heap, candidate(other, z, d))
 
     (arr, legs), = pool.values()
-    if not g.open_legs:
-        return DenseTensor(arr.reshape(1), g.field)
-    perm = sorted(range(len(legs)), key=legs.__getitem__)
-    return DenseTensor(np.transpose(arr, perm), g.field)
+    if g.open_legs:
+        arr = np.transpose(arr, sorted(range(len(legs)), key=legs.__getitem__))
+    else:
+        arr = arr.reshape(1)
+    return DenseTensor(arr if den == 1 else arr / Fraction(den), g.field)
 
 
 def min_cut(g: TnGraph):
@@ -406,12 +457,18 @@ GRAPH_TAG = "racsep-tn v1"
 
 
 def dump_graph(g: TnGraph) -> str:
+    """The text form of g: its nodes in id order, each with its dims and its
+    entries on one line, then its edges and open legs in graph order.  Each
+    distinct node tensor is formatted once."""
     fld = g.field
     lines = [GRAPH_TAG, f"field {fld}", f"nodes {len(g.nodes)}"]
+    entries = {}  # id of a node tensor -> its entry line
     for nid in sorted(g.nodes):
         t = g.nodes[nid]
+        if id(t) not in entries:
+            entries[id(t)] = " ".join(format_scalars(t.entries, fld))
         lines.append(f"node {nid} {t.order} " + " ".join(map(str, t.dims)))
-        lines.append(" ".join(format_scalars(t.entries, fld)))
+        lines.append(entries[id(t)])
     lines.append(f"edges {len(g.edges)}")
     for e in g.edges:
         lines.append(f"edge {e.node_a} {e.leg_a} {e.node_b} {e.leg_b} {e.dim}")
@@ -422,9 +479,13 @@ def dump_graph(g: TnGraph) -> str:
 
 
 def parse_graph(text: str) -> TnGraph:
+    """The graph that :func:`dump_graph` wrote as ``text``.  Nodes with the
+    same dims and the same entry line share one tensor, parsed once.  A
+    malformed line raises InvalidInputError, a graph that TnGraph refuses
+    ShapeError."""
     r = TextReader(text, GRAPH_TAG, "tensor-network")
     fld = r.field()
-    nodes = {}
+    nodes, tensors = {}, {}  # tensors: (dims, entry line) -> its tensor
     for _ in range(*header_ints(r.words("nodes", 1))):
         words = r.words("node")
         dims = header_ints(words[2:])
@@ -433,7 +494,10 @@ def parse_graph(text: str) -> TnGraph:
                 f"node line {' '.join(words)!r}: dims do not match the order")
         if words[0] in nodes:
             raise InvalidInputError(f"node id {words[0]!r} repeats")
-        nodes[words[0]] = DenseTensor(r.block(dims, one_line=True), fld)
+        line = r.line()
+        if (dims, line) not in tensors:
+            tensors[dims, line] = DenseTensor(r.block(dims, line), fld)
+        nodes[words[0]] = tensors[dims, line]
     edges = []
     for _ in range(*header_ints(r.words("edges", 1))):
         a, la, b, lb, dim = r.words("edge", 5)

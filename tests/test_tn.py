@@ -14,7 +14,7 @@ from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
                     build_mps, build_weights_tensor, contract,
                     delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
-                    no_clone_counterexample, trial_rng)
+                    no_clone_counterexample, tn, trial_rng)
 from racsep.tn import (CONTRACT_BUDGET_ENV, END, START, Edge, OpenLeg, TnGraph,
                        dump_graph, parse_graph)
 
@@ -61,6 +61,123 @@ def test_graph_validation():
     with pytest.raises(ShapeError):
         TnGraph({"e": empty}, [], [OpenLeg("e", 0, 2, 1),
                                    OpenLeg("e", 1, 0, 2)])
+
+
+@pytest.mark.parametrize("nodes,edge,leg", [
+    ({"a": "t", "b": "v"}, ("a", 0.0, "b", 0, 2), ("a", 1, 2)),
+    ({"a": "t", "b": "v"}, ("a", "0", "b", 0, 2), ("a", 1, 2)),
+    ({"a": "t", "b": "v"}, ("a", False, "b", 0, 2), ("a", 1, 2)),
+    ({"a": "t", "b": "v"}, ("a", 0, "b", 0, 2), ("a", 1.0, 2)),
+    ({"a": "t", "b": "v"}, ("a", 0, "b", 0, 2.0), ("a", 1, 2)),
+    ({"a": "t", "b": "v"}, ("a", 0, "b", 0, 2), ("a", 1, 2.0)),
+    ({"a b": "t", "b": "v"}, ("a b", 0, "b", 0, 2), ("a b", 1, 2)),
+    ({"": "t", "b": "v"}, ("", 0, "b", 0, 2), ("", 1, 2)),
+    ({"a\nb": "t", "b": "v"}, ("a\nb", 0, "b", 0, 2), ("a\nb", 1, 2)),
+    ({1: "t", "b": "v"}, (1, 0, "b", 0, 2), (1, 1, 2)),
+    ({1: "t", 2: "v"}, (1, 0, 2, 0, 2), (1, 1, 2)),
+    ({"a": "t", "b": "v"}, (["a"], 0, "b", 0, 2), ("a", 1, 2)),
+], ids=["float-leg", "str-leg", "bool-leg", "float-open-leg", "float-dim",
+        "float-open-dim", "id-with-space", "empty-id", "id-with-newline",
+        "int-id", "int-ids", "list-id"])
+def test_graph_refuses_what_the_text_format_cannot_carry(nodes, edge, leg):
+    # a float or str leg used to raise a bare TypeError, a bool or 2.0 leg
+    # or dim was dumped as False or 2.0, ids with whitespace and empty ids
+    # dumped to files parse_graph refused, int ids read back as str, and
+    # mixed int and str ids made dump_graph's sort raise TypeError
+    tensors = {"t": DenseTensor(np.eye(2, dtype=int), EXACT),
+               "v": DenseTensor(np.ones(2, dtype=int), EXACT)}
+    with pytest.raises(ShapeError):
+        TnGraph({nid: tensors[t] for nid, t in nodes.items()}, [Edge(*edge)],
+                [OpenLeg(*leg, 1)])
+
+
+def _scalars(field, n):
+    if field == EXACT:
+        return st.lists(st.fractions(max_denominator=50) | st.integers(),
+                        min_size=n, max_size=n)
+    return st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=n, max_size=n)
+
+
+# mostly words; now and then any text or an int, which may not be ids
+NODE_IDS = st.integers(0, 11).flatmap(
+    lambda k: st.from_regex(r"\S{1,3}", fullmatch=True) if k < 10
+    else st.text(max_size=3) if k == 10 else st.integers(0, 3))
+
+
+def _maybe_bogus(data, value):
+    """``value`` (an int), or now and then a stand-in the text format cannot
+    carry, or a numpy integer, which it can."""
+    kind = data.draw(st.sampled_from(["int"] * 30 + ["np", "float", "str",
+                                                     "bool"]))
+    return {"int": value, "np": np.int64(value), "float": float(value),
+            "str": str(value), "bool": bool(value)}[kind]
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_every_accepted_graph_round_trips_through_text(field, data):
+    # connected graphs with cycles and parallel bonds; ids, leg indices,
+    # dims and time indices are now and then values the text cannot carry,
+    # and TnGraph must refuse exactly those, with ShapeError
+    ids = data.draw(st.lists(NODE_IDS, min_size=1, max_size=4, unique=True))
+    n = len(ids)
+    pairs = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        for _ in range(data.draw(st.integers(0, 2))):
+            a = data.draw(st.integers(0, n - 1))
+            b = data.draw(st.integers(0, n - 2))
+            pairs.append((a, b + (b >= a)))
+    dims = [[] for _ in range(n)]
+    carried = all(isinstance(i, str) and i != "" and
+                  not any(c.isspace() for c in i) for i in ids)
+
+    def field_value(value):
+        nonlocal carried
+        got = _maybe_bogus(data, value)
+        carried &= type(got) in (int, np.int64)
+        return got
+
+    def leg(v, d):
+        dims[v].append(d)
+        return field_value(len(dims[v]) - 1)
+
+    edges = []
+    for a, b in pairs:
+        d = data.draw(st.integers(1, 2))
+        edges.append(Edge(ids[a], leg(a, d), ids[b], leg(b, d),
+                          field_value(d)))
+    open_legs = []
+    for _ in range(data.draw(st.integers(int(n == 1), 3))):
+        v, d = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, 2))
+        open_legs.append(OpenLeg(ids[v], leg(v, d), field_value(d),
+                                 field_value(data.draw(st.integers(1, 4)))))
+    nodes = {}
+    for v, nid in enumerate(ids):
+        entries = data.draw(_scalars(field, math.prod(dims[v])))
+        nodes[nid] = DenseTensor(
+            (exact_array(entries) if field == EXACT
+             else np.array(entries, dtype=float)).reshape(dims[v]), field)
+    try:
+        g = TnGraph(nodes, edges, open_legs)
+    except ShapeError:
+        assert not carried
+        return
+    assert carried
+    text = dump_graph(g)
+    h = parse_graph(text)
+    assert dump_graph(h) == text
+    assert h.nodes.keys() == g.nodes.keys()
+    for nid, t in g.nodes.items():
+        u = h.nodes[nid]
+        assert (u.field, u.dims) == (t.field, t.dims)
+        if field == EXACT:
+            assert [(type(x), x) for x in u.entries] == \
+                [(type(x), x) for x in t.entries]
+        else:
+            assert u.data.tobytes() == t.data.tobytes()
+    assert h.edges == g.edges and h.open_legs == g.open_legs
 
 
 def test_open_leg_side_comes_from_its_time():
@@ -208,6 +325,102 @@ def test_contract_matches_einsum_on_cycles_and_parallel_bonds(field, data):
     else:
         scale = np.asarray(np.einsum(spec, *map(np.abs, arrays))).reshape(-1)
         assert np.all(np.abs(got - want) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_pair_product_is_tensordot(field, data):
+    # 1-3 shared axes, listed in any order, among free axes in any order
+    dim = st.integers(1, 3)
+    shared = data.draw(st.lists(dim, min_size=1, max_size=3))
+    size = {("s", i): d for i, d in enumerate(shared)}
+    for side in "ab":
+        for j, d in enumerate(data.draw(st.lists(dim, max_size=2))):
+            size[side, j] = d
+    axes_of = {side: data.draw(st.permutations(
+        [k for k in size if k[0] in ("s", side)])) for side in "ab"}
+    listed = data.draw(st.permutations(range(len(shared))))
+    axes_a = [axes_of["a"].index(("s", i)) for i in listed]
+    axes_b = [axes_of["b"].index(("s", i)) for i in listed]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def array(side):
+        shape = tuple(size[k] for k in axes_of[side])
+        if field == FLOAT:
+            return rng.standard_normal(shape)
+        nums, dens = rng.integers(-9, 10, shape), rng.integers(1, 4, shape)
+        return exact_array(np.vectorize(Fraction, otypes=[object])(
+            nums, dens))
+
+    a, b = array("a"), array("b")
+    got = tn._pair_product(a, b, axes_a, axes_b)
+    want = np.tensordot(a, b, (axes_a, axes_b))
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    if field == FLOAT:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert [(type(x), x) for x in got.reshape(-1)] == \
+            [(type(x), x) for x in want.reshape(-1)]
+
+
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+def test_shared_node_tensors_are_never_written(field):
+    # every copy of a parameter array is one tensor, and so is every input
+    # node of one symbol; with every node array read-only, a write anywhere
+    # in the codec, attach_inputs, contract or min_cut would raise
+    def frozen(g):
+        for t in g.nodes.values():
+            t.data.flags.writeable = False
+        return g
+
+    p = draw_params(trial_rng(7, 2, 2, 6, 3, 0), 2, 2, L=3, field=field)
+    enc, seq = TemplateEncoder.identity(2, field), (1, 2, 2, 1, 2, 1)
+    g = frozen(build_deep_tn(p, 6))
+    # 3 h0, 3 W_h, 3 W_i, delta and the output row
+    assert len(g.nodes) == 278 and len({id(t) for t in g.nodes.values()}) == 11
+    text = dump_graph(g)
+    h = frozen(parse_graph(text))
+    assert dump_graph(h) == text
+    attached = frozen(attach_inputs(h, enc, seq))
+    assert len({id(attached.nodes[f"in{k}"]) for k in range(12)}) == 2
+    val = contract(attached).entries[0]
+    if field == EXACT:
+        assert val == forward_deep(p, RAC_PRODUCT, enc, seq)[0]
+    else:  # what the graph gave when every node had its own tensor
+        assert val.hex() == "0x1.31b46198909dap-109"
+    val, cut = min_cut(h)
+    assert (val, len(cut)) == (512, 9) and min_cut(g) == (val, cut)
+    q = draw_params(trial_rng(7, 2, 3, 8, 1, 0), 2, 3, L=1, field=field)
+    mps = frozen(parse_graph(dump_graph(frozen(build_mps(q, 8)))))
+    assert mps.nodes["cell1"] is mps.nodes["cell8"]
+    assert min_cut(mps)[0] == 3
+    w = build_weights_tensor(q, T=8)
+    if field == EXACT:
+        assert contract(mps).equals(w)
+    else:
+        assert np.allclose(contract(mps).data, w.data, rtol=1e-12, atol=0)
+
+
+def test_parse_graph_shares_one_tensor_per_dims_and_entry_line():
+    # repeated (dims, entry line) pairs become one tensor, distinct lines
+    # distinct tensors even where their values agree
+    text = dump_graph(build_deep_tn(
+        draw_params(trial_rng(7, 2, 2, 4, 2, 0), 2, 2, L=2), 4))
+    lines = text.splitlines()
+    key = {line.split()[1]: (tuple(line.split()[3:]), lines[i + 1])
+           for i, line in enumerate(lines) if line.startswith("node ")}
+    h = parse_graph(text)
+    tensor_of = {k: id(h.nodes[nid]) for nid, k in key.items()}
+    assert all(id(h.nodes[nid]) == tensor_of[k] for nid, k in key.items())
+    assert len(set(tensor_of.values())) == len(tensor_of) < len(key)
+    g = parse_graph("racsep-tn v1\nfield exact\nnodes 4\n"
+                    "node a 1 2\n1/1 2/1\nnode b 1 2\n2/2 4/2\n"
+                    "node c 1 2\n1/1 2/1\nnode m 3 2 2 2\n" +
+                    " ".join(["1/1"] * 8) + "\nedges 3\nedge a 0 m 0 2\n"
+                    "edge b 0 m 1 2\nedge c 0 m 2 2\nopen 0\n")
+    assert g.nodes["a"] is g.nodes["c"] and g.nodes["a"] is not g.nodes["b"]
+    assert g.nodes["a"].equals(g.nodes["b"])
 
 
 def test_mps_contracts_to_weights_tensor():
