@@ -7,7 +7,6 @@ error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import functools
 import io
@@ -51,33 +50,37 @@ def _int_list(text):
     return values
 
 
-def _add_grid_flags(p, trials):
-    """The parameter-grid flags; ``--trials`` and ``--field`` if trials.
-    The list defaults are strings, which argparse parses anew on every
-    parse, so no two parses share a list."""
-    p.add_argument("--M", type=_int_list, default="2", help="template counts")
-    p.add_argument("--R", type=_int_list, default="2", help="hidden widths")
-    p.add_argument("--T", type=_int_list, default="4", help="sequence lengths")
-    p.add_argument("--L", type=_int_list, default="1", help="depths")
-    if trials:
-        p.add_argument("--trials", type=_positive, default=30)
-        p.add_argument("--field", choices=[EXACT, FLOAT])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+# flag -> its argparse options.  List defaults are strings, which argparse
+# parses anew on every parse, so no two parses share a list.
+FLAGS = {
+    "M": dict(type=_int_list, default="2", help="template counts"),
+    "R": dict(type=_int_list, default="2", help="hidden widths"),
+    "T": dict(type=_int_list, default="4", help="sequence lengths"),
+    "L": dict(type=_int_list, default="1", help="depths"),
+    "P": dict(type=_int_list, default="2,3,4", help="duplication dims"),
+    "trials": dict(type=_positive, default=30),
+    "field": dict(choices=[EXACT, FLOAT], default=EXACT),
+    "seed": dict(type=int, default=0),
+    "rel_tol": dict(type=float, default=DEFAULT_REL_TOL),
+}
 
 
-def _grid(a, depths=None):
-    """Every Cell of the grid (``depths`` in place of --L for a suite stated
-    at one depth), all built, so validated, before any check runs."""
-    return [Cell(*c) for c in itertools.product(a.M, a.R, a.T, depths or a.L)]
+def _add_flags(p, flags):
+    for flag in flags:
+        p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
+
+
+def _grid(a, depths):
+    """Every Cell of the --M x --R x --T grid at ``depths``, all built, so
+    validated, before any check runs."""
+    return [Cell(*c) for c in itertools.product(a.M, a.R, a.T, depths)]
 
 
 def _lemmas(a):
     """Decomposition and bucket checks per cell, then the other two once; a
     cell too large for the exhaustive bucket sweep (R is capped at 3 there,
     T/2 is not) is refused before any check runs."""
-    cells = _grid(a)
+    cells = _grid(a, [1])
     if any(c.half > 4 for c in cells):
         raise RacsepError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
     return [rep for c in cells for rep in (
@@ -87,45 +90,27 @@ def _lemmas(a):
         check_hadamard_power_bound(a.trials, seed=a.seed)]
 
 
-# verify suite -> parsed args -> reports.  Checks are looked up by module-level
-# name at call time, so patched module attributes (tracing, mocks) see them.
+# verify suite -> (the flags its check reads, parsed args -> reports).  Checks
+# are looked up by module-level name at call time, so patched module
+# attributes (tracing, mocks) see them.
+_SWEEP = ("M", "R", "T", "trials", "seed")
 SUITES = {
-    "shallow": lambda a: [verify_shallow_rank_law(
-        c, a.trials, field=a.field, seed=a.seed, rel_tol=a.rel_tol)
-        for c in _grid(a)],
-    "deep": lambda a: [verify_deep_lower_bound(
-        c, a.trials, seed=a.seed, rel_tol=a.rel_tol) for c in _grid(a, [2])],
-    "claim1": lambda a: [check_claim1_equality(c, a.trials, seed=a.seed)
-                         for c in _grid(a)],
-    "conjecture": lambda a: [check_conjecture_bound(
-        c, trials=a.trials, seed=a.seed, rel_tol=a.rel_tol)
-        for c in _grid(a)],
-    "lemmas": _lemmas,
-    "noclone": lambda a: [check_no_cloning(P) for P in a.P],
-    "mincut": lambda a: [verify_min_cut(c, a.trials, seed=a.seed)
-                         for c in _grid(a)],
+    "shallow": (_SWEEP + ("field", "rel_tol"), lambda a: [
+        verify_shallow_rank_law(c, a.trials, field=a.field, seed=a.seed,
+                                rel_tol=a.rel_tol) for c in _grid(a, [1])]),
+    "deep": (_SWEEP + ("rel_tol",), lambda a: [verify_deep_lower_bound(
+        c, a.trials, seed=a.seed, rel_tol=a.rel_tol) for c in _grid(a, [2])]),
+    "claim1": (_SWEEP, lambda a: [check_claim1_equality(c, a.trials,
+                                                        seed=a.seed)
+                                  for c in _grid(a, [1])]),
+    "conjecture": (_SWEEP + ("L", "rel_tol"), lambda a: [
+        check_conjecture_bound(c, trials=a.trials, seed=a.seed,
+                               rel_tol=a.rel_tol) for c in _grid(a, a.L)]),
+    "lemmas": (_SWEEP, _lemmas),
+    "noclone": (("P",), lambda a: [check_no_cloning(P) for P in a.P]),
+    "mincut": (_SWEEP, lambda a: [verify_min_cut(c, a.trials, seed=a.seed)
+                                  for c in _grid(a, [1])]),
 }
-
-# verify flag -> (the suites that read it, its default there).  On verify
-# these flags parse to None when not given, so other suites can refuse them.
-_GRID_SUITES = set(SUITES) - {"noclone"}
-SUITE_FLAGS = {"M": (_GRID_SUITES, [2]), "R": (_GRID_SUITES, [2]),
-               "T": (_GRID_SUITES, [4]),
-               "field": ({"shallow"}, EXACT), "L": ({"conjecture"}, [1]),
-               "P": ({"noclone"}, [2, 3, 4]),
-               "rel_tol": ({"shallow", "deep", "conjecture"}, DEFAULT_REL_TOL)}
-
-
-def _suite_flags(args):
-    """Fills in copies of SUITE_FLAGS' defaults, refusing a flag its suite
-    won't read."""
-    for flag, (suites, default) in SUITE_FLAGS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, copy.copy(default))
-        elif args.suite not in suites:
-            raise RacsepError(f"--{flag.replace('_', '-')} applies only to "
-                              f"verify {', '.join(sorted(suites))}")
-
 
 # export target -> its text, from params and T
 EXPORTS = {"weights": lambda p, T: dump_tensor(build_weights_tensor(p, T=T)),
@@ -140,16 +125,18 @@ def build_parser():
         description="Separation-rank checks for multiplicative recurrent "
                     "networks and their tensor networks.")
     sub = ap.add_subparsers(dest="command", required=True)
+    out_help = "CSV output path (default stdout)"
 
     vp = sub.add_parser("verify", help="run one verification suite")
-    vp.add_argument("suite", choices=list(SUITES))
-    _add_grid_flags(vp, trials=True)
-    vp.add_argument("--P", type=_int_list,
-                    help="duplication dims for the noclone suite")
-    vp.set_defaults(**dict.fromkeys(SUITE_FLAGS))
+    suites = vp.add_subparsers(dest="suite", required=True)
+    for suite, (flags, _) in SUITES.items():
+        p = suites.add_parser(suite)
+        _add_flags(p, flags)
+        p.add_argument("--out", help=out_help)
 
     sp = sub.add_parser("scan", help="rank/bound table over a parameter grid")
-    _add_grid_flags(sp, trials=False)
+    _add_flags(sp, ("M", "R", "T", "L", "seed", "rel_tol"))
+    sp.add_argument("--out", help=out_help)
 
     ep = sub.add_parser("export", help="write a tensor or graph as text")
     ep.add_argument("what", choices=list(EXPORTS))
@@ -157,8 +144,7 @@ def build_parser():
     ep.add_argument("--R", type=_positive, default=2)
     ep.add_argument("--T", type=_positive, default=4)
     ep.add_argument("--L", type=_positive, default=1)
-    ep.add_argument("--field", choices=[EXACT, FLOAT], default=EXACT)
-    ep.add_argument("--seed", type=int, default=0)
+    _add_flags(ep, ("field", "seed"))
     ep.add_argument("--out", required=True)
     return ap
 
@@ -180,9 +166,7 @@ def _emit(args, text):
 
 
 def cmd_verify(args):
-    _suite_flags(args)
-    check_rel_tol(args.rel_tol)
-    reports = SUITES[args.suite](args)
+    reports = SUITES[args.suite][1](args)
     _emit(args, rows_to_csv([r for rep in reports for r in rep.rows]))
     return EXIT_PASS if all(rep.passed for rep in reports) else EXIT_FAIL
 
@@ -192,11 +176,10 @@ SCAN_COLUMNS = ("M", "R", "T", "L", "field", "seed", "observed_rank",
 
 
 def cmd_scan(args):
-    check_rel_tol(args.rel_tol)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(SCAN_COLUMNS)
-    for cell in _grid(args):
+    for cell in _grid(args, args.L):
         fld = EXACT if cell.L == 1 else FLOAT
         [(label, p)] = draw_trials(args.seed, cell, 1, fld)
         rank = separation_rank(p, cell.T, rel_tol=args.rel_tol).rank
@@ -222,6 +205,8 @@ def cmd_export(args):
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if hasattr(args, "rel_tol"):
+            check_rel_tol(args.rel_tol)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "scan":

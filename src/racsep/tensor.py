@@ -166,9 +166,12 @@ FORMAT_TAG = "racsep-tensor v1"
 
 
 def format_scalars(values, field):
-    """The text form of every scalar in ``values``, in order."""
+    """The text form of every scalar in ``values``, in order.  A float entry
+    that is not finite raises InvalidInputError, as the readers refuse it."""
     if field == EXACT:
         return [f"{v.numerator}/{v.denominator}" for v in values]
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("float entries must be finite")
     return [np.format_float_scientific(v, unique=True) for v in values]
 
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import importlib
 import itertools
+import shlex
 import subprocess
 import sys
 import time
@@ -145,49 +146,48 @@ def test_non_positive_size_usage_error(args, tmp_path, monkeypatch):
     assert not (tmp_path / "unused.txt").exists()
 
 
-@pytest.mark.parametrize("flag", ["--trials 3", "--field float"])
-def test_scan_refuses_verify_only_flags(flag, capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["scan"] + flag.split())
-    assert ei.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("args", [
-    "claim1 --field float",
-    "conjecture --field exact",
-    "mincut --field exact",
-    "deep --L 3",
-    "shallow --L 1",
-    "lemmas --L 2",
-    "shallow --P 9",
-    "mincut --P 2",
-    "claim1 --rel-tol 5",
-    "mincut --rel-tol 1e-3",
-    "lemmas --rel-tol 1e-3",
-    "noclone --rel-tol 1e-3",
-    "noclone --T 3",
-    "noclone --M 2",
+    "scan --trials 3",
+    "scan --field float",
+    "verify claim1 --field float",
+    "verify conjecture --field exact",
+    "verify mincut --field exact",
+    "verify deep --L 3",
+    "verify shallow --L 1",
+    "verify lemmas --L 2",
+    "verify shallow --P 9",
+    "verify mincut --P 2",
+    "verify claim1 --rel-tol 5",
+    "verify mincut --rel-tol 1e-3",
+    "verify lemmas --rel-tol 1e-3",
+    "verify noclone --rel-tol 1e-3",
+    "verify noclone --T 3",
+    "verify noclone --M 2",
+    "verify noclone --trials 3",
+    "verify noclone --seed 1",
 ])
-def test_verify_refuses_flags_its_suite_does_not_read(args, capsys):
-    # --field belongs to shallow, --L to conjecture, --P to noclone,
-    # --rel-tol to shallow, deep and conjecture, and --M, --R and --T to
-    # every suite but noclone; refused before a check
-    code, out, err = run_cli(["verify"] + args.split() + ["--trials", "1"],
-                             capsys)
-    assert code == 2 and out == ""
-    assert "applies only to verify" in err
+def test_every_command_refuses_flags_it_does_not_read(args, capsys):
+    # a command parses only the flags its table entry lists: --field
+    # belongs to verify shallow, --L to verify conjecture and scan, --P to
+    # verify noclone, --rel-tol to verify shallow, deep, conjecture and
+    # scan, and --M, --R, --T, --trials and --seed to every suite but
+    # noclone; refused before a check
+    with pytest.raises(SystemExit) as ei:
+        main(args.split())
+    out, err = capsys.readouterr()
+    assert (ei.value.code, out) == (2, "")
+    flag = " ".join(args.split()[-2:])
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("args", [
-    "shallow --field float --rel-tol 1e-9",
-    "deep --rel-tol 1e-9",
-    "conjecture --L 2 --rel-tol 1e-9",
+    "shallow --field float --rel-tol 1e-9 --trials 1",
+    "deep --rel-tol 1e-9 --trials 1",
+    "conjecture --L 2 --rel-tol 1e-9 --trials 1",
     "noclone --P 2",
 ])
 def test_verify_accepts_flags_its_suite_reads(args, capsys):
-    code, out, err = run_cli(["verify"] + args.split() + ["--trials", "1"],
-                             capsys)
+    code, out, err = run_cli(["verify"] + args.split(), capsys)
     assert code in (0, 1) and out.startswith(HEADER) and err == ""
 
 
@@ -516,7 +516,7 @@ def test_export_golden_bytes(what, field, L, digest, tmp_path, capsys):
 
 def test_main_builds_one_parser_and_shares_no_default(monkeypatch, capsys):
     # the parser is built once per process; every call still gets its own
-    # default lists, SUITE_FLAGS' among them, so mutating one call's
+    # default lists, parsed from FLAGS' strings, so mutating one call's
     # arguments leaks into no later call
     built, seen = [], []
     build = cli.build_parser
@@ -531,10 +531,10 @@ def test_main_builds_one_parser_and_shares_no_default(monkeypatch, capsys):
                 value.append(99)
         return []
 
-    monkeypatch.setitem(cli.SUITES, "shallow", spy)
+    shallow = cli.SUITES["shallow"][0]
+    monkeypatch.setitem(cli.SUITES, "shallow", (shallow, spy))
     monkeypatch.setattr(cli, "cmd_scan", spy)
-    flags = copy.deepcopy(
-        {flag: default for flag, (_, default) in cli.SUITE_FLAGS.items()})
+    flags = copy.deepcopy(cli.FLAGS)
     assert main(["verify", "shallow", "--M", "3", "--R", "1,4", "--T", "6",
                  "--field", "float", "--rel-tol", "1e-3"]) == 0
     for _ in range(2):
@@ -546,13 +546,57 @@ def test_main_builds_one_parser_and_shares_no_default(monkeypatch, capsys):
     first, *defaults = seen[:3]
     assert (first["M"], first["R"], first["T"], first["field"],
             first["rel_tol"]) == ([3, 99], [1, 4, 99], [6, 99], "float", 1e-3)
+    parsed = {flag: kw["type"](kw["default"]) if "type" in kw
+              else kw["default"] for flag, kw in flags.items()}
     for args in defaults:
-        assert {flag: args[flag] for flag in flags} == {
-            flag: default + [99] if isinstance(default, list) else default
-            for flag, default in flags.items()}
+        assert {flag: args[flag] for flag in shallow} == {
+            flag: parsed[flag] + [99] if isinstance(parsed[flag], list)
+            else parsed[flag] for flag in shallow}
     assert [[a[k] for k in "MRTL"] for a in seen[3:]] == [
         [[3, 99], [2, 99], [4, 99], [2, 99]]] + [
         [[2, 99], [2, 99], [4, 99], [1, 99]]] * 2
-    assert {flag: default for flag, (_, default)
-            in cli.SUITE_FLAGS.items()} == flags
+    assert cli.FLAGS == flags
     assert built == [1]
+
+
+def test_each_suite_declares_the_flags_its_check_reads(monkeypatch):
+    # with every check stubbed out, a suite's lambda reads exactly the flags
+    # its SUITES entry lists, so no suite parses a flag it ignores
+    for name in dir(cli):
+        if name.startswith(("check_", "verify_")):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: None)
+
+    class Reads:
+        def __init__(self, args):
+            self.args, self.names = args, set()
+
+        def __getattr__(self, name):
+            self.names.add(name)
+            return getattr(self.args, name)
+
+    for suite, (flags, check) in cli.SUITES.items():
+        args = Reads(cli.build_parser().parse_args(["verify", suite]))
+        check(args)
+        assert args.names == set(flags), suite
+
+
+def _readme_cli_lines():
+    """Every ``racsep ...`` line of the sh block under README's ## CLI."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("racsep ")]
+
+
+README_CLI = _readme_cli_lines()
+
+
+def test_readme_has_cli_examples():
+    assert len(README_CLI) >= 8
+
+
+@pytest.mark.parametrize("line", README_CLI)
+def test_readme_cli_example_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(shlex.split(line)[1:], capsys)
+    assert code in (0, 1) and err == ""

@@ -360,6 +360,15 @@ def test_parse_params_rejects_non_finite(bad):
         parse_params("\n".join(lines))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dump_params_refuses_non_finite(bad):
+    # it used to write nan/inf, which parse_params refuses
+    p = RacParams(w_in=[np.array([[bad, 1.0], [0.5, 1.0]])],
+                  w_hidden=[np.eye(2)], w_out=np.array([[1.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        dump_params(p)
+
+
 @pytest.mark.parametrize("header", ["R 5", "M 2", "C 3", "w_in 7", "h0 5"])
 def test_parse_params_rejects_header_mismatch(header):
     # the blocks hold R=2, M=3, C=1 and one layer, index 0; the edit replaces

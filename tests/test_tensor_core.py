@@ -138,6 +138,13 @@ def test_parse_rejects_non_finite(bad):
         parse_tensor(f"racsep-tensor v1\norder 1\ndims 2\nfield float\n1.0\n{bad}\n")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dump_tensor_refuses_non_finite(bad):
+    # it used to write nan/inf, which parse_tensor refuses
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        dump_tensor(DenseTensor(np.array([bad, 1.0]), FLOAT))
+
+
 def _edits(text):
     """Every dump with one line deleted, one line doubled, or one word of a
     line dropped."""

@@ -617,6 +617,15 @@ def test_graph_serialization_roundtrip(field):
     assert contract(h).equals(contract(g))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_dump_graph_refuses_non_finite(bad):
+    # it used to write nan/inf, which parse_graph refuses
+    g = TnGraph({"t": DenseTensor(np.array([bad, 1.0]), FLOAT)}, [],
+                [OpenLeg("t", 0, 2, 1)])
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        dump_graph(g)
+
+
 def _edit(pos, new):
     """Replaces line ``pos`` of a dumped graph (deletes it when new is None)."""
     return lambda lines: lines[:pos] + ([] if new is None else [new]) \
