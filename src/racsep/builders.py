@@ -51,7 +51,7 @@ from .network import step_deep  # noqa: F401
 from .ranks import (DEFAULT_REL_TOL, PRIME, RankReport, column_basis,
                     full_rank_mod_p, independent_mod_p, multiset_coefficient,
                     primitive_row, rank_exact, rank_numeric)
-from .tensor import EXACT, DenseTensor, float_form, integer_form
+from .tensor import EXACT, DenseTensor, split_denominator
 
 GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
 DEFAULT_GRID_BUDGET = 10 ** 7
@@ -74,8 +74,7 @@ def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
     net = _Frontier(p, _templates(p, enc), c)
     S, D = net.advance(net.h0, net.D0, T, "grid tensor state array")
     A, den = net.out @ S[-1], net.do * D[-1]
-    if den != 1:
-        A = np.array([Fraction(x, den) for x in A], dtype=object)
+    A = A if den == 1 else A / Fraction(den)
     return DenseTensor(A.reshape((p.M,) * T), p.field)
 
 
@@ -220,8 +219,9 @@ class _Frontier:
 
     where S_(l-1) holds the new states of the layer below and S_(-1) = F^T,
     so layer 0's input term W_i F^T is computed once.  Over the exact field
-    the step runs on Python integers: the denominators of every weight
-    matrix, h0 and F are cleared once, layer l's states carry the one
+    the step runs on Python integers: every weight matrix, h0 and F is
+    split once into integers over one denominator (split_denominator, which
+    leaves a float array as it is over 1), layer l's states carry the one
     denominator D_l <- dh_l * D_l * di_l * D_(l-1) (D_(-1) = dF, D_l starts
     at den(h0_l)).  Its mod-p form (:meth:`mod_p`) runs the same step on
     int64 residues.
@@ -232,13 +232,13 @@ class _Frontier:
     def __init__(self, p, F, c):
         check_class(p, c)
         self.budget = grid_budget()
-        form = integer_form if p.field == EXACT else float_form
-        self.wi, self.di = zip(*map(form, p.w_in))
-        self.wh, self.dh = zip(*map(form, p.w_hidden))
-        (self.out, self.do), (F, dF) = form(p.w_out[c - 1]), form(F)
+        self.wi, self.di = zip(*map(split_denominator, p.w_in))
+        self.wh, self.dh = zip(*map(split_denominator, p.w_hidden))
+        (self.out, self.do), (F, dF) = map(split_denominator,
+                                           (p.w_out[c - 1], F))
         # layer 0's input term W_i F^T is the same at every step
         self.x0, self.dx0 = self.wi[0] @ F.T, self.di[0] * dF
-        h0, D0 = zip(*map(form, p.h0))
+        h0, D0 = zip(*map(split_denominator, p.h0))
         self.h0, self.D0 = [h[:, None] for h in h0], list(D0)
 
     def mod_p(self):

@@ -10,14 +10,15 @@ lists the kept vectors; :func:`full_rank_mod_p`, the one certificate,
 runs the kernel over a matrix's shorter side (rows, or columns when there
 are more rows than columns) and stops at the first dependent vector.
 
-The exact oracle first clears the matrix of denominators (one common
-denominator) and drops repeated and zero rows, which changes no rank.  If
-the certificate holds on those rows as they are, the rank is
-min(rows, columns), exactly, since a minor that is nonzero mod p is a
-nonzero integer.  Only if it fails is every row divided by its content
-(the gcd of its entries, :func:`primitive_row`), so that proportional rows
-collapse, and Bareiss (division-deferred) elimination with full pivoting
-over arbitrary-precision integers gives the rank, so rationals with wildly
+The exact oracle first writes the matrix over one common denominator
+(tensor.split_denominator, as every exact elimination here does) and drops
+repeated and zero rows, which changes no rank.  If the certificate holds
+on those rows as they are, the rank is min(rows, columns), exactly, since
+a minor that is nonzero mod p is a nonzero integer.  Only if it fails is
+every row divided by its content (the gcd of its entries,
+:func:`primitive_row`), so that proportional rows collapse, and Bareiss
+(division-deferred) elimination with full pivoting over
+arbitrary-precision integers gives the rank, so rationals with wildly
 different magnitudes (entries spanning thousands of binary digits) are
 handled without loss.
 Each Bareiss pivot is the trailing entry of fewest bits (the first in
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      ShapeError, check_count)
-from .tensor import (EXACT, DenseTensor, clear_denominators, exact_array,
-                     field_of)
+from .tensor import (EXACT, DenseTensor, exact_array, field_of,
+                     split_denominator)
 
 DEFAULT_REL_TOL = 1e-12
 # the one prime of every mod-p computation, the largest below 2^26: a
@@ -74,12 +75,8 @@ def rank_exact(m) -> RankReport:
     """Exact rank: full rank certified modulo a prime on the distinct rows
     (:func:`full_rank_mod_p`), else fraction-free Gaussian elimination with
     full pivoting on the primitive rows."""
-    arr, fld = _as_matrix(m)
-    if fld != EXACT:
-        raise FieldMismatchError("rank_exact requires the exact scalar field")
-    ncols = arr.shape[1]
-    rows = [list(row) for row in dict.fromkeys(
-        _integer_rows(arr.reshape(-1), ncols)) if any(row)]
+    rows, ncols = _exact_rows(m)
+    rows = [list(row) for row in dict.fromkeys(map(tuple, rows)) if any(row)]
     if full_rank_mod_p(rows, ncols):
         rank = min(len(rows), ncols)
     else:
@@ -92,13 +89,19 @@ def column_basis(m) -> list:
     that span its column space: Bareiss's pivot columns.  Scaling, dropping
     and reordering rows keeps every column dependency, so the primitive rows
     give the same columns."""
+    rows, ncols = _exact_rows(m)
+    rank, order = _bareiss(_primitive_rows(rows), ncols)
+    return sorted(order[:rank])
+
+
+def _exact_rows(m):
+    """The rows of the exact matrix ``m`` over one common denominator
+    (:func:`split_denominator`), as lists of Python ints, and its column
+    count; FieldMismatchError if ``m`` is not exact."""
     arr, fld = _as_matrix(m)
     if fld != EXACT:
-        raise FieldMismatchError("column_basis requires the exact scalar field")
-    ncols = arr.shape[1]
-    rows = _primitive_rows(_integer_rows(arr.reshape(-1), ncols))
-    rank, order = _bareiss(rows, ncols)
-    return sorted(order[:rank])
+        raise FieldMismatchError("exact elimination requires the exact field")
+    return split_denominator(arr)[0].tolist(), arr.shape[1]
 
 
 def solve_exact(a, b):
@@ -111,8 +114,9 @@ def solve_exact(a, b):
     if np.shape(a) != (n, n):
         raise ShapeError(f"solve_exact needs an n x n matrix for n = {n} "
                          f"right-hand sides, got shape {np.shape(a)}")
-    rows = _primitive_rows(_integer_rows(
-        [x for i in range(n) for x in (*a[i], b[i])], n + 1))
+    ab = np.empty((n, n + 1), dtype=object)  # [a | b] in Python scalars
+    ab[:, :n], ab[:, n] = a, b
+    rows = _primitive_rows(split_denominator(ab)[0].tolist())
     rank, order = _bareiss(rows, n)
     if rank < n:
         raise ParameterError("singular matrix")
@@ -217,18 +221,6 @@ def _echelon_mod_p(vectors):
             inv = pow(v[j], -1, PRIME)
             basis.append((j, [x * inv % PRIME for x in v]))
         yield j is not None
-
-
-def _integer_rows(values, width):
-    """The rows of the exact row-major ``values`` (rows of ``width``
-    entries), cleared of one common denominator, as tuples of Python
-    ints."""
-    try:
-        nums = clear_denominators(values)[0]
-    except AttributeError:
-        raise FieldMismatchError(
-            "exact elimination requires int or Fraction entries") from None
-    return zip(*[iter(nums)] * width)  # one iterator, width entries a row
 
 
 def primitive_row(row):

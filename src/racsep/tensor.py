@@ -3,8 +3,10 @@
 Two scalar fields are supported: IEEE double ("float") and exact rationals
 ("exact", in object arrays).  An exact scalar has one form, which
 :func:`exact_array` gives it: a Python int when the value is an integer,
-else a ``fractions.Fraction`` over Python ints with a denominator > 1.  A
-tensor never mixes fields.  Entries are kept in row-major order (last index
+else a ``fractions.Fraction`` over Python ints with a denominator > 1; and
+:func:`split_denominator` writes an array as integers over one
+denominator for the integer walks of the builders, ranks and tn modules.
+A tensor never mixes fields.  Entries are kept in row-major order (last index
 fastest), so the start/end matricization, which splits the T modes into the
 first and the last T/2, is a reshape.
 
@@ -22,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError, is_integer
+from .errors import (FieldMismatchError, InvalidInputError, ShapeError,
+                     is_integer)
 
 EXACT = "exact"
 FLOAT = "float"
@@ -54,31 +57,27 @@ def exact_array(values, shape=None):
     return flat.reshape(arr.shape if shape is None else shape)
 
 
-def clear_denominators(values):
-    """Python ints n_i and a common denominator d with values[i] == n_i / d.
-
-    ``values`` holds ints or Fractions; d is the lcm of their denominators.
-    """
-    values = list(values)
-    nums = [v.numerator for v in values]
-    dens = [v.denominator for v in values]
+def split_denominator(a):
+    """(n, d) with a == n / d entrywise.  For an exact (object) array, n is
+    an object array of Python ints (numpy integers widened, so they do not
+    wrap) and d the lcm of the entries' denominators; an entry that is not
+    an int or a Fraction raises FieldMismatchError.  Any other array is
+    float: n is ``a`` as float64, and d is 1."""
+    if a.dtype != object:
+        return np.asarray(a, dtype=np.float64), 1
+    values = a.ravel().tolist()
+    try:
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+    except AttributeError:
+        raise FieldMismatchError(
+            "exact arithmetic requires int or Fraction entries") from None
     if set(map(type, nums + dens)) != {int}:  # numpy integers wrap around
         nums, dens = list(map(int, nums)), list(map(int, dens))
-    den = math.lcm(*dens)
-    if den == 1:  # integer entries, the common case
-        return nums, den
-    return [n * (den // d) for n, d in zip(nums, dens)], den
-
-
-def integer_form(a):
-    """(n, d): an object array n of Python ints and an int d with a == n / d."""
-    ints, den = clear_denominators(a.reshape(-1))
-    return np.array(ints, dtype=object).reshape(a.shape), den
-
-
-def float_form(a):
-    """(a as float64, 1): the float counterpart of :func:`integer_form`."""
-    return np.asarray(a, dtype=np.float64), 1
+    d = math.lcm(*dens)
+    if d != 1:  # d is 1 for integer entries, the common case
+        nums = [n * (d // e) for n, e in zip(nums, dens)]
+    return np.array(nums, dtype=object).reshape(a.shape), d
 
 
 def field_of(array):
@@ -176,6 +175,9 @@ def format_scalars(values, field):
 
 
 def dump_tensor(t: DenseTensor) -> str:
+    """The text form of t; InvalidInputError on a zero dim, as on reading."""
+    if not all(t.dims):
+        raise InvalidInputError(f"all dims must be >= 1, got {t.dims}")
     lines = [FORMAT_TAG, f"order {t.order}", "dims " + " ".join(map(str, t.dims)),
              f"field {t.field}"]
     return "\n".join(lines + format_scalars(t.entries, t.field)) + "\n"

@@ -32,8 +32,8 @@ from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      is_integer)
 from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
                       check_encoder, check_steps)
-from .tensor import (EXACT, DenseTensor, TextReader, exact_array, float_form,
-                     format_scalars, header_ints, integer_form)
+from .tensor import (EXACT, DenseTensor, TextReader, exact_array,
+                     format_scalars, header_ints, split_denominator)
 
 CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
 DEFAULT_CONTRACT_BUDGET = 10 ** 7
@@ -266,18 +266,20 @@ def contract(g: TnGraph) -> DenseTensor:
 
     Greedy pairwise contraction along bonds: each step merges the two
     tensors sharing a bond whose result is smallest, the first such pair in
-    pool order on a tie.  Candidate pairs sit in a heap and each merge
-    pushes only the new tensor's pairs with its neighbours, so on a graph of
-    N nodes and E bonds whose tensors keep a bounded number of neighbours
-    scheduling costs O(E log E), not the O(N E) of rescanning every bond per
-    merge.  Each merge is ``np.tensordot``'s own transpose, reshape and
-    ``np.dot`` (:func:`_pair_product`).  Exact nodes are contracted as
-    integer arrays over one common denominator, the product of their own,
-    which is divided out once at the end; each distinct node tensor is
-    cleared once, and none is written.  Open legs are ordered by
-    time index; a fully closed network yields a single-entry tensor.  The
-    entry budget is read from the RACSEP_CONTRACT_BUDGET environment
-    variable.
+    pool order on a tie: the nodes in id order, then the merged tensors in
+    the order they were made, so a float result depends on the graph, not
+    on the order of its node dict.  Candidate pairs sit in a heap and each
+    merge pushes only the new tensor's pairs with its neighbours, so on a
+    graph of N nodes and E bonds whose tensors keep a bounded number of
+    neighbours scheduling costs O(E log E), not the O(N E) of rescanning
+    every bond per merge.  Each merge is ``np.tensordot``'s own transpose,
+    reshape and ``np.dot`` (:func:`_pair_product`).  Each distinct node
+    tensor is split once by :func:`split_denominator`, and none is written:
+    exact nodes are contracted as integer arrays over one common
+    denominator, the product of their own, which is divided out once at
+    the end.  Open legs are ordered by time index; a fully closed network
+    yields a single-entry tensor.  The entry budget is read from the
+    RACSEP_CONTRACT_BUDGET environment variable.
     """
     budget = env_budget(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET)
     total_open = math.prod(o.dim for o in g.open_legs)
@@ -289,17 +291,17 @@ def contract(g: TnGraph) -> DenseTensor:
         label[e.node_a, e.leg_a] = label[e.node_b, e.leg_b] = b
     for i, o in enumerate(g.open_legs):
         label[o.node, o.leg] = (o.time_index, i)
-    # id of a node tensor -> (n, d), its integer or float form; den is the
+    # id of a node tensor -> (n, d), its split_denominator form; den is the
     # product of every node's d
-    form = integer_form if g.field == EXACT else float_form
     cleared, den = {}, 1
     for t in g.nodes.values():
         if id(t) not in cleared:
-            cleared[id(t)] = form(t.data)
+            cleared[id(t)] = split_denominator(t.data)
         den *= cleared[id(t)][1]
-    # the pool: key -> (array, axis labels); keys count up in pool order
+    # the pool: key -> (array, axis labels); keys count up in pool order,
+    # which starts in node-id order, so the merges depend on the graph only
     keys = itertools.count()
-    node_key = {nid: next(keys) for nid in g.nodes}
+    node_key = {nid: next(keys) for nid in sorted(g.nodes)}
     pool = {node_key[nid]: (cleared[id(t)][0],
                             [label[nid, ax] for ax in range(t.order)])
             for nid, t in g.nodes.items()}

@@ -97,8 +97,11 @@ def trial_rng(seed: int, M: int, R: int, T: int, L: int, trial: int):
 
     A cell with R < 100, T < 100 and L < 10 is keyed on the number
     ((M*100 + R)*100 + T)*10 + L, which is one-to-one there; any other cell
-    on (M, R, T, L) itself, so no two cells share a stream."""
-    check_count("seed", seed, 0)
+    on (M, R, T, L) itself, so no two cells share a stream.  Each argument
+    must be an integer >= 0 (InvalidInputError)."""
+    for name, value in zip(("seed", "M", "R", "T", "L", "trial"),
+                           (seed, M, R, T, L, trial)):
+        check_count(name, value, 0)
     cell = ((((M * 100 + R) * 100 + T) * 10 + L,)
             if R < 100 and T < 100 and L < 10 else (M, R, T, L))
     return np.random.default_rng(

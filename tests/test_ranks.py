@@ -31,9 +31,8 @@ _bareiss, full_rank_mod_p = ranks._bareiss, ranks.full_rank_mod_p
 
 def _rows(m):
     """The primitive rows of the exact matrix ``m``."""
-    m = np.asarray(m, dtype=object)
-    return ranks._primitive_rows(ranks._integer_rows(m.reshape(-1),
-                                                     m.shape[1]))
+    return ranks._primitive_rows(ranks._exact_rows(
+        np.asarray(m, dtype=object))[0])
 
 
 def _check_agrees(m):

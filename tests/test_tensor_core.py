@@ -1,6 +1,7 @@
 """Core tensor type, matricization, serialization, and rank oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from racsep import (EXACT, FLOAT, DenseTensor, FieldMismatchError,
                     multiset_coefficient, rank_exact, rank_numeric,
                     trial_rng)
 from racsep.network import dump_params, parse_params
-from racsep.tensor import dump_tensor, parse_tensor
+from racsep.tensor import dump_tensor, parse_tensor, split_denominator
 from racsep.tn import dump_graph, parse_graph
 
 
@@ -145,6 +146,14 @@ def test_dump_tensor_refuses_non_finite(bad):
         dump_tensor(DenseTensor(np.array([bad, 1.0]), FLOAT))
 
 
+@pytest.mark.parametrize("field", [EXACT, FLOAT])
+@pytest.mark.parametrize("dims", [(2, 0), (0,), (0, 3, 1)])
+def test_dump_tensor_refuses_a_zero_dim(field, dims):
+    # it used to write a file that parse_tensor refuses
+    with pytest.raises(InvalidInputError, match="dims must be >= 1"):
+        dump_tensor(DenseTensor(np.zeros(dims), field))
+
+
 def _edits(text):
     """Every dump with one line deleted, one line doubled, or one word of a
     line dropped."""
@@ -232,6 +241,41 @@ def test_rank_exact_ignores_scaled_repeated_and_zero_rows(data):
     want = int(np.linalg.matrix_rank(a.astype(float)))
     assert (rank_exact(exact_array(b)).rank == rank_exact(exact_array(a)).rank
             == rank_exact(exact_array(a.T)).rank == want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                          st.fractions(max_denominator=10 ** 6)),
+                min_size=1, max_size=12))
+def test_split_denominator_writes_an_exact_array_over_its_lcm(values):
+    a = exact_array(values, shape=(len(values),))
+    n, d = split_denominator(a)
+    assert n.dtype == object and n.shape == a.shape
+    assert all(type(x) is int for x in n)
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert all(x / Fraction(d) == v for x, v in zip(n, a))
+
+
+def test_split_denominator_widens_numpy_integers():
+    # int64 would wrap 2^62 * 4 to 0
+    a = np.array([[np.int64(2 ** 62), Fraction(1, 4)]], dtype=object)
+    n, d = split_denominator(a)
+    assert d == 4 and n.tolist() == [[2 ** 64, 1]]
+    assert all(type(x) is int for x in n.reshape(-1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, "x", None, 0.5, np.float64(2)])
+def test_split_denominator_refuses_an_entry_that_is_not_rational(bad):
+    with pytest.raises(FieldMismatchError):
+        split_denominator(np.array([1, bad], dtype=object))
+
+
+def test_split_denominator_leaves_a_float_array_over_1():
+    a = np.array([[0.5, -2.0]])
+    n, d = split_denominator(a)
+    assert d == 1 and n.dtype == np.float64 and np.array_equal(n, a)
+    n, d = split_denominator(np.array([3, 4], dtype=np.int32))
+    assert d == 1 and n.dtype == np.float64 and n.tolist() == [3.0, 4.0]
 
 
 def test_rank_exact_rejects_float():

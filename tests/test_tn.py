@@ -263,14 +263,34 @@ def test_contract_budget_is_the_greedy_peak(monkeypatch):
 
 
 def test_contract_merge_order_is_pinned():
-    # the float draw of the graph above, as contracted by the rescanning
-    # scheduler; another merge order rounds differently (a reversed
-    # tie-break gives -0x1.63e3297d9cc9ap-97)
+    # the float draw of the graph above, merged from its nodes in id order;
+    # another merge order rounds differently (the order of the graph's node
+    # dict gave -0x1.63e3297d9cc8bp-97)
     p = draw_params(trial_rng(5, 2, 3, 6, 3, 0), 2, 3, L=3, field=FLOAT)
     enc, seq = TemplateEncoder.identity(2, FLOAT), (1, 2, 1, 2, 1, 2)
     g = attach_inputs(build_deep_tn(p, 6), enc, seq)
     assert len(g.nodes) == 334
-    assert contract(g).entries[0].hex() == "-0x1.63e3297d9cc8bp-97"
+    assert contract(g).entries[0].hex() == "-0x1.63e3297d9cc89p-97"
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_float_contraction_is_a_function_of_the_graph(data):
+    # a float deep graph, its text round trip (which lists the nodes in id
+    # order) and a copy with its node dict shuffled contract to the same
+    # bits; size ties used to fall to the node dict's order
+    M, R, L = (data.draw(st.integers(2, 3)) for _ in range(3))
+    T = data.draw(st.sampled_from([2, 4] if L == 3 else [2, 4, 6]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    p = draw_params(trial_rng(seed, M, R, T, L, 0), M, R, L=L, field=FLOAT)
+    seq = data.draw(st.lists(st.integers(1, M), min_size=T, max_size=T))
+    g = attach_inputs(build_deep_tn(p, T), TemplateEncoder.identity(M, FLOAT),
+                      seq)
+    shuffled = dict(data.draw(st.permutations(list(g.nodes.items()))))
+    want = contract(g).entries[0].hex()
+    for h in (parse_graph(dump_graph(g)),
+              TnGraph(shuffled, g.edges, g.open_legs)):
+        assert contract(h).entries[0].hex() == want
 
 
 @pytest.mark.parametrize("field", [EXACT, FLOAT])

@@ -60,6 +60,20 @@ def test_trial_rng_refuses_a_negative_seed():
         trial_rng(-1, 2, 2, 4, 1, 0)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((0, 2, 2, 4, 1, -1), "trial must be >= 0"),
+    ((0, 2, 2, 4, 1, 0.5), "trial must be an integer"),
+    ((0, -2, 2, 4, 1, 0), "M must be >= 0"),
+    ((0, 2, 2.0, 4, 1, 0), "R must be an integer"),
+    ((0, 2, 2, "4", 1, 0), "T must be an integer"),
+    ((0, 2, 2, 4, True, 0), "L must be an integer")])
+def test_trial_rng_refuses_what_is_not_a_count(args, message):
+    # a negative trial used to raise numpy's bare ValueError, and a trial of
+    # 0.5 a bare TypeError
+    with pytest.raises(InvalidInputError, match=message):
+        trial_rng(*args)
+
+
 @pytest.mark.parametrize("suite,L", [
     (lambda c: verify_shallow_rank_law(c, 1), 2),
     (lambda c: check_claim1_equality(c, 1), 2),
