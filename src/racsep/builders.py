@@ -109,20 +109,19 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
     refused by :class:`Cell`.
 
     The oracle is chosen here, and each takes one frontier walk.  A float
-    network keeps every start word.  An exact single-layer network whose
-    products fit int64 (:func:`_int64_safe`) first walks mod p, keeping at
-    most R start words whose states are independent mod p; if it keeps
-    min{R, M^(T/2)}, the shallow law's proven upper bound, and their rows
-    of G pass :func:`full_rank_mod_p` (as in :func:`rank_exact`), that is
-    the exact rank.  Otherwise, as for every other exact network, the walk
-    keeps the start words of :func:`_start_basis` and ranks G_S with
-    :func:`rank_exact` on the frontier's integers: a common denominator
-    does not change a rank."""
+    network keeps every start word.  An exact single-layer network first
+    walks mod p, keeping at most R start words whose states are
+    independent mod p; if it keeps min{R, M^(T/2)}, the shallow law's
+    proven upper bound, and their rows of G pass :func:`full_rank_mod_p`
+    (as in :func:`rank_exact`), that is the exact rank.  Otherwise, as for
+    every other exact network, the walk keeps the start words of
+    :func:`_start_basis` and ranks G_S with :func:`rank_exact` on the
+    frontier's integers: a common denominator does not change a rank."""
     cell = Cell(p.M, p.R, T, p.L)
     net = _Frontier(p, _templates(p, enc), c)
     if p.field != EXACT:
         return rank_numeric(net.walk(cell), rel_tol)
-    if p.L == 1 and _int64_safe(p.R):
+    if p.L == 1:
         G = net.mod_p().walk(
             cell, lambda S: independent_mod_p(S[0].T.tolist(), p.R))
         if len(G) == min(p.R, cell.width) and full_rank_mod_p(G.tolist(),
@@ -130,14 +129,6 @@ def separation_rank(p: RacParams, T: int, c: int = 1,
             return RankReport(rank=len(G), method="exact")
     return rank_exact(net.walk(
         cell, lambda S: _start_basis(S, cell.half, net.budget)))
-
-
-def _int64_safe(width):
-    """Whether int64 matrix products of inner width ``width`` are exact on
-    residues mod PRIME: a sum of ``width`` products of two residues stays
-    below 2^63.  numpy's integer matmul wraps around without a warning, so
-    a network wider than this walks in Python integers only."""
-    return width * (PRIME - 1) ** 2 < 2 ** 63
 
 
 def _start_basis(S, half, budget):
@@ -247,8 +238,10 @@ class _Frontier:
         :meth:`advance` reduced mod p.  The denominators are dropped: the
         integer walk computes D times the states for one nonzero integer D,
         and reduction mod p commutes with the walk.  Every int64 matrix
-        product then sums R terms (W_i F^T is reduced after its product in
-        integers), so the caller checks :func:`_int64_safe` on R."""
+        product then sums R products of two residues, each below 2^42 (W_i
+        F^T is reduced after its product in integers), and no sum wraps:
+        every network that can be built has R < 2^21, since a wider R x R
+        hidden matrix alone would hold 2^42 object pointers (32 TiB)."""
         net = copy.copy(self)
         net.modulus = PRIME
         net.wi = [_residues(w) for w in self.wi]

@@ -21,7 +21,7 @@ from .ranks import DEFAULT_REL_TOL, check_rel_tol, multiset_coefficient
 from .tensor import EXACT, FLOAT, dump_tensor
 from .tn import build_deep_tn, build_mps, dump_graph, min_cut
 from .verification import (check_bucket_lemma, check_claim1_equality,
-                           check_conjecture_bound,
+                           check_conjecture_bound, check_decomposition_budget,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
                            check_rearrangement_lemma, conjectured_bound,
@@ -78,14 +78,17 @@ def _grid(a, depths):
 
 def _lemmas(a):
     """Decomposition and bucket checks per cell, then the other two once; a
-    cell too large for the exhaustive bucket sweep (R is capped at 3 there,
-    T/2 is not) is refused before any check runs."""
-    cells = _grid(a, [1])
+    cell too large for the exhaustive sweeps (R is capped at 3 there, T/2
+    and the decomposition's word-chain pairs are not) is refused before
+    any check runs."""
+    cells = [Cell(c.M, min(c.R, 3), c.T) for c in _grid(a, [1])]
     if any(c.half > 4 for c in cells):
         raise RacsepError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
+    for c in cells:
+        check_decomposition_budget(c)
     return [rep for c in cells for rep in (
-        check_decomposition_identity(Cell(c.M, min(c.R, 3), c.T), seed=a.seed),
-        check_bucket_lemma(min(c.R, 3), c.T))] + [
+        check_decomposition_identity(c, seed=a.seed),
+        check_bucket_lemma(c.R, c.T))] + [
         check_rearrangement_lemma(3, max(a.R), a.trials, seed=a.seed),
         check_hadamard_power_bound(a.trials, seed=a.seed)]
 

@@ -1,14 +1,16 @@
 """Matrix rank oracles: exact fraction-free elimination and SVD-based.
 
-Every computation mod p uses one prime, PRIME = 67108859, the largest
-below 2^26, and one kernel, an incremental row echelon form mod p
-(:func:`_echelon_mod_p`, which says of each vector in turn whether it is
-independent mod p of those before it).  Vectors independent mod p are
-independent over the rationals too, so a rank mod p is a lower bound on
-the rank, exact where it meets an upper bound.  :func:`independent_mod_p`
-lists the kept vectors; :func:`full_rank_mod_p`, the one certificate,
-runs the kernel over a matrix's shorter side (rows, or columns when there
-are more rows than columns) and stops at the first dependent vector.
+Every computation mod p uses one prime, PRIME = 2097143, the largest
+below 2^21 (a product of two residues is below 2^42, so an int64 sum of
+fewer than 2^21 of them cannot wrap: (PRIME - 1)^2 * 2^21 < 2^63), and
+one kernel, an incremental row echelon form mod p (:func:`_echelon_mod_p`,
+which says of each vector in turn whether it is independent mod p of
+those before it).  Vectors independent mod p are independent over the
+rationals too, so a rank mod p is a lower bound on the rank, exact where
+it meets an upper bound.  :func:`independent_mod_p` lists the kept
+vectors; :func:`full_rank_mod_p`, the one certificate, runs the kernel
+over a matrix's shorter side (rows, or columns when there are more rows
+than columns) and stops at the first dependent vector.
 
 The exact oracle first writes the matrix over one common denominator
 (tensor.split_denominator, as every exact elimination here does) and drops
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,14 +45,13 @@ import numpy as np
 
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
                      ShapeError, check_count)
-from .tensor import (EXACT, DenseTensor, exact_array, field_of,
+from .tensor import (EXACT, FLOAT, DenseTensor, exact_array, field_of,
                      split_denominator)
 
 DEFAULT_REL_TOL = 1e-12
-# the one prime of every mod-p computation, the largest below 2^26: a
-# product of two residues fits in 52 bits, so int64 sums of up to 2048 of
-# them are exact (Dumas, Giorgi and Pernet, ACM TOMS 2008)
-PRIME = 67108859
+# below 2^21, so a blocked elimination mod p may also use float64 products
+# of inner width up to 2^11 (Dumas, Giorgi and Pernet, ACM TOMS 2008)
+PRIME = 2097143
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,19 @@ class RankReport:
     tolerance: float = 0.0
 
 
-def _as_matrix(m):
-    """A DenseTensor's or array's entries as a matrix, and their field."""
+def _as_matrix(m, fld):
+    """A DenseTensor's or array's entries as a matrix; ShapeError unless
+    they form one, FieldMismatchError unless they are in field ``fld``."""
     try:
         arr = m.data if isinstance(m, DenseTensor) else np.asarray(m)
     except ValueError as e:  # a ragged nested list
         raise ShapeError(f"rank expects a matrix: {e}") from None
     if arr.ndim != 2:
         raise ShapeError(f"rank expects a matrix, got order {arr.ndim}")
-    return arr, field_of(arr)
+    if field_of(arr) != fld:
+        raise FieldMismatchError(
+            f"this rank oracle takes {fld} matrices, not {field_of(arr)} ones")
+    return arr
 
 
 def rank_exact(m) -> RankReport:
@@ -98,9 +104,7 @@ def _exact_rows(m):
     """The rows of the exact matrix ``m`` over one common denominator
     (:func:`split_denominator`), as lists of Python ints, and its column
     count; FieldMismatchError if ``m`` is not exact."""
-    arr, fld = _as_matrix(m)
-    if fld != EXACT:
-        raise FieldMismatchError("exact elimination requires the exact field")
+    arr = _as_matrix(m, EXACT)
     return split_denominator(arr)[0].tolist(), arr.shape[1]
 
 
@@ -249,17 +253,17 @@ def _primitive_rows(rows):
 
 
 def check_rel_tol(rel_tol):
-    """Raises InvalidInputError unless ``rel_tol`` is finite and > 0."""
-    if not 0 < rel_tol < math.inf:
+    """Raises InvalidInputError unless ``rel_tol`` is real, finite and > 0."""
+    if not isinstance(rel_tol, numbers.Real) or not 0 < rel_tol < math.inf:
         raise InvalidInputError(f"rel_tol must be finite and > 0, got {rel_tol}")
 
 
 def rank_numeric(m, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
-    """Numeric rank: count singular values above rel_tol * max(dims) * sigma_max."""
+    """Numeric rank of a float matrix (an exact one raises FieldMismatchError,
+    text or complex data InvalidInputError, as :class:`DenseTensor` does):
+    count singular values above rel_tol * max(dims) * sigma_max."""
     check_rel_tol(rel_tol)
-    arr, fld = _as_matrix(m)
-    if fld == EXACT:
-        arr = arr.astype(np.float64)
+    arr = DenseTensor(_as_matrix(m, FLOAT)).data
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("matrix has NaN/Inf entries")
     sv = np.linalg.svd(arr, compute_uv=False)

@@ -98,7 +98,8 @@ class DenseTensor:
     ``data`` is a numpy array shaped ``dims``; dtype float64 for the float
     field, object for the exact field, whose entries :func:`exact_array`
     puts in their one form.  An integer array enters either field here:
-    ``DenseTensor(ints, field)``.
+    ``DenseTensor(ints, field)``; float data of another kind (text,
+    complex) raises InvalidInputError.
     """
 
     __slots__ = ("data", "field")
@@ -106,6 +107,9 @@ class DenseTensor:
     def __init__(self, data, field=None):
         data = np.atleast_1d(data)
         self.field = field_of(data) if field is None else check_field(field)
+        if self.field != EXACT and data.dtype.kind not in "biufO":
+            raise InvalidInputError(
+                f"float entries must be real numbers, got dtype {data.dtype}")
         self.data = (exact_array(data) if self.field == EXACT
                      else data.astype(np.float64, copy=False))
 

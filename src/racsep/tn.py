@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .builders import grid_budget
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
                      ShapeError, check_budget, check_count, env_budget,
                      is_integer)
@@ -230,7 +231,8 @@ def build_deep_tn(p: RacParams, T: int, c: int = 1) -> TnGraph:
 def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     """Contract every input leg with its time-step's encoded template vector;
     ``seq`` holds one symbol per time-step of g, no fewer and no more.  The
-    input nodes of one symbol share one tensor."""
+    input nodes, in0, in1, ... but for ids g uses, share one tensor per
+    symbol."""
     symbols = as_symbols(seq, enc.M)
     if len(symbols) != g.steps:
         raise InvalidInputError(
@@ -240,8 +242,8 @@ def attach_inputs(g: TnGraph, enc: TemplateEncoder, seq) -> TnGraph:
     rows = {s: DenseTensor(enc.row(s), g.field) for s in set(symbols)}
     nodes = dict(g.nodes)
     edges = list(g.edges)
-    for k, o in enumerate(g.open_legs):
-        nid = f"in{k}"
+    free = (f"in{k}" for k in itertools.count() if f"in{k}" not in g.nodes)
+    for o, nid in zip(g.open_legs, free):
         nodes[nid] = rows[symbols[o.time_index - 1]]
         edges.append(Edge(o.node, o.leg, nid, 0, o.dim))
     return TnGraph(nodes, edges, [])
@@ -440,8 +442,10 @@ def no_clone_counterexample(P: int):
     clones every standard basis vector, and whether it clones the all-ones
     vector.  For P >= 2 the first holds and the second fails, which is the
     computational core of why vector duplication is impossible inside a
-    tensor network.  P must be an integer >= 1 (InvalidInputError)."""
+    tensor network.  P must be an integer >= 1 (InvalidInputError) and P^3
+    within RACSEP_GRID_BUDGET (ResourceBudgetError)."""
     check_count("P", P, 1)
+    check_budget("no-cloning delta tensor", P ** 3, grid_budget())
     d = delta_tensor(P, EXACT).data
 
     def cloned(v):

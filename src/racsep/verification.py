@@ -22,8 +22,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .builders import separation_rank
-from .errors import InvalidInputError, ParameterError, check_count, is_integer
+from .builders import grid_budget, separation_rank
+from .errors import (InvalidInputError, ParameterError, check_budget,
+                     check_count, is_integer)
 from .network import Cell, RacParams, TemplateEncoder, neutral_h0
 from .ranks import DEFAULT_REL_TOL, multiset_coefficient, rank_exact
 from .tensor import (EXACT, FLOAT, DenseTensor, check_field, exact_array,
@@ -307,6 +308,7 @@ def check_decomposition_identity(cell: Cell, seed=0) -> Report:
     of prod_r prod_{j<=T/2} Z[r,d_j]^p_r * prod_{j>T/2} Z[r,d_j]^chain_j[r],
     where chain_j is the trajectory state in force at step j."""
     rep = _report("decomposition", cell, 1)
+    check_decomposition_budget(cell)
     M, Rbar, T, half = cell.M, cell.R, cell.T, cell.half
     Z = trial_rng(seed, *cell, 0).integers(-3, 4, (Rbar, M)).tolist()
     # chain[i] is the state at step half+1+i
@@ -331,6 +333,14 @@ def check_decomposition_identity(cell: Cell, seed=0) -> Report:
     rep.add(EXACT, f"{seed}.0", f"{mismatches} mismatches", "0 mismatches",
             mismatches == 0)
     return rep
+
+
+def check_decomposition_budget(cell: Cell):
+    """Raises ResourceBudgetError unless RACSEP_GRID_BUDGET holds the M^T x
+    R^(T/2) word-chain pairs that :func:`check_decomposition_identity`
+    checks on ``cell``."""
+    check_budget("decomposition identity word-chain pairs",
+                 cell.M ** cell.T * cell.R ** cell.half, grid_budget())
 
 
 def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:

@@ -678,13 +678,17 @@ def test_rank_mod_p_never_exceeds_the_exact_rank(data):
     assert separation_rank(p, T, c, enc=enc) == exact
 
 
-def test_int64_guard_is_exact_at_its_boundary():
-    # 2048 products of two residues below p < 2^26 stay below 2^63, 2049
-    # may not; numpy int64 matmul would wrap around without a warning
+def test_int64_walk_sums_cannot_wrap():
+    # the mod-p walk's int64 products sum R products of two residues, and
+    # R < 2^21 for every network that can be built (its R x R hidden
+    # matrix would otherwise hold 2^42 pointers), so no sum reaches 2^63;
+    # numpy int64 matmul would wrap around without a warning
     P = builders.PRIME
-    assert 2048 * (P - 1) ** 2 < 2 ** 63 <= 2049 * (P - 1) ** 2
-    assert builders._int64_safe(2048) and not builders._int64_safe(2049)
-    assert builders._int64_safe(1)
+    assert P == 2097143 and (P - 1) ** 2 * 2 ** 21 < 2 ** 63
+    # the largest prime below 2^21
+    assert all(any(q % d == 0 for d in range(2, math.isqrt(q) + 1))
+               for q in range(P + 1, 2 ** 21))
+    assert all(P % d for d in range(2, math.isqrt(P) + 1))
 
 
 def _spy_exact_walk(monkeypatch):
@@ -710,22 +714,6 @@ def test_generic_single_layer_rank_is_certified_mod_p(monkeypatch):
                      w_out=exact_array([[0, 0, 0]]), h0=p.h0)
     assert separation_rank(zero, 6).rank == 0
     assert calls == ["column_basis", "rank_exact"]
-
-
-def test_networks_past_the_int64_guard_walk_exactly(monkeypatch):
-    widths = []
-
-    def narrow(width):
-        widths.append(width)
-        return False
-
-    monkeypatch.setattr(builders, "_int64_safe", narrow)
-    calls = _spy_exact_walk(monkeypatch)
-    [(_, p)] = draw_trials(7, Cell(3, 2, 4), 1, EXACT)
-    assert separation_rank(p, 4).rank == 2 == _grid_rank(p, 4).rank
-    # every int64 product sums over R = 2 hidden units; W_i F^T, the one
-    # product over the M = 3 templates, is taken in Python integers
-    assert widths == [2] and calls == ["column_basis", "rank_exact"]
 
 
 @settings(deadline=None, max_examples=60, phases=NO_SHRINK)

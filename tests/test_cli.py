@@ -14,7 +14,7 @@ import pytest
 
 from racsep import (Cell, check_conjecture_bound, rows_to_csv,
                     verify_deep_lower_bound)
-from racsep import cli, verification
+from racsep import cli, tn, verification
 from racsep.cli import main
 from racsep.tensor import parse_tensor
 from racsep.tn import parse_graph
@@ -206,6 +206,54 @@ def test_lemmas_refuse_large_sweep_before_checking(T, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "exhaustive sweep needs Rbar <= 3, T/2 <= 4" in err
+
+
+def test_lemmas_budget_refuses_every_cell_before_any_check(capsys,
+                                                          monkeypatch):
+    # (2,2,4) checks 2^4 words x 2^2 chains = 64 word-chain pairs and fits;
+    # (3,2,4) checks 3^4 x 2^2 = 324 and is refused before (2,2,4) runs
+    ran = []
+    for name in ("check_decomposition_identity", "check_bucket_lemma",
+                 "check_rearrangement_lemma", "check_hadamard_power_bound"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, _name=name, **k: ran.append(_name))
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", "64")
+    code, out, err = run_cli(["verify", "lemmas", "--M", "2,3", "--R", "2",
+                              "--T", "4"], capsys)
+    assert (code, out, ran) == (3, "", [])
+    assert "word-chain pairs needs 324 entries, budget is 64" in err
+
+
+@pytest.mark.parametrize("argv", ["verify lemmas --M 10 --R 3 --T 8",
+                                  "verify lemmas --M 5 --R 3 --T 8",
+                                  "verify noclone --P 1000"])
+def test_exhaustive_sweeps_past_the_default_budget_exit_3(argv, capsys,
+                                                          monkeypatch):
+    # 10^8 words x 81 chains ran for hours, 5^8 x 81 for over a minute,
+    # and P = 1000 asked for a 10^9-entry delta tensor; a sweep that starts
+    # fails the test before it builds anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused sweep started")
+
+    for name in ("check_decomposition_identity", "check_bucket_lemma",
+                 "check_rearrangement_lemma", "check_hadamard_power_bound"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(tn, "delta_tensor", refuse)
+    monkeypatch.delenv("RACSEP_GRID_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(argv.split(), capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "") and "budget is 10000000" in err
+
+
+@pytest.mark.parametrize("argv", ["verify noclone --P 2", "scan --T 2",
+                                  "export mps --T 2"])
+def test_out_into_a_missing_directory_is_a_usage_error(argv, tmp_path,
+                                                       capsys):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(argv.split() + ["--out", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"racsep: {path}: No such file or directory\n"
 
 
 def test_budget_exit_code(capsys, monkeypatch):

@@ -379,3 +379,22 @@ def test_parse_params_rejects_header_mismatch(header):
     lines[pos] = " ".join([key, value] + lines[pos].split()[2:])
     with pytest.raises(InvalidInputError):
         parse_params("\n".join(lines))
+
+
+_I2, _ROW = np.eye(2), np.ones((1, 2))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: neutral_h0(np.array([[1.0, 2.0], [2.0, 4.0]])), "singular"),
+    (lambda: RacParams(w_in=[_I2, _I2], w_hidden=[_I2], w_out=_ROW),
+     "one matrix per layer"),
+    (lambda: RacParams(w_in=[], w_hidden=[], w_out=_ROW), "at least one"),
+    (lambda: RacParams(w_in=[_I2, np.ones((2, 3))], w_hidden=[_I2, _I2],
+                       w_out=_ROW), r"w_in\[1\] must be \(2, 2\)"),
+    (lambda: RacParams(w_in=[_I2], w_hidden=[_I2], w_out=_ROW,
+                       h0=[np.ones(3)]), "one length-R vector per layer"),
+], ids=["singular-float-h0", "unequal-layers", "no-layer", "deep-w_in",
+        "h0-length"])
+def test_malformed_networks_are_refused(build, match):
+    with pytest.raises(ParameterError, match=match):
+        build()

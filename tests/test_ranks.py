@@ -15,11 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsep import (Cell, FieldMismatchError, ParameterError,
-                    appendix_b_params, build_grid_tensor, build_weights_tensor,
+from racsep import (EXACT, Cell, DenseTensor, FieldMismatchError,
+                    InvalidInputError, ParameterError, ShapeError,
+                    appendix_b_params,
+                    build_grid_tensor, build_weights_tensor,
                     check_claim1_equality, column_basis, draw_trials,
                     exact_array, matricize, multiset_coefficient, rank_exact,
-                    separation_rank, verify_min_cut, verify_shallow_rank_law)
+                    rank_numeric, separation_rank, verify_min_cut,
+                    verify_shallow_rank_law)
 from racsep import ranks
 from racsep.ranks import solve_exact
 from scalars import canonical
@@ -304,3 +307,32 @@ def test_solve_exact_solves_the_system_exactly(system):
     x = solve_exact(a, b)
     assert x.shape == (n,) and all(map(canonical, x))
     assert list(a @ x) == b
+
+
+@pytest.mark.parametrize("oracle,matrix,error", [
+    (rank_exact, lambda: np.zeros((2, 2, 2), dtype=object), ShapeError),
+    (column_basis, lambda: np.zeros((2, 2, 2), dtype=object), ShapeError),
+    (rank_numeric, lambda: np.zeros((2, 2, 2)), ShapeError),
+    (column_basis, lambda: np.eye(2), FieldMismatchError),
+    # an SVD of its float copy used to give rank 1
+    (rank_numeric, lambda: exact_array([[10 ** 20, 10 ** 20 + 1], [1, 1]]),
+     FieldMismatchError),
+    (rank_numeric, lambda: DenseTensor(np.eye(2, dtype=int), EXACT),
+     FieldMismatchError),
+    # its float copy used to raise a bare OverflowError
+    (rank_numeric, lambda: matricize(build_grid_tensor(
+        appendix_b_params(3, 2, 8), T=8)), FieldMismatchError),
+    # numpy's bare TypeError, and a complex matrix was ranked over C
+    (rank_numeric, lambda: np.array([["1", "0"], ["0", "1"]]),
+     InvalidInputError),
+    (rank_numeric, lambda: np.eye(2) * 1j, InvalidInputError),
+], ids=["exact-3d", "basis-3d", "numeric-3d", "basis-float",
+        "numeric-1e20", "numeric-exact-tensor", "numeric-appendix-b",
+        "numeric-text", "numeric-complex"])
+def test_rank_oracles_refuse_other_orders_and_fields(oracle, matrix, error):
+    with pytest.raises(error):
+        oracle(matrix())
+
+
+def test_exact_rank_of_entries_past_float_precision():
+    assert rank_exact(exact_array([[10 ** 20, 10 ** 20 + 1], [1, 1]])).rank == 2

@@ -15,6 +15,7 @@ from racsep import (EXACT, FLOAT, DenseTensor, FieldMismatchError,
                     multiset_coefficient, rank_exact, rank_numeric,
                     trial_rng)
 from racsep.network import dump_params, parse_params
+from racsep.ranks import check_rel_tol
 from racsep.tensor import dump_tensor, parse_tensor, split_denominator
 from racsep.tn import dump_graph, parse_graph
 
@@ -311,6 +312,26 @@ def test_rank_numeric_refuses_a_tolerance_that_is_not_finite_and_positive(
     for a in (np.eye(3), np.zeros((2, 2))):
         with pytest.raises(InvalidInputError, match="rel_tol"):
             rank_numeric(a, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", ["x", "1e-12", None, 1j])
+def test_rel_tol_must_be_a_real_number(rel_tol):
+    # "x" used to raise a bare TypeError from the comparison
+    with pytest.raises(InvalidInputError, match="rel_tol"):
+        check_rel_tol(rel_tol)
+    with pytest.raises(InvalidInputError, match="rel_tol"):
+        rank_numeric(np.eye(2), rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("field", [None, FLOAT])
+@pytest.mark.parametrize("data", [np.array(["a"]), np.array(["1.5"]),
+                                  np.array([1 + 2j])],
+                         ids=["text", "numeric-text", "complex"])
+def test_float_tensor_refuses_data_that_is_not_real_numbers(data, field):
+    # "a" used to raise a bare ValueError, "1.5" was parsed to 1.5, and a
+    # complex entry lost its imaginary part with only a ComplexWarning
+    with pytest.raises(InvalidInputError, match="real numbers"):
+        DenseTensor(data, field)
 
 
 @settings(deadline=None, max_examples=40)

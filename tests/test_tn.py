@@ -710,3 +710,47 @@ def test_parse_graph_refuses_what_contract_cannot_handle(old, new):
     assert dump_graph(g) == SQUARE_DUMP
     with pytest.raises(ShapeError):
         parse_graph(SQUARE_DUMP.replace(old, new))
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: TnGraph({"a": DenseTensor(np.ones(2)),
+                      "b": DenseTensor(np.ones(2, dtype=int), EXACT)},
+                     [Edge("a", 0, "b", 0, 2)], []),
+     ShapeError, "one scalar field"),
+    (lambda: build_mps(draw_params(trial_rng(0, 2, 2, 4, 2, 0), 2, 2, L=2),
+                       4), ParameterError, "single-layer"),
+], ids=["mixed-fields", "two-layer-mps"])
+def test_graphs_that_cannot_be_built_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_attach_inputs_names_no_node_the_graph_uses():
+    # input nodes were named in0, in1, ... over the graph's own nodes: a
+    # node 'in0' was replaced by an input vector, and ShapeError said
+    # "node 'in0' has no leg 1"
+    enc = TemplateEncoder.identity(2, FLOAT)
+    m, b = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]])), DenseTensor(
+        np.ones(2))
+    results = []
+    for name in ("in0", "a"):
+        g = TnGraph({name: m, "b": b}, [Edge(name, 1, "b", 0, 2)],
+                    [OpenLeg(name, 0, 2, time_index=1)])
+        results.append(contract(attach_inputs(g, enc, [1])).data.tolist())
+    assert results == [[3.0], [3.0]]
+
+
+def test_no_clone_counts_its_delta_tensor_against_the_grid_budget(
+        monkeypatch):
+    built = []
+
+    def spy(P, field=EXACT, _delta=tn.delta_tensor):
+        built.append(P)
+        return _delta(P, field)
+
+    monkeypatch.setattr(tn, "delta_tensor", spy)
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", "26")
+    with pytest.raises(ResourceBudgetError) as ei:
+        no_clone_counterexample(3)  # 27 entries
+    assert (ei.value.required, ei.value.budget, built) == (27, 26, [])
+    assert no_clone_counterexample(2) == (True, False) and built == [2]

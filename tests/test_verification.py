@@ -10,7 +10,8 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from racsep import (EXACT, FLOAT, Cell, DenseTensor, InvalidInputError,
-                    ParameterError, RacParams, RankReport, ShapeError,
+                    ParameterError, RacParams, RankReport,
+                    ResourceBudgetError, ShapeError,
                     appendix_b_params, build_grid_tensor,
                     check_bucket_lemma, check_claim1_equality,
                     check_conjecture_bound, check_decomposition_identity,
@@ -502,3 +503,50 @@ def test_csv_format():
     # byte-determinism across repeated runs
     rep2 = verify_shallow_rank_law(Cell(2, 2, 4), trials=2, seed=0)
     assert rows_to_csv(rep2.rows) == text
+
+
+class _ZeroRng:
+    """An rng stub whose every integer draw is zero, so every hidden matrix
+    it gives is singular; it counts its draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def integers(self, low, high, shape):
+        self.draws += 1
+        return np.zeros(shape, dtype=np.int64)
+
+
+def _draw_from_zeros():
+    rng = _ZeroRng()
+    try:
+        draw_params(rng, 2, 2)
+    finally:  # w_in, w_hidden and w_out on each of 100 attempts
+        assert rng.draws == 300
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (_draw_from_zeros, ParameterError, "could not draw"),
+    (lambda: check_bucket_lemma(4, 4), InvalidInputError, "Rbar <= 3"),
+    (lambda: check_bucket_lemma(3, 10), InvalidInputError, "T/2 <= 4"),
+], ids=["draw-gives-up", "bucket-wide", "bucket-long"])
+def test_checks_past_their_reach_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_decomposition_identity_counts_its_pairs_against_the_grid_budget(
+        monkeypatch):
+    # (2,2,4) checks 2^4 words against 2^2 chains: 64 word-chain pairs
+    built = []
+    for name in ("trial_rng", "bucket_states"):
+        def spy(*args, _name=name, _f=getattr(verification, name)):
+            built.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(verification, name, spy)
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", "63")
+    with pytest.raises(ResourceBudgetError) as ei:
+        check_decomposition_identity(Cell(2, 2, 4))
+    assert (ei.value.required, ei.value.budget, built) == (64, 63, [])
+    monkeypatch.setenv("RACSEP_GRID_BUDGET", "64")
+    assert check_decomposition_identity(Cell(2, 2, 4)).passed and built
