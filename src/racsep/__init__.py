@@ -7,10 +7,10 @@ that govern their start/end dependency structure — with an exact rational
 rank oracle and an SVD-based numeric one.
 """
 
-from .builders import (build_grid_tensor, build_weights_tensor, grid_budget,
+from .builders import (build_grid_tensor, build_weights_tensor,
                        separation_rank)
 from .errors import (FieldMismatchError, InvalidInputError, ParameterError,
-                     RacsepError, ResourceBudgetError, ShapeError)
+                     RacsepError, ResourceBudgetError, ShapeError, grid_budget)
 from .network import (RAC_PRODUCT, Cell, RacParams, TemplateEncoder,
                       forward_deep, neutral_h0, step_deep)
 from .ranks import (RankReport, column_basis, multiset_coefficient, rank_exact,

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, check_budget, env_budget
+from .errors import ParameterError, check_budget, grid_budget
 from .network import (Cell, RacParams, TemplateEncoder, check_class,
                       check_encoder, check_steps)
 # perfbench/selftest.py checks that its tracer patches this importer by name
@@ -52,14 +52,6 @@ from .ranks import (DEFAULT_REL_TOL, PRIME, RankReport, column_basis,
                     full_rank_mod_p, independent_mod_p, multiset_coefficient,
                     primitive_row, rank_exact, rank_numeric)
 from .tensor import EXACT, DenseTensor, split_denominator
-
-GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
-DEFAULT_GRID_BUDGET = 10 ** 7
-
-
-def grid_budget():
-    return env_budget(GRID_BUDGET_ENV, DEFAULT_GRID_BUDGET)
-
 
 def build_grid_tensor(p: RacParams, enc: TemplateEncoder = None, c: int = 1,
                       T: int = 2) -> DenseTensor:
@@ -198,8 +190,8 @@ def _residues(a):
 
 class _Frontier:
     """A network's weights for class c and encoder matrix F, and the
-    level-by-level step on states of many prefixes at once, under the
-    RACSEP_GRID_BUDGET value read when the frontier is built.
+    level-by-level step on states of many prefixes at once, under the entry
+    budget (errors.grid_budget) read when the frontier is built.
 
     Layer l keeps the states of n prefixes, in row-major order, as one
     R x n array S_l, and one step extends every prefix by every symbol with

@@ -21,12 +21,13 @@ from .ranks import DEFAULT_REL_TOL, check_rel_tol, multiset_coefficient
 from .tensor import EXACT, FLOAT, dump_tensor
 from .tn import build_deep_tn, build_mps, dump_graph, min_cut
 from .verification import (check_bucket_lemma, check_claim1_equality,
-                           check_conjecture_bound, check_decomposition_budget,
+                           check_conjecture_bound,
                            check_decomposition_identity,
                            check_hadamard_power_bound, check_no_cloning,
                            check_rearrangement_lemma, conjectured_bound,
-                           draw_trials, rows_to_csv, verify_deep_lower_bound,
-                           verify_min_cut, verify_shallow_rank_law)
+                           draw_trials, lemma_cells, rows_to_csv,
+                           verify_deep_lower_bound, verify_min_cut,
+                           verify_shallow_rank_law)
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE = 0, 1, 2, 3
 
@@ -77,18 +78,14 @@ def _grid(a, depths):
 
 
 def _lemmas(a):
-    """Decomposition and bucket checks per cell, then the other two once; a
-    cell too large for the exhaustive sweeps (R is capped at 3 there, T/2
-    and the decomposition's word-chain pairs are not) is refused before
-    any check runs."""
-    cells = [Cell(c.M, min(c.R, 3), c.T) for c in _grid(a, [1])]
-    if any(c.half > 4 for c in cells):
-        raise RacsepError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
-    for c in cells:
-        check_decomposition_budget(c)
-    return [rep for c in cells for rep in (
-        check_decomposition_identity(c, seed=a.seed),
-        check_bucket_lemma(c.R, c.T))] + [
+    """The decomposition check on each of :func:`lemma_cells`, the bucket
+    check on each new bucket, then the other two once."""
+    reports = []
+    for c, new_bucket in lemma_cells(_grid(a, [1])):
+        reports.append(check_decomposition_identity(c, seed=a.seed))
+        if new_bucket:
+            reports.append(check_bucket_lemma(c.R, c.T))
+    return reports + [
         check_rearrangement_lemma(3, max(a.R), a.trials, seed=a.seed),
         check_hadamard_power_bound(a.trials, seed=a.seed)]
 
@@ -143,10 +140,8 @@ def build_parser():
 
     ep = sub.add_parser("export", help="write a tensor or graph as text")
     ep.add_argument("what", choices=list(EXPORTS))
-    ep.add_argument("--M", type=_positive, default=2)
-    ep.add_argument("--R", type=_positive, default=2)
-    ep.add_argument("--T", type=_positive, default=4)
-    ep.add_argument("--L", type=_positive, default=1)
+    for flag, default in zip("MRTL", (2, 2, 4, 1)):
+        ep.add_argument("--" + flag, type=_positive, default=default)
     _add_flags(ep, ("field", "seed"))
     ep.add_argument("--out", required=True)
     return ap
@@ -210,11 +205,8 @@ def main(argv=None):
     try:
         if hasattr(args, "rel_tol"):
             check_rel_tol(args.rel_tol)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        return cmd_export(args)
+        return {"verify": cmd_verify, "scan": cmd_scan,
+                "export": cmd_export}[args.command](args)
     except ResourceBudgetError as e:
         print(f"racsep: resource budget exceeded: {e}", file=sys.stderr)
         return EXIT_RESOURCE

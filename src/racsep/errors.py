@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, size budgets and counts."""
+"""Exception types, counts and the one entry budget of the toolkit."""
 
 import numbers
 import os
@@ -48,13 +48,17 @@ def check_count(name, value, least):
         raise InvalidInputError(f"{name} must be >= {least}, got {value}")
 
 
-def env_budget(name, default):
-    """The entry budget in environment variable ``name``, ``default`` if it
-    is unset; InvalidInputError unless it is a non-negative integer."""
-    text = os.environ.get(name, str(default))
+GRID_BUDGET_ENV = "RACSEP_GRID_BUDGET"
+DEFAULT_GRID_BUDGET = 10 ** 7
+
+
+def grid_budget():
+    """The entry budget in RACSEP_GRID_BUDGET, 10^7 if it is unset;
+    InvalidInputError unless it is a non-negative integer."""
+    text = os.environ.get(GRID_BUDGET_ENV, str(DEFAULT_GRID_BUDGET))
     if not text.strip().isdecimal():
         raise InvalidInputError(
-            f"{name} must be a non-negative integer, got {text!r}")
+            f"{GRID_BUDGET_ENV} must be a non-negative integer, got {text!r}")
     return int(text)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, ParameterError, ShapeError, is_integer
 from .ranks import rank_exact, rank_numeric, solve_exact
 from .tensor import (EXACT, DenseTensor, TextReader, exact_array, field_of,
-                     format_scalars, header_ints)
+                     format_scalars, header_ints, is_real)
 
 
 # the merge of hidden-state and input terms: the element-wise product
@@ -98,9 +98,11 @@ class RacParams:
             raise ParameterError("at least one layer required")
         mats = [*self.w_in, *self.w_hidden, self.w_out,
                 *(() if self.h0 is None else self.h0)]
-        fields = {field_of(m) if isinstance(m, np.ndarray) else None for m in mats}
+        fields = {field_of(m) if isinstance(m, np.ndarray) and is_real(m)
+                  else None for m in mats}
         if len(fields) != 1 or None in fields:
-            raise ParameterError("weights and h0 must be arrays of one scalar field")
+            raise ParameterError(
+                "weights and h0 must be real arrays of one scalar field")
         (self.field,) = fields
         if self.field == EXACT:
             self.w_in = _exact_forms(self.w_in)
@@ -214,12 +216,10 @@ def check_class(p: RacParams, c):
 def step_deep(p: RacParams, g, states, encoded):
     """Advance every layer one time-step, merging the hidden-state and input
     terms with ``g``; returns the new per-layer states."""
-    below = encoded
-    new = []
+    below, new = encoded, []
     for l in range(p.L):
-        h = g(p.w_hidden[l] @ states[l], p.w_in[l] @ below)
-        new.append(h)
-        below = h
+        below = g(p.w_hidden[l] @ states[l], p.w_in[l] @ below)
+        new.append(below)
     return new
 
 

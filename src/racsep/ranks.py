@@ -254,7 +254,8 @@ def _primitive_rows(rows):
 
 def check_rel_tol(rel_tol):
     """Raises InvalidInputError unless ``rel_tol`` is real, finite and > 0."""
-    if not isinstance(rel_tol, numbers.Real) or not 0 < rel_tol < math.inf:
+    if (type(rel_tol) is bool or not isinstance(rel_tol, numbers.Real)
+            or not 0 < rel_tol < math.inf):
         raise InvalidInputError(f"rel_tol must be finite and > 0, got {rel_tol}")
 
 

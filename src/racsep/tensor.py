@@ -84,6 +84,11 @@ def field_of(array):
     return EXACT if array.dtype == object else FLOAT
 
 
+def is_real(array):
+    """Whether ``array`` holds exact or real entries: not text or complex."""
+    return array.dtype.kind in "biufO"
+
+
 def check_field(field):
     """``field``, if it names a scalar field; else InvalidInputError."""
     if field not in (EXACT, FLOAT):
@@ -107,7 +112,7 @@ class DenseTensor:
     def __init__(self, data, field=None):
         data = np.atleast_1d(data)
         self.field = field_of(data) if field is None else check_field(field)
-        if self.field != EXACT and data.dtype.kind not in "biufO":
+        if self.field != EXACT and not is_real(data):
             raise InvalidInputError(
                 f"float entries must be real numbers, got dtype {data.dtype}")
         self.data = (exact_array(data) if self.field == EXACT

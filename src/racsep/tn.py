@@ -27,17 +27,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builders import grid_budget
 from .errors import (InvalidInputError, ParameterError, ResourceBudgetError,
-                     ShapeError, check_budget, check_count, env_budget,
+                     ShapeError, check_budget, check_count, grid_budget,
                      is_integer)
 from .network import (RacParams, TemplateEncoder, as_symbols, check_class,
                       check_encoder, check_steps)
 from .tensor import (EXACT, DenseTensor, TextReader, exact_array,
                      format_scalars, header_ints, split_denominator)
 
-CONTRACT_BUDGET_ENV = "RACSEP_CONTRACT_BUDGET"
-DEFAULT_CONTRACT_BUDGET = 10 ** 7
 DEEP_TN_MAX_L = 3
 DEEP_TN_MAX_T = 8
 
@@ -280,10 +277,10 @@ def contract(g: TnGraph) -> DenseTensor:
     exact nodes are contracted as integer arrays over one common
     denominator, the product of their own, which is divided out once at
     the end.  Open legs are ordered by time index; a fully closed network
-    yields a single-entry tensor.  The entry budget is read from the
-    RACSEP_CONTRACT_BUDGET environment variable.
+    yields a single-entry tensor.  The result and every intermediate tensor
+    count their entries against RACSEP_GRID_BUDGET, read once per call.
     """
-    budget = env_budget(CONTRACT_BUDGET_ENV, DEFAULT_CONTRACT_BUDGET)
+    budget = grid_budget()
     total_open = math.prod(o.dim for o in g.open_legs)
     check_budget("contraction result", total_open, budget)
 
@@ -421,20 +418,11 @@ def min_cut(g: TnGraph):
             if u not in end_side and residual[u][v] > 1:
                 end_side.add(u)
                 stack.append(u)
-    val, cut = 1, []
-    for e in g.edges:
-        if (e.node_a in end_side) != (e.node_b in end_side):
-            val *= e.dim
-            cut.append(e)
-    for o in starts:
-        if o.node in end_side:
-            val *= o.dim
-            cut.append(o)
-    for o in ends:
-        if o.node not in end_side:
-            val *= o.dim
-            cut.append(o)
-    return val, tuple(cut)
+    cut = (*(e for e in g.edges
+             if (e.node_a in end_side) != (e.node_b in end_side)),
+           *(o for o in starts if o.node in end_side),
+           *(o for o in ends if o.node not in end_side))
+    return math.prod(c.dim for c in cut), cut
 
 
 def no_clone_counterexample(P: int):

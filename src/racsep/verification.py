@@ -22,9 +22,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .builders import grid_budget, separation_rank
+from .builders import separation_rank
 from .errors import (InvalidInputError, ParameterError, check_budget,
-                     check_count, is_integer)
+                     check_count, grid_budget, is_integer)
 from .network import Cell, RacParams, TemplateEncoder, neutral_h0
 from .ranks import DEFAULT_REL_TOL, multiset_coefficient, rank_exact
 from .tensor import (EXACT, FLOAT, DenseTensor, check_field, exact_array,
@@ -63,16 +63,12 @@ class Report:
     @property
     def fraction(self):
         rows = [r for r in self.rows if not r.required]
-        if not rows:
-            return 1.0
-        return sum(r.passed for r in rows) / len(rows)
+        return sum(r.passed for r in rows) / len(rows) if rows else 1.0
 
     @property
     def passed(self):
-        if not self.rows:
-            return False
-        required_ok = all(r.passed for r in self.rows if r.required)
-        return required_ok and self.fraction >= DEFAULT_THRESHOLD
+        ok = all(r.passed for r in self.rows if r.required)
+        return ok and bool(self.rows) and self.fraction >= DEFAULT_THRESHOLD
 
 
 CSV_COLUMNS = ("check", "M", "R", "T", "L", "field", "seed",
@@ -343,6 +339,27 @@ def check_decomposition_budget(cell: Cell):
                  cell.M ** cell.T * cell.R ** cell.half, grid_budget())
 
 
+def _check_sweep_caps(Rbar, half):
+    """Raises InvalidInputError past the reach of the exhaustive sweeps."""
+    if Rbar > 3 or half > 4:
+        raise InvalidInputError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
+
+
+def lemma_cells(cells):
+    """Each distinct cell of ``cells`` with R capped at 3, in first-seen
+    order, and whether its bucket (R, T) is first seen there (the bucket
+    lemma ignores M).  Any T/2 past 4, then any decomposition identity past
+    the entry budget, is refused before a check runs."""
+    cells = list(dict.fromkeys(Cell(c.M, min(c.R, 3), c.T) for c in cells))
+    for c in cells:
+        _check_sweep_caps(c.R, c.half)
+    first = {}
+    for c in cells:
+        check_decomposition_budget(c)
+        first.setdefault((c.R, c.T), c)
+    return [(c, first[c.R, c.T] == c) for c in cells]
+
+
 def check_rearrangement_lemma(N, Rbar, trials, seed=0) -> Report:
     """Vector rearrangement inequality: for pairwise-distinct non-negative
     vectors v_1..v_N and any permutation s != id,
@@ -381,8 +398,7 @@ def check_bucket_lemma(Rbar, T) -> Report:
     over starting states p, strictly and uniquely, at p-hat with
     p-hat_r = multiplicity of r in d."""
     k = Cell(Rbar, Rbar, T).half
-    if Rbar > 3 or k > 4:
-        raise InvalidInputError("exhaustive sweep needs Rbar <= 3, T/2 <= 4")
+    _check_sweep_caps(Rbar, k)
     omega = k ** 2 + 1
 
     def reward(d, p):

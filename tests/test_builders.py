@@ -21,8 +21,7 @@ from racsep import (EXACT, FLOAT, Cell, DenseTensor, appendix_b_params,
                     multiset_coefficient, rank_exact, rank_numeric,
                     separation_rank, step_deep, trial_rng)
 from racsep import builders, network
-from racsep.builders import GRID_BUDGET_ENV
-from racsep.errors import env_budget
+from racsep.errors import GRID_BUDGET_ENV
 from racsep.ranks import independent_mod_p
 from scalars import canonical
 
@@ -192,11 +191,11 @@ def test_grid_budget_is_read_once_per_call(L, T, field, monkeypatch):
     # 16 state classes outnumber K = 10, so its lifted states are checked
     reads = []
 
-    def spy(name, default):
-        reads.append(name)
-        return env_budget(name, default)
+    def spy():
+        reads.append(GRID_BUDGET_ENV)
+        return grid_budget()
 
-    monkeypatch.setattr(builders, "env_budget", spy)
+    monkeypatch.setattr(builders, "grid_budget", spy)
     p = draw_params(trial_rng(1, 2, 2, T, L, 0), 2, 2, L=L, field=field)
     zero = RacParams(w_in=p.w_in, w_hidden=p.w_hidden, w_out=0 * p.w_out,
                      h0=p.h0)

@@ -137,6 +137,9 @@ def test_bad_range_usage_error():
     "verify deep --R 0 --trials 2",
     "scan --L 0",
     "export mps --M 0 --out unused.txt",
+    "verify shallow --M x",
+    "verify shallow --trials 2.5",
+    "export mps --T x --out unused.txt",
 ])
 def test_non_positive_size_usage_error(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -206,6 +209,22 @@ def test_lemmas_refuse_large_sweep_before_checking(T, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "exhaustive sweep needs Rbar <= 3, T/2 <= 4" in err
+
+
+@pytest.mark.parametrize("argv,checks", [
+    # R is capped at 3, so R = 3 and R = 4 are one cell
+    ("--M 2 --R 3,4 --T 2", "decomposition bucket rearrangement hadamard"),
+    # the bucket check ignores M, so it runs for the first M only
+    ("--M 2,3 --R 2 --T 2",
+     "decomposition bucket decomposition rearrangement hadamard"),
+])
+def test_lemmas_print_each_row_once(argv, checks, capsys):
+    code, out, _ = run_cli(["verify", "lemmas", *argv.split(),
+                            "--trials", "2"], capsys)
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == len(set(rows))
+    runs = itertools.groupby(row.split(",")[0] for row in rows)
+    assert " ".join(check for check, _ in runs) == checks
 
 
 def test_lemmas_budget_refuses_every_cell_before_any_check(capsys,

@@ -135,6 +135,16 @@ def test_params_shape_validation():
         RacParams(**dict(good, w_hidden=[np.eye(2)]))  # field mix
 
 
+@pytest.mark.parametrize("w_in", [1j * np.eye(2),
+                                  np.array([["1", "0"], ["0", "1"]])],
+                         ids=["complex", "text"])
+def test_params_refuse_weights_that_are_not_real_numbers(w_in):
+    # a complex network was ranked on its real part with only a
+    # ComplexWarning, and a text one was accepted as a float network
+    with pytest.raises(ParameterError, match="real arrays"):
+        RacParams(w_in=[w_in], w_hidden=[np.eye(2)], w_out=np.ones((1, 2)))
+
+
 @pytest.mark.parametrize("h0", [[np.array([0.5, 0.5])], [[1, 1]]])
 def test_params_refuse_an_h0_of_another_field_or_not_an_array(h0):
     # a float h0 in an exact network used to fail later with AttributeError

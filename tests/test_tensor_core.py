@@ -93,6 +93,13 @@ def test_serialization_roundtrip(fmt_field):
     assert dump_tensor(back) == dump_tensor(t)
 
 
+def test_equals_is_false_across_fields_or_dims():
+    t = DenseTensor(np.arange(4).reshape(2, 2), EXACT)
+    assert t.equals(DenseTensor(np.arange(4).reshape(2, 2), EXACT))
+    assert not t.equals(DenseTensor(np.arange(4).reshape(2, 2), FLOAT))
+    assert not t.equals(DenseTensor(np.arange(4), EXACT))
+
+
 def test_parse_rejects_bad_header():
     with pytest.raises(InvalidInputError):
         parse_tensor("nonsense\n1 2 3\n")
@@ -314,9 +321,10 @@ def test_rank_numeric_refuses_a_tolerance_that_is_not_finite_and_positive(
             rank_numeric(a, rel_tol=rel_tol)
 
 
-@pytest.mark.parametrize("rel_tol", ["x", "1e-12", None, 1j])
+@pytest.mark.parametrize("rel_tol", ["x", "1e-12", None, 1j, True])
 def test_rel_tol_must_be_a_real_number(rel_tol):
-    # "x" used to raise a bare TypeError from the comparison
+    # "x" used to raise a bare TypeError from the comparison, and True
+    # ranked with a tolerance of 1.0
     with pytest.raises(InvalidInputError, match="rel_tol"):
         check_rel_tol(rel_tol)
     with pytest.raises(InvalidInputError, match="rel_tol"):

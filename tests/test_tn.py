@@ -15,7 +15,8 @@ from racsep import (EXACT, FLOAT, DenseTensor, InvalidInputError,
                     delta_tensor, draw_params, exact_array,
                     forward_deep, min_cut, multiset_coefficient,
                     no_clone_counterexample, tn, trial_rng)
-from racsep.tn import (CONTRACT_BUDGET_ENV, END, START, Edge, OpenLeg, TnGraph,
+from racsep.errors import GRID_BUDGET_ENV
+from racsep.tn import (END, START, Edge, OpenLeg, TnGraph,
                        dump_graph, parse_graph)
 
 
@@ -231,7 +232,7 @@ def test_contract_orders_legs_by_time():
 
 def test_contract_budget(monkeypatch):
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
-    monkeypatch.setenv(CONTRACT_BUDGET_ENV, "4")
+    monkeypatch.setenv(GRID_BUDGET_ENV, "4")
     with pytest.raises(ResourceBudgetError):
         contract(build_mps(p, 4))
 
@@ -240,10 +241,10 @@ def test_contract_budget(monkeypatch):
 def test_contract_refuses_a_malformed_budget(value, monkeypatch):
     # "1e3" used to raise int()'s ValueError
     p = draw_params(trial_rng(0, 2, 2, 4, 1, 0), 2, 2, L=1)
-    monkeypatch.setenv(CONTRACT_BUDGET_ENV, value)
-    with pytest.raises(InvalidInputError, match=CONTRACT_BUDGET_ENV):
+    monkeypatch.setenv(GRID_BUDGET_ENV, value)
+    with pytest.raises(InvalidInputError, match=GRID_BUDGET_ENV):
         contract(build_mps(p, 4))
-    monkeypatch.setenv(CONTRACT_BUDGET_ENV, " 1000 ")
+    monkeypatch.setenv(GRID_BUDGET_ENV, " 1000 ")
     contract(build_mps(p, 4))
 
 
@@ -254,9 +255,9 @@ def test_contract_budget_is_the_greedy_peak(monkeypatch):
     enc, seq = TemplateEncoder.identity(2), (1, 2, 1, 2, 1, 2)
     g = attach_inputs(build_deep_tn(p, 6), enc, seq)
     assert len(g.nodes) == 334
-    monkeypatch.setenv(CONTRACT_BUDGET_ENV, "9")
+    monkeypatch.setenv(GRID_BUDGET_ENV, "9")
     assert contract(g).entries[0] == forward_deep(p, RAC_PRODUCT, enc, seq)[0]
-    monkeypatch.setenv(CONTRACT_BUDGET_ENV, "8")
+    monkeypatch.setenv(GRID_BUDGET_ENV, "8")
     with pytest.raises(ResourceBudgetError) as ei:
         contract(g)
     assert (ei.value.required, ei.value.budget) == (9, 8)
